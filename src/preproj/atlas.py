@@ -229,14 +229,14 @@ def enumerate_indecomposables(
     quick: dict[tuple, list[int]] = {}
 
     def identify(c: Representation) -> int | None:
-        key = (c.dims, hom_dim(c, c))
+        key = (c.dims, c.end_dim)
         for mid in quick.get(key, []):
             if is_isomorphic(mods[mid], c, seed=seed):
                 return mid
         return None
 
     def add(c: Representation):
-        key = (c.dims, hom_dim(c, c))
+        key = (c.dims, c.end_dim)
         quick.setdefault(key, []).append(len(mods))
         mods.append(c)
 

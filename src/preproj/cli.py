@@ -66,7 +66,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
         dest="exhaustive_ext_sampling",
     )
     p.add_argument("--a4-sample-count", type=int, dest="a4_sample_count")
-    p.add_argument("--jobs", type=int)
 
 
 def _config_from(args) -> Config:
@@ -77,7 +76,6 @@ def _config_from(args) -> Config:
         "cache_dir",
         "exhaustive_ext_sampling",
         "a4_sample_count",
-        "jobs",
     )
     overrides = {k: getattr(args, k) for k in keys}
     return build_config(args.config, overrides)

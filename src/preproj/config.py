@@ -9,8 +9,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import InputError
+from .errors import FieldSizeError, InputError
 from .linalg import _is_prime
+
+# Inner dimension up to which products over F_p must stay exact in int64.
+# The largest the suites reach is 110 (A4 theorem1 and lemma37).
+EXACT_INNER_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -21,15 +25,18 @@ class Config:
     cache_dir: str = "cache"
     exhaustive_ext_sampling: bool = False
     a4_sample_count: int = 5
-    jobs: int = 1
 
     def validate(self) -> "Config":
         for name in ("field_char", "cross_check_char"):
             p = getattr(self, name)
             if not _is_prime(p) or p == 2:
                 raise InputError(f"{name} must be an odd prime, got {p}")
-        if self.seed < 0 or self.a4_sample_count < 1 or self.jobs < 1:
-            raise InputError("seed, a4_sample_count and jobs must be non-negative / positive")
+            if (p - 1) ** 2 * EXACT_INNER_DIM >= 2**63:
+                raise FieldSizeError(
+                    f"{name} = {p} is too large for exact int64 arithmetic"
+                )
+        if self.seed < 0 or self.a4_sample_count < 1:
+            raise InputError("seed must be non-negative and a4_sample_count positive")
         return self
 
 

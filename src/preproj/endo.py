@@ -18,7 +18,7 @@ import numpy as np
 from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
 from .linalg import PrimeField
-from .modules import ModuleMap, Representation, hom_basis
+from .modules import ModuleMap, Representation, hom_basis, intertwiner_system, kernel_maps
 from .rigidgraph import RigidModule, _bron_kerbosch
 
 
@@ -371,50 +371,28 @@ def direct_sum_b(mods: list[BModule]) -> BModule:
     return BModule(alg, comp_dims, blocks)
 
 
-def hom_b(m: BModule, n: BModule) -> list[list[np.ndarray]]:
-    """Basis of B-module maps m -> n, as per-component block tuples."""
+def _hom_b_system(m: BModule, n: BModule) -> np.ndarray:
+    """Intertwining system of B-module maps m -> n: the radical basis
+    elements act as the arrows; those acting as zero on both are left out."""
     alg = m.algebra
-    fld = alg.field
-    r = alg.r
-    sizes = [n.comp_dims[k] * m.comp_dims[k] for k in range(r)]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    ncols = int(offs[-1])
-    idents = set(alg.identity_of.values())
-    rows = []
-    for b in alg.elements:
-        if b.index in idents:
-            continue
-        k, l = b.src, b.tgt
-        nr = n.comp_dims[l] * m.comp_dims[k]
-        if nr == 0:
-            continue
-        mb = m.action_block(b.index)
-        nb = n.action_block(b.index)
-        if not np.any(mb) and not np.any(nb):
-            continue
-        block = fld.zeros(nr, ncols)
-        if sizes[l]:
-            block[:, offs[l] : offs[l + 1]] = np.kron(fld.eye(n.comp_dims[l]), mb.T)
-        if sizes[k]:
-            block[:, offs[k] : offs[k + 1]] = (
-                block[:, offs[k] : offs[k + 1]] - np.kron(nb, fld.eye(m.comp_dims[k]))
-            ) % fld.p
-        rows.append(block)
-    a = np.concatenate(rows, axis=0) % fld.p if rows else fld.zeros(0, ncols)
-    ker = fld.kernel_basis(a)
-    out = []
-    for c in range(ker.shape[1]):
-        out.append(
-            [
-                ker[offs[k] : offs[k + 1], c].reshape(n.comp_dims[k], m.comp_dims[k])
-                for k in range(r)
-            ]
-        )
-    return out
+    actions = []
+    for idx in alg.radical_elements:
+        b = alg.elements[idx]
+        mb = m.action_block(idx)
+        nb = n.action_block(idx)
+        if np.any(mb) or np.any(nb):
+            actions.append((b.src, b.tgt, mb, nb))
+    return intertwiner_system(alg.field, m.comp_dims, n.comp_dims, actions)
+
+
+def hom_b(m: BModule, n: BModule) -> list[tuple]:
+    """Basis of B-module maps m -> n, as per-component block tuples."""
+    return kernel_maps(m.algebra.field, m.comp_dims, n.comp_dims, _hom_b_system(m, n))
 
 
 def hom_b_dim(m: BModule, n: BModule) -> int:
-    return len(hom_b(m, n))
+    a = _hom_b_system(m, n)
+    return a.shape[1] - m.algebra.field.rank(a)
 
 
 def top_dims_b(m: BModule) -> tuple[int, ...]:
@@ -458,11 +436,10 @@ def projective_cover_b(m: BModule):
                 images.append(blk)
         h = np.concatenate(images, axis=1) if images else fld.zeros(m.comp_dims[k], 0)
         _, pivots = fld.rref(h.T)
-        for c in range(m.comp_dims[k]):
-            if c not in set(pivots):
-                vec = fld.zeros(m.comp_dims[k], 1)
-                vec[c, 0] = 1
-                lifts.append((k, vec))
+        for c in sorted(set(range(m.comp_dims[k])).difference(pivots)):
+            vec = fld.zeros(m.comp_dims[k], 1)
+            vec[c, 0] = 1
+            lifts.append((k, vec))
     copies = [k for k, _ in lifts]
     projs = [alg.projective(k) for k in copies]
     if projs:
@@ -523,19 +500,19 @@ def _ext1_from_presentation(syz: BModule, kers, cover_mod: BModule, n: BModule) 
     fld = alg.field
     if syz.dim == 0:
         return 0
-    homs_syz = hom_b(syz, n)
-    if not homs_syz:
+    syz_homs = hom_b_dim(syz, n)
+    if not syz_homs:
         return 0
     homs_cover = hom_b(cover_mod, n)
     if not homs_cover:
-        return len(homs_syz)
+        return syz_homs
     # restriction along the inclusion: h -> (h_j @ K_j)_j
     cols = []
     for h in homs_cover:
         parts = [fld.mul(h[j], kers[j]).reshape(-1) for j in range(alg.r)]
         cols.append(np.concatenate(parts))
     a = np.stack(cols, axis=1)
-    return len(homs_syz) - fld.rank(a)
+    return syz_homs - fld.rank(a)
 
 
 def ext1_b(m: BModule, n: BModule) -> int:

@@ -10,7 +10,8 @@ class InputError(PreprojError):
 
 
 class FieldSizeError(PreprojError):
-    """The prime is too small for a computation that needs p to dominate a dimension."""
+    """The prime is too small for a computation that needs p to dominate a
+    dimension, or too large for exact int64 products."""
 
 
 class EnumerationError(PreprojError):

@@ -15,9 +15,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
+from .linalg import kron_eye_left, kron_eye_right
 from .modules import (
     ModuleMap,
     Representation,
+    _hom_system,
     compose_maps,
     hom_basis,
     hom_dim,
@@ -98,59 +100,33 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
     # cocycle condition per vertex: linearized defining relation
     rows = []
     for v in dq.vertices:
-        nr = y.dims[v - 1] * x.dims[v - 1]
-        if nr == 0:
+        xv, yv = x.dims[v - 1], y.dims[v - 1]
+        if xv * yv == 0:
             continue
-        block = fld.zeros(nr, ncols)
+        block = fld.zeros(yv * xv, ncols)
         for k in range(dq.n_base):
             a = dq.arrows[k]
             ks = dq.partner[k]
-            # contribution of a term (first . second) to the block at v is
-            # Y_first C_second + C_first X_second
+            # contribution of a term (first . second), a path from v to v, to
+            # the block at v is Y_first C_second + C_first X_second
             terms = []
             if a.source == v:
                 terms.append((ks, k, 1))
             if a.target == v:
                 terms.append((k, ks, -1))
             for first, second, sgn in terms:
-                sa, ta = dq.arrows[second].source - 1, dq.arrows[second].target - 1
-                # Y_first @ C_second : kron(Y_first, I_{x_s})
-                if shapes[second][0] * shapes[second][1]:
-                    contrib = np.kron(y.mats[first], fld.eye(x.dims[sa]))
-                    block[:, offs[second] : offs[second + 1]] = (
-                        block[:, offs[second] : offs[second + 1]] + sgn * contrib
-                    ) % fld.p
-                # C_first @ X_second : kron(I_{y_t(first)}, X_second^T)
-                if shapes[first][0] * shapes[first][1]:
-                    tf = dq.arrows[first].target - 1
-                    contrib = np.kron(fld.eye(y.dims[tf]), x.mats[second].T)
-                    block[:, offs[first] : offs[first + 1]] = (
-                        block[:, offs[first] : offs[first + 1]] + sgn * contrib
-                    ) % fld.p
+                # vec_r(Y C) = kron(Y, I_xv) vec_r(C), vec_r(C X) = kron(I_yv, X^T) vec_r(C)
+                block[:, offs[second] : offs[second + 1]] += sgn * kron_eye_right(y.mats[first], xv)
+                block[:, offs[first] : offs[first + 1]] += sgn * kron_eye_left(yv, x.mats[second].T)
         rows.append(block)
     cond = np.concatenate(rows, axis=0) % fld.p if rows else fld.zeros(0, ncols)
     z_basis = fld.kernel_basis(cond)
 
-    # coboundary image: f -> (Y_a f_s - f_t X_a)_a
-    fsizes = [y.dims[i] * x.dims[i] for i in range(dq.nv)]
-    foffs = np.concatenate([[0], np.cumsum(fsizes)])
-    delta = fld.zeros(ncols, int(foffs[-1]))
-    for k, a in enumerate(dq.arrows):
-        s, t = a.source - 1, a.target - 1
-        if shapes[k][0] * shapes[k][1] == 0:
-            continue
-        if fsizes[s]:
-            delta[offs[k] : offs[k + 1], foffs[s] : foffs[s + 1]] = np.kron(
-                y.mats[k], fld.eye(x.dims[s])
-            )
-        if fsizes[t]:
-            delta[offs[k] : offs[k + 1], foffs[t] : foffs[t + 1]] = (
-                delta[offs[k] : offs[k + 1], foffs[t] : foffs[t + 1]]
-                - np.kron(fld.eye(y.dims[t]), x.mats[k].T)
-            ) % fld.p
+    # coboundaries f -> (Y_a f_s - f_t X_a)_a form the negated Hom system,
+    # whose rows are the cocycle coordinates in arrow order: same column space
+    red, pivots = fld.rref(_hom_system(x, y).T)
 
     # reduce cocycles modulo coboundaries, keeping originals as representatives
-    red, pivots = fld.rref(delta.T)
     brows = red[: len(pivots)]
     reps = []
     kept_residues = None
@@ -158,7 +134,7 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
         vec = z_basis[:, c : c + 1].copy()
         if pivots:
             coeffs = vec[pivots, 0]
-            vec = (vec - brows.T @ coeffs.reshape(-1, 1)) % fld.p
+            vec = (vec - fld.mul(brows.T, coeffs.reshape(-1, 1))) % fld.p
         if not np.any(vec):
             continue
         if kept_residues is None:

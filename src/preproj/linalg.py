@@ -27,6 +27,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def kron_eye_right(a: np.ndarray, n: int) -> np.ndarray:
+    """kron(a, I_n), with the copies of a placed by slicing."""
+    r, c = a.shape
+    out = np.zeros((r, n, c, n), dtype=np.int64)
+    diag = np.arange(n)
+    out[:, diag, :, diag] = a
+    return out.reshape(r * n, c * n)
+
+
+def kron_eye_left(n: int, b: np.ndarray) -> np.ndarray:
+    """kron(I_n, b), with the copies of b placed by slicing."""
+    r, c = b.shape
+    out = np.zeros((n, r, n, c), dtype=np.int64)
+    diag = np.arange(n)
+    out[diag, :, diag, :] = b
+    return out.reshape(n * r, n * c)
+
+
 class PrimeField:
     """Arithmetic and elimination helpers for F_p, p an odd prime."""
 
@@ -37,6 +55,9 @@ class PrimeField:
             raise InputError("p = 2 is not supported (root extraction needs odd p)")
         self.p = p
         self._inv_cache: dict[int, int] = {}
+        # largest inner dimension k of a product whose sums of k terms below
+        # (p - 1)**2 stay under 2**63 in int64
+        self._max_inner = (2**63 - 1) // (p - 1) ** 2
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -71,9 +92,14 @@ class PrimeField:
         return np.eye(n, dtype=np.int64)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product mod p.  Entries stay below p**2 * k < 2**63."""
+        """Matrix product mod p.  Raises FieldSizeError unless the inner
+        dimension k keeps (p - 1)**2 * k below 2**63."""
         if a.shape[1] != b.shape[0]:
             raise InputError(f"shape mismatch in product: {a.shape} @ {b.shape}")
+        if a.shape[1] > self._max_inner:
+            raise FieldSizeError(
+                f"p = {self.p} too large for exact int64 products of inner dimension {a.shape[1]}"
+            )
         if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
             return self.zeros(a.shape[0], b.shape[1])
         return (a @ b) % self.p
@@ -134,7 +160,7 @@ class PrimeField:
         if nrows == 0:
             return self.eye(ncols)
         r, pivots = self.rref(m)
-        free = [c for c in range(ncols) if c not in set(pivots)]
+        free = sorted(set(range(ncols)).difference(pivots))
         basis = self.zeros(ncols, len(free))
         for k, fc in enumerate(free):
             basis[fc, k] = 1
@@ -192,7 +218,7 @@ class PrimeField:
         if w.shape[1] == 0:
             return self.eye(dim)
         r, pivots = self.rref(w.T)
-        free = [c for c in range(dim) if c not in set(pivots)]
+        free = sorted(set(range(dim)).difference(pivots))
         q = self.eye(dim)
         if pivots:
             q = (q - self.mul(r[: len(pivots)].T, q[pivots, :])) % self.p

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonSplitResidueError, StructureError
-from .linalg import PrimeField
+from .linalg import PrimeField, kron_eye_left, kron_eye_right
 from .quivers import DoubleQuiver, PreprojectiveBasis
 
 
@@ -40,12 +40,20 @@ class Representation:
             m.flags.writeable = False
             fixed.append(m)
         self.mats = tuple(fixed)
+        self._end_dim = None
         if validate and not check_relations(self):
             raise InputError("matrices violate the defining relation")
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+    @property
+    def end_dim(self) -> int:
+        """dim End(self), computed once: the matrices are read-only."""
+        if self._end_dim is None:
+            self._end_dim = hom_dim(self, self)
+        return self._end_dim
 
     def mat(self, k: int) -> np.ndarray:
         return self.mats[k]
@@ -183,49 +191,68 @@ class HomSpace:
         return ModuleMap(self.source, self.target, tuple(mats))
 
 
-def hom_basis(x: Representation, y: Representation) -> HomSpace:
-    """Solve all intertwining conditions as one stacked kernel computation."""
+def _map_offsets(x_dims, y_dims) -> list[int]:
+    """Offsets of the vertex maps k^x_i -> k^y_i in a stacked vector."""
+    offs = [0]
+    for xd, yd in zip(x_dims, y_dims):
+        offs.append(offs[-1] + yd * xd)
+    return offs
+
+
+def intertwiner_system(fld: PrimeField, x_dims, y_dims, actions) -> np.ndarray:
+    """Matrix of f -> (f_t X_a - Y_a f_s)_a, whose kernel is Hom(x, y).
+
+    The unknowns are the row-major vectors of the vertex maps
+    f_i: k^x_i -> k^y_i, stacked in vertex order.  actions lists
+    (s, t, X_a, Y_a) with 0-based vertices s, t; the row blocks follow its
+    order, an empty block for each action with y_t * x_s = 0.
+    """
+    offs = _map_offsets(x_dims, y_dims)
+    nrows = sum(y_dims[t] * x_dims[s] for s, t, _, _ in actions)
+    a = np.zeros((nrows, offs[-1]), dtype=np.int64)
+    r0 = 0
+    for s, t, xa, ya in actions:
+        r1 = r0 + y_dims[t] * x_dims[s]
+        if r1 == r0:
+            continue
+        # vec_r(f_t X_a) = kron(I, X_a^T) vec_r(f_t), vec_r(Y_a f_s) = kron(Y_a, I) vec_r(f_s)
+        a[r0:r1, offs[t] : offs[t + 1]] = kron_eye_left(y_dims[t], xa.T)
+        a[r0:r1, offs[s] : offs[s + 1]] -= kron_eye_right(ya, x_dims[s])
+        r0 = r1
+    return a % fld.p
+
+
+def kernel_maps(fld: PrimeField, x_dims, y_dims, system: np.ndarray) -> list[tuple]:
+    """Kernel basis of an intertwiner_system, one tuple of vertex maps per vector."""
+    ker = fld.kernel_basis(system)
+    offs = _map_offsets(x_dims, y_dims)
+    return [
+        tuple(
+            ker[offs[i] : offs[i + 1], c].reshape(y_dims[i], x_dims[i])
+            for i in range(len(x_dims))
+        )
+        for c in range(ker.shape[1])
+    ]
+
+
+def _hom_system(x: Representation, y: Representation) -> np.ndarray:
     if x.dq is not y.dq and x.dq != y.dq:
         raise InputError("representations live on different double quivers")
-    fld = x.field
-    dq = x.dq
-    nv = dq.nv
-    sizes = [y.dims[i] * x.dims[i] for i in range(nv)]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    ncols = int(offs[-1])
-    rows = []
-    for k, a in enumerate(dq.arrows):
-        s, t = a.source - 1, a.target - 1
-        nr = y.dims[t] * x.dims[s]
-        if nr == 0:
-            continue
-        block = fld.zeros(nr, ncols)
-        # f_t X_a part: vec_r(f_t X_a) = kron(I, X_a^T) vec_r(f_t)
-        if sizes[t]:
-            block[:, offs[t] : offs[t + 1]] = np.kron(fld.eye(y.dims[t]), x.mats[k].T)
-        # -Y_a f_s part: vec_r(Y_a f_s) = kron(Y_a, I) vec_r(f_s)
-        if sizes[s]:
-            block[:, offs[s] : offs[s + 1]] = (
-                block[:, offs[s] : offs[s + 1]] - np.kron(y.mats[k], fld.eye(x.dims[s]))
-            ) % fld.p
-        rows.append(block)
-    if rows:
-        a_mat = np.concatenate(rows, axis=0) % fld.p
-    else:
-        a_mat = fld.zeros(0, ncols)
-    ker = fld.kernel_basis(a_mat)
-    basis = []
-    for c in range(ker.shape[1]):
-        mats = tuple(
-            ker[offs[i] : offs[i + 1], c].reshape(y.dims[i], x.dims[i])
-            for i in range(nv)
-        )
-        basis.append(mats)
-    return HomSpace(x, y, basis)
+    actions = [
+        (a.source - 1, a.target - 1, x.mats[k], y.mats[k]) for k, a in enumerate(x.dq.arrows)
+    ]
+    return intertwiner_system(x.field, x.dims, y.dims, actions)
+
+
+def hom_basis(x: Representation, y: Representation) -> HomSpace:
+    """Solve all intertwining conditions as one stacked kernel computation."""
+    return HomSpace(x, y, kernel_maps(x.field, x.dims, y.dims, _hom_system(x, y)))
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
-    return hom_basis(x, y).dim
+    """dim Hom(x, y) from the rank of the intertwining system alone."""
+    a = _hom_system(x, y)
+    return a.shape[1] - x.field.rank(a)
 
 
 # -- subquotients -------------------------------------------------------
@@ -376,7 +403,7 @@ def projective_cover(rep: Representation, basis: PreprojectiveBasis) -> tuple[Re
             else fld.zeros(rep.dims[i], 0)
         )
         _, pivots = fld.rref(h.T)
-        free = [c for c in range(rep.dims[i]) if c not in set(pivots)]
+        free = sorted(set(range(rep.dims[i])).difference(pivots))
         for c in free:
             vec = fld.zeros(rep.dims[i], 1)
             vec[c, 0] = 1
@@ -457,10 +484,10 @@ def is_isomorphic(x: Representation, y: Representation, seed: int = 0, tries: in
         return False
     if x.total_dim == 0:
         return True
-    hxy = hom_basis(x, y)
-    if hxy.dim == 0:
+    if x.end_dim != y.end_dim:
         return False
-    if hom_dim(x, x) != hom_dim(y, y) or hxy.dim != hom_dim(x, x):
+    hxy = hom_basis(x, y)
+    if hxy.dim == 0 or hxy.dim != x.end_dim:
         return False
     return _invertible_in_hom(hxy, seed, tries) is not None
 

@@ -241,7 +241,7 @@ class PreprojectiveBasis:
                 q = fld.quotient_map(rel, len(paths))
                 if q.shape[0]:
                     _, pivots = fld.rref(rel.T)
-                    free = [c for c in range(len(paths)) if c not in set(pivots)]
+                    free = sorted(set(range(len(paths))).difference(pivots))
                     basis_layer[(i, j)] = [paths[c] for c in free]
                     reducer_layer[(i, j)] = q
                     nonzero = True

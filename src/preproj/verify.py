@@ -10,8 +10,6 @@ over End(T)), theorem1 (mutation/tilting graph correspondence), connected
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .atlas import Atlas, compare_atlases
@@ -36,13 +34,6 @@ def _report(suite, qtype, checks, failures, details=None):
         "failures": failures[:8],
         "details": details or {},
     }
-
-
-def _parallel(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def select_t_indices(qtype: str, rigids, cfg: Config) -> list[int]:
@@ -167,20 +158,14 @@ def suite_lemma37(atlas: Atlas, rigids, t_indices, cfg: Config) -> dict:
     ]
     cache = _MiddleRows(atlas, cfg)
     failures = []
-
-    def run_one(ti):
-        local = []
+    for ti in t_indices:
         summands = rigids[ti].summands
         for x, y in pairs:
             ok = cache.some_class_exact(x, y, summands) or cache.some_class_exact(
                 y, x, summands
             )
             if not ok:
-                local.append({"pair": [x, y], "t_index": ti, "verdict": "NONE"})
-        return local
-
-    for got in _parallel(run_one, list(t_indices), cfg.jobs):
-        failures.extend(got)
+                failures.append({"pair": [x, y], "t_index": ti, "verdict": "NONE"})
     checks = len(pairs) * len(list(t_indices))
     return _report(
         "lemma37",
@@ -248,13 +233,10 @@ def suite_theorem1(atlas: Atlas, rigids, graph: MutationGraph, t_indices, cfg: C
         neighbors[i].append(j)
         neighbors[j].append(i)
 
-    def run_one(ti):
+    for ti in t_indices:
         rep = verify_graph_correspondence(atlas, rigids, graph, ti, seed=cfg.seed)
         nb = neighbors[ti][0]
         rep["coresolution"] = coresolution_check(atlas, rigids[ti], rigids[nb], seed=cfg.seed)
-        return rep
-
-    for rep in _parallel(run_one, list(t_indices), cfg.jobs):
         reports.append(rep)
         if not (rep["bijection"] and rep["edges_preserved"] and rep["coresolution"]["ok"]):
             failures.append(rep)

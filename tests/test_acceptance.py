@@ -2,6 +2,7 @@
 line.  Expected values are exact; timing bounds are asserted from the
 recorded wall time of the authoritative construction runs."""
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -9,7 +10,7 @@ from math import comb
 
 from preproj.cli import main as cli_main
 from preproj.config import Config
-from preproj.rigidgraph import A3_RIGID_LABELS, is_connected
+from preproj.rigidgraph import A3_RIGID_LABELS, export_graph, is_connected
 from preproj.verify import (
     select_t_indices,
     suite_extbounds,
@@ -167,3 +168,25 @@ def test_criterion_10_determinism(tmp_path, capsys):
         assert outputs[0] == outputs[1]
         rec = json.loads(outputs[0]["report"].decode())
         assert rec["suite"] == "extbounds"
+
+
+# sha256 of the files `preproj atlas` and `preproj graph --kind mutation` write
+# (seed 0); a faster engine must leave every byte as it was
+PINNED_DIGESTS = {
+    ("A3", 32003, "atlas"): "6fcd5adc799e23b9e7dc0374a7e13711abffda5cd606f7d877a373664763156e",
+    ("A3", 101, "atlas"): "f0223c7a8bfc2de064d9cd8502390bf7553df0aa25f9f4e3897be2b7169e8421",
+    ("A4", 32003, "atlas"): "836dec36f38cf7df42d8b38d41dd2cdce12fc1a6462df648ab1295ca57021db3",
+    ("A4", 32003, "mutation"): "e8d8f1b53faa1cdfadf5c4fab386b578079219a7a5db4891af4c00400d9e5d6c",
+}
+
+
+def test_pinned_output_digests(tmp_path):
+    for (qtype, p, kind), want in PINNED_DIGESTS.items():
+        atlas = shared_atlas(qtype, p)
+        path = tmp_path / f"{qtype}-{p}-{kind}.json"
+        if kind == "atlas":
+            atlas.save(path)
+        else:
+            _, graph = shared_rigids(qtype, p)
+            export_graph(graph, "json", path, qtype, atlas)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, (qtype, p, kind)

@@ -8,7 +8,7 @@ from preproj.atlas import Atlas, compare_atlases, enumerate_indecomposables
 from preproj.errors import FormatError
 from preproj.extensions import ext1_cocycle
 from preproj.linalg import PrimeField
-from preproj.modules import direct_sum, hom_dim, simple, top, socle_dims
+from preproj.modules import direct_sum, hom_basis, hom_dim, simple, top, socle_dims
 from tests.conftest import shared_atlas
 
 
@@ -149,9 +149,12 @@ def test_fingerprints_separate_modules(atlas_a3):
 
 
 def test_table_cache_coherence(atlas_a3):
+    mods = atlas_a3.modules
     for i in range(12):
+        assert mods[i].end_dim == atlas_a3.hom_table[i, i]
         for j in range(12):
-            assert atlas_a3.hom_table[i, j] == hom_dim(atlas_a3.modules[i], atlas_a3.modules[j])
+            assert atlas_a3.hom_table[i, j] == hom_dim(mods[i], mods[j])
+            assert hom_basis(mods[i], mods[j]).dim == hom_dim(mods[i], mods[j])
     for i, j in [(0, 5), (3, 9), (11, 2), (7, 7)]:
         assert atlas_a3.ext_table[i, j] == ext1_cocycle(
             atlas_a3.modules[i], atlas_a3.modules[j]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from preproj.errors import InputError
-from preproj.linalg import PrimeField
+from preproj.errors import FieldSizeError, InputError
+from preproj.linalg import PrimeField, kron_eye_left, kron_eye_right
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +116,26 @@ def test_trace_form_radical_triangular_algebra(f):
 def test_ranks_agree_across_primes():
     m = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     assert PrimeField(101).rank(np.array(m)) == PrimeField(32003).rank(np.array(m)) == 2
+
+
+def test_kron_helpers_match_np_kron():
+    rng = np.random.default_rng(11)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(int(v) for v in rng.integers(0, 6, size=3)) for _ in range(20)]
+    for r, c, n in shapes:
+        a = rng.integers(0, 32003, size=(r, c))
+        eye = np.eye(n, dtype=np.int64)
+        got_right = kron_eye_right(a, n)
+        got_left = kron_eye_left(n, a)
+        assert got_right.shape == (r * n, c * n) and got_left.shape == (n * r, n * c)
+        assert np.array_equal(got_right, np.kron(a, eye))
+        assert np.array_equal(got_left, np.kron(eye, a))
+
+
+def test_mul_refuses_int64_overflow():
+    big = PrimeField(2147483647)
+    row = big.mat([[big.p - 1] * 3])
+    with pytest.raises(FieldSizeError):
+        big.mul(row, row.T)
+    # two terms of (p - 1)**2 still fit: (-1)**2 * 2 = 2
+    assert big.mul(row[:, :2], row[:, :2].T)[0, 0] == 2
