@@ -51,4 +51,15 @@ from .rigidgraph import (
     mutation_graph,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Atlas", "enumerate_indecomposables", "Config", "build_config", "BoundAlgebra",
+    "BModule", "enumerate_tilting", "verify_graph_correspondence", "ExtSpace",
+    "ShortExactSequence", "Verdict", "build_extension", "ext1_cocycle",
+    "ext1_dim_formula", "hom_exact_direction", "is_hom_exact", "is_split", "pullback",
+    "pushout", "PrimeField", "Representation", "check_relations", "decompose",
+    "direct_sum", "hom_basis", "is_isomorphic", "projective_module", "radical",
+    "simple", "syzygy", "top", "DoubleQuiver", "PreprojectiveBasis", "Quiver", "double",
+    "dynkin_a", "preset_quiver", "symmetric_form", "MutationGraph", "RigidModule",
+    "compatibility_graph", "enumerate_maximal_rigid", "export_graph", "is_connected",
+    "mutation_graph",
+]

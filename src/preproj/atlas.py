@@ -123,8 +123,8 @@ class Atlas:
     def locate(self, m: Representation) -> int | None:
         fp = self.fingerprint(m).key()
         for mid, x in enumerate(self.modules):
-            if self.fingerprint(x).key() == fp:
-                if is_isomorphic(x, m):
+            if (x.dims, tuple(int(v) for v in self.hom_table[mid])) == fp:
+                if is_isomorphic(x, m, tries=0):
                     return mid
                 raise IntegrityError(
                     f"fingerprint of module {mid} matched but no isomorphism exists"
@@ -231,7 +231,7 @@ def enumerate_indecomposables(
     def identify(c: Representation) -> int | None:
         key = (c.dims, c.end_dim)
         for mid in quick.get(key, []):
-            if is_isomorphic(mods[mid], c, seed=seed):
+            if is_isomorphic(mods[mid], c, seed=seed, tries=0):
                 return mid
         return None
 
@@ -293,7 +293,8 @@ def enumerate_indecomposables(
     provisional = sorted(range(n), key=lambda i: (mods[i].total_dim, mods[i].dims, i))
     pmods = [mods[i] for i in provisional]
     hom1 = np.array(
-        [[hom_dim(x, y) for y in pmods] for x in pmods], dtype=np.int64
+        [[x.end_dim if x is y else hom_dim(x, y) for y in pmods] for x in pmods],
+        dtype=np.int64,
     )
     final = sorted(
         range(n),
@@ -345,7 +346,10 @@ def assign_aliases(atlas: Atlas) -> dict[int, str]:
         if simple_at:
             put(mid, f"S{simple_at[0]}")
             continue
-        pv = [v for v in dq.vertices if m.dims == projs[v].dims and is_isomorphic(m, projs[v])]
+        pv = [
+            v for v in dq.vertices
+            if m.dims == projs[v].dims and is_isomorphic(m, projs[v], tries=0)
+        ]
         if pv:
             put(mid, f"P{pv[0]}")
             continue

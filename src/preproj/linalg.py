@@ -2,6 +2,7 @@
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  Zero-row
 and zero-column matrices are legal everywhere and behave as zero maps.
+Polynomials are lists of Python ints in [0, p), ascending by degree.
 All routines are deterministic: elimination always picks the leftmost
 pivot column and the first nonzero row, and kernel bases enumerate free
 columns in ascending order, so repeated runs are bit-identical.
@@ -25,6 +26,13 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _trim(f: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place; the zero polynomial is [0]."""
+    while len(f) > 1 and not f[-1]:
+        f.pop()
+    return f or [0]
 
 
 def kron_eye_right(a: np.ndarray, n: int) -> np.ndarray:
@@ -160,12 +168,13 @@ class PrimeField:
         if nrows == 0:
             return self.eye(ncols)
         r, pivots = self.rref(m)
-        free = sorted(set(range(ncols)).difference(pivots))
-        basis = self.zeros(ncols, len(free))
-        for k, fc in enumerate(free):
-            basis[fc, k] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, k] = (-r[i, fc]) % self.p
+        pivset = set(pivots)
+        free = np.array([c for c in range(ncols) if c not in pivset], dtype=np.intp)
+        basis = self.zeros(ncols, free.size)
+        if free.size:
+            basis[free, np.arange(free.size)] = 1
+            if pivots:
+                basis[pivots] = -r[: len(pivots)].take(free, axis=1) % self.p
         return basis
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -224,53 +233,62 @@ class PrimeField:
             q = (q - self.mul(r[: len(pivots)].T, q[pivots, :])) % self.p
         return q[free, :] if free else self.zeros(0, dim)
 
-    # -- polynomials over F_p (ascending coefficient arrays) -----------
+    # -- polynomials over F_p ------------------------------------------
+    #
+    # A polynomial is a Python list of ints in [0, p), ascending by degree,
+    # with no trailing zero except for the zero polynomial [0].  Degrees are
+    # at most a module's dimension, too small to repay numpy's per-call cost.
 
-    def poly_trim(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=np.int64) % self.p
-        nz = np.nonzero(f)[0]
-        if nz.size == 0:
-            return np.zeros(1, dtype=np.int64)
-        return f[: int(nz[-1]) + 1]
+    def poly_trim(self, f) -> list[int]:
+        """Normal form of any coefficient sequence: reduced, trimmed list."""
+        return _trim([int(c) % self.p for c in f])
 
-    def poly_mul(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return self.poly_trim(np.convolve(f, g) % self.p)
+    def poly_mul(self, f: list[int], g: list[int]) -> list[int]:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        p = self.p
+        return _trim([c % p for c in out])
 
-    def poly_divmod(self, f: np.ndarray, g: np.ndarray):
-        f = self.poly_trim(f).copy()
-        g = self.poly_trim(g)
-        if g.size == 1 and g[0] == 0:
+    def poly_divmod(self, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+        p = self.p
+        f, g = _trim(list(f)), _trim(list(g))
+        if g == [0]:
             raise ZeroDivisionError("polynomial division by zero")
-        dg = g.size - 1
-        inv_lead = self.inv_scalar(int(g[-1]))
-        if f.size - 1 < dg:
-            return np.zeros(1, dtype=np.int64), f
-        q = np.zeros(f.size - dg, dtype=np.int64)
-        for i in range(f.size - 1, dg - 1, -1):
-            c = (int(f[i]) * inv_lead) % self.p
+        dg = len(g) - 1
+        inv_lead = self.inv_scalar(g[-1])
+        if len(f) - 1 < dg:
+            return [0], f
+        q = [0] * (len(f) - dg)
+        for i in range(len(f) - 1, dg - 1, -1):
+            c = f[i] * inv_lead % p
             if c:
                 q[i - dg] = c
-                f[i - dg : i + 1] = (f[i - dg : i + 1] - c * g) % self.p
-        return self.poly_trim(q), self.poly_trim(f)
+                lo = i - dg
+                for k, b in enumerate(g):
+                    f[lo + k] = (f[lo + k] - c * b) % p
+        return _trim(q), _trim(f)
 
-    def poly_mod(self, f, g):
+    def poly_mod(self, f: list[int], g: list[int]) -> list[int]:
         return self.poly_divmod(f, g)[1]
 
-    def poly_gcd(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        f, g = self.poly_trim(f), self.poly_trim(g)
-        while not (g.size == 1 and g[0] == 0):
+    def poly_gcd(self, f: list[int], g: list[int]) -> list[int]:
+        """Monic gcd; [0] when both are zero."""
+        f, g = _trim(list(f)), _trim(list(g))
+        while g != [0]:
             f, g = g, self.poly_mod(f, g)
-        if f.size == 1 and f[0] == 0:
+        if f == [0]:
             return f
-        return (f * self.inv_scalar(int(f[-1]))) % self.p
+        inv = self.inv_scalar(f[-1])
+        return [c * inv % self.p for c in f]
 
-    def poly_deriv(self, f: np.ndarray) -> np.ndarray:
-        if f.size <= 1:
-            return np.zeros(1, dtype=np.int64)
-        return self.poly_trim(f[1:] * np.arange(1, f.size, dtype=np.int64) % self.p)
+    def poly_deriv(self, f: list[int]) -> list[int]:
+        return _trim([k * f[k] % self.p for k in range(1, len(f))])
 
-    def poly_pow_mod(self, f: np.ndarray, e: int, m: np.ndarray) -> np.ndarray:
-        out = np.ones(1, dtype=np.int64)
+    def poly_pow_mod(self, f: list[int], e: int, m: list[int]) -> list[int]:
+        out = [1]
         base = self.poly_mod(f, m)
         while e:
             if e & 1:
@@ -279,21 +297,27 @@ class PrimeField:
             e >>= 1
         return out
 
-    def poly_eval_matrix(self, f: np.ndarray, e: np.ndarray) -> np.ndarray:
+    def _poly_sub(self, f: list[int], g: list[int]) -> list[int]:
+        n = max(len(f), len(g))
+        f = list(f) + [0] * (n - len(f))
+        g = list(g) + [0] * (n - len(g))
+        return _trim([(a - b) % self.p for a, b in zip(f, g)])
+
+    def poly_eval_matrix(self, f: list[int], e: np.ndarray) -> np.ndarray:
         out = self.zeros(e.shape[0], e.shape[0])
         power = self.eye(e.shape[0])
         for c in f:
             if c:
-                out = (out + int(c) * power) % self.p
+                out = (out + c * power) % self.p
             power = self.mul(power, e)
         return out
 
-    def minimal_polynomial(self, e: np.ndarray) -> np.ndarray:
+    def minimal_polynomial(self, e: np.ndarray) -> list[int]:
         """Monic minimal polynomial of a square matrix, via Krylov chains."""
         n = e.shape[0]
         if n == 0:
-            return np.ones(1, dtype=np.int64)
-        mu = np.ones(1, dtype=np.int64)
+            return [1]
+        mu = [1]
         annihilator = self.eye(n)
         for j in range(n):
             v = self.zeros(n, 1)
@@ -311,9 +335,7 @@ class PrimeField:
                 cur = self.mul(e, cur)
                 coeffs = self.solve(np.concatenate(chain, axis=1), cur)
                 if coeffs is not None:
-                    local = np.concatenate(
-                        [(-coeffs[:, 0]) % self.p, np.ones(1, dtype=np.int64)]
-                    )
+                    local = [-int(c) % self.p for c in coeffs[:, 0]] + [1]
                     break
                 chain.append(cur)
             mu = self.poly_mul(mu, local)
@@ -322,116 +344,83 @@ class PrimeField:
 
     # -- factorization needed by Fitting splitting ---------------------
 
-    def squarefree_part(self, f: np.ndarray) -> np.ndarray:
+    def squarefree_part(self, f: list[int]) -> list[int]:
         d = self.poly_deriv(f)
-        if d.size == 1 and d[0] == 0:
+        if d == [0]:
             # f = g(t^p); over F_p its distinct roots are those of g, and
             # our minimal polynomials have degree < p, so this cannot occur
             raise FieldSizeError("polynomial degree reached the field characteristic")
         g = self.poly_gcd(f, d)
         return self.poly_divmod(f, g)[0]
 
-    def distinct_degree_split(self, f: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    def distinct_degree_split(self, f: list[int]) -> list[tuple[int, list[int]]]:
         """Split a squarefree monic f into (degree, product-of-that-degree) parts."""
         parts = []
-        t = np.array([0, 1], dtype=np.int64)
-        h = t.copy()
+        t = [0, 1]
+        h = t
         d = 0
         rest = f
-        while rest.size - 1 >= 2 * (d + 1):
+        while len(rest) - 1 >= 2 * (d + 1):
             d += 1
             h = self.poly_pow_mod(h, self.p, rest)
             g = self.poly_gcd(self._poly_sub(h, t), rest)
-            if g.size > 1:
+            if len(g) > 1:
                 parts.append((d, g))
                 rest = self.poly_divmod(rest, g)[0]
                 h = self.poly_mod(h, rest)
-        if rest.size > 1:
-            parts.append((rest.size - 1, rest))
+        if len(rest) > 1:
+            parts.append((len(rest) - 1, rest))
         return parts
 
-    def _poly_sub(self, f, g):
-        n = max(f.size, g.size)
-        out = np.zeros(n, dtype=np.int64)
-        out[: f.size] += f
-        out[: g.size] -= g
-        return out % self.p
-
-    def roots_of_split_poly(self, f: np.ndarray) -> list[int]:
+    def roots_of_split_poly(self, f: list[int]) -> list[int]:
         """Roots of a squarefree product of linear factors.
 
         Splits by gcd with (t+a)^((p-1)/2) - 1 for a = 0, 1, 2, ...; the
         shift sequence is fixed, so the result is deterministic.
         """
-        f = self.poly_trim(f)
+        p = self.p
         out: list[int] = []
-        stack = [f]
+        stack = [self.poly_trim(f)]
         shift = 0
         guard = 0
         while stack:
             g = stack.pop()
-            if g.size == 1:
+            if len(g) == 1:
                 continue
-            if g.size == 2:
-                out.append(int((-g[0] * self.inv_scalar(int(g[1]))) % self.p))
+            if len(g) == 2:
+                out.append(-g[0] * self.inv_scalar(g[1]) % p)
                 continue
             while True:
                 guard += 1
-                if guard > 4 * self.p:
+                if guard > 4 * p:
                     raise FieldSizeError("root extraction failed to split")
-                base = np.array([shift % self.p, 1], dtype=np.int64)
+                base = [shift % p, 1]
                 shift += 1
-                h = self.poly_pow_mod(base, (self.p - 1) // 2, g)
-                h = self._poly_sub(h, np.ones(1, dtype=np.int64))
+                h = self.poly_pow_mod(base, (p - 1) // 2, g)
+                h = self._poly_sub(h, [1])
                 cand = self.poly_gcd(h, g)
-                if 1 < cand.size < g.size:
+                if 1 < len(cand) < len(g):
                     stack.append(cand)
                     stack.append(self.poly_divmod(g, cand)[0])
                     break
         return sorted(out)
 
-    def fitting_split(self, e: np.ndarray) -> list[np.ndarray]:
-        """Bases of the generalized eigenspaces of a square matrix.
+    def coprime_factors(self, e: np.ndarray) -> list[list[int]]:
+        """Pairwise coprime factors of the minimal polynomial of e.
 
-        The minimal polynomial is factored into pairwise coprime pieces:
-        one linear factor per F_p-eigenvalue plus one piece per residual
-        degree >= 2 (those are not separated further; callers treat a
-        non-split residue as an error state).  Each returned matrix has
-        basis vectors as columns; the spaces are e-invariant and sum to
-        the whole space.
+        First t - lam for each eigenvalue lam in F_p, ascending, then one
+        factor per residual degree >= 2: the product of the irreducible
+        factors of that degree, not separated further.  The generalized
+        kernels of the factors split the space into e-invariant pieces.
         """
-        if e.shape[0] != e.shape[1]:
-            raise InputError("fitting_split needs a square matrix")
-        n = e.shape[0]
-        if n == 0:
-            return []
-        mu = self.minimal_polynomial(e)
-        sf = self.squarefree_part(mu)
-        factors: list[np.ndarray] = []
+        factors: list[list[int]] = []
+        sf = self.squarefree_part(self.minimal_polynomial(e))
         for d, part in self.distinct_degree_split(sf):
             if d == 1:
-                for lam in self.roots_of_split_poly(part):
-                    factors.append(np.array([(-lam) % self.p, 1], dtype=np.int64))
+                factors.extend([-lam % self.p, 1] for lam in self.roots_of_split_poly(part))
             else:
                 factors.append(part)
-        if len(factors) == 1:
-            return [self.eye(n)]
-        spaces = []
-        for f in factors:
-            m = self.poly_eval_matrix(f, e)
-            power = m
-            ker = self.kernel_basis(power)
-            while True:
-                power = self.mul(power, m)
-                nxt = self.kernel_basis(power)
-                if nxt.shape[1] == ker.shape[1]:
-                    break
-                ker = nxt
-            spaces.append(ker)
-        total = sum(s.shape[1] for s in spaces)
-        if total != n:
-            raise FieldSizeError("generalized eigenspaces do not fill the space")
-        return spaces
+        return factors
 
     # -- radical of a matrix algebra ------------------------------------
 

@@ -474,9 +474,11 @@ def _invertible_in_hom(hs: HomSpace, seed: int, tries: int) -> ModuleMap | None:
 def is_isomorphic(x: Representation, y: Representation, seed: int = 0, tries: int = 24) -> bool:
     """Isomorphism test: dimension fast paths, then invertible-intertwiner search.
 
-    For indecomposables the basis scan alone is conclusive: the
-    non-invertible maps form a proper subspace, which cannot contain a
-    whole basis of Hom(x, y).
+    The search scans the basis of Hom(x, y), then tries seeded random
+    combinations.  When x or y is indecomposable the basis scan alone is
+    conclusive: if x and y are isomorphic, the non-invertible maps form a
+    proper subspace of Hom(x, y), which cannot contain a whole basis.  So
+    callers that compare against an indecomposable pass tries=0.
     """
     if x is y:
         return True
@@ -495,7 +497,7 @@ def is_isomorphic(x: Representation, y: Representation, seed: int = 0, tries: in
 def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
     """Vertex-wise generalized eigenspace bases of an endomorphism, one
     entry per coprime factor of its minimal polynomial (only factors with
-    nonzero total dimension are returned)."""
+    nonzero total dimension are returned); [] when there is one factor."""
     fld = rep.field
     nv = rep.dq.nv
     nonzero = [i for i in range(nv) if rep.dims[i] > 0]
@@ -505,34 +507,20 @@ def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
     off = np.concatenate([[0], np.cumsum(rep.dims)])
     for i in nonzero:
         big[off[i] : off[i + 1], off[i] : off[i + 1]] = end_mats[i]
-    mu = fld.minimal_polynomial(big)
-    sf = fld.squarefree_part(mu)
-    factors = []
-    for d, part in fld.distinct_degree_split(sf):
-        if d == 1:
-            for lam in fld.roots_of_split_poly(part):
-                factors.append(np.array([(-lam) % fld.p, 1], dtype=np.int64))
-        else:
-            factors.append(part)
+    factors = fld.coprime_factors(big)
     if len(factors) <= 1:
         return []
     out = []
     for f in factors:
         bases = []
-        total = 0
         for i in range(nv):
-            m = fld.poly_eval_matrix(f, end_mats[i]) if rep.dims[i] else fld.zeros(0, 0)
-            power = m
-            ker = fld.kernel_basis(power)
-            while rep.dims[i]:
-                power = fld.mul(power, m)
-                nxt = fld.kernel_basis(power)
-                if nxt.shape[1] == ker.shape[1]:
-                    break
-                ker = nxt
-            bases.append(ker)
-            total += ker.shape[1]
-        if total:
+            d = rep.dims[i]
+            m = fld.poly_eval_matrix(f, end_mats[i]) if d else fld.zeros(0, 0)
+            # ker f(E)^k is stable from k = d on; square up to a power >= d
+            for _ in range(max(d - 1, 0).bit_length()):
+                m = fld.mul(m, m)
+            bases.append(fld.kernel_basis(m))
+        if sum(b.shape[1] for b in bases):
             out.append(bases)
     if sum(b[i].shape[1] for b in out for i in range(nv)) != rep.total_dim:
         raise StructureError("eigenspace split does not fill the representation")
@@ -550,9 +538,10 @@ def decompose(rep: Representation, seed: int = 0, tries: int = 64):
         return []
     pieces = _decompose_rec(rep, seed, tries)
     out: list[tuple[Representation, int]] = []
+    # the pieces are certified indecomposable, so the basis scan decides
     for piece in pieces:
         for idx, (known, mult) in enumerate(out):
-            if is_isomorphic(known, piece, seed=seed):
+            if is_isomorphic(known, piece, seed=seed, tries=0):
                 out[idx] = (known, mult + 1)
                 break
         else:

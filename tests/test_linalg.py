@@ -3,6 +3,8 @@ import pytest
 
 from preproj.errors import FieldSizeError, InputError
 from preproj.linalg import PrimeField, kron_eye_left, kron_eye_right
+from preproj.modules import Representation, _split_spaces
+from preproj.quivers import double, dynkin_a
 
 
 @pytest.fixture(scope="module")
@@ -66,19 +68,27 @@ def test_solve_unique(f):
     assert f.solve(f.mat([[1], [0]]), f.mat([[0], [1]])) is None
 
 
+def _eigenspaces(f, e):
+    """Generalized eigenspaces of e, split as decompose splits a one-vertex
+    representation; [] when the minimal polynomial has one coprime factor."""
+    e = np.asarray(e, dtype=np.int64) % f.p
+    rep = Representation(double(dynkin_a(1)), f, (e.shape[0],), [])
+    return [bases[0] for bases in _split_spaces(rep, [e])]
+
+
 def test_fitting_identity(f):
-    spaces = f.fitting_split(f.eye(4))
-    assert len(spaces) == 1 and spaces[0].shape == (4, 4)
+    assert f.coprime_factors(f.eye(4)) == [[f.p - 1, 1]]
+    assert _eigenspaces(f, f.eye(4)) == []
 
 
 def test_fitting_distinct_eigenvalues(f):
-    spaces = f.fitting_split(f.mat([[1, 0], [0, 2]]))
+    spaces = _eigenspaces(f, f.mat([[1, 0], [0, 2]]))
     assert sorted(s.shape[1] for s in spaces) == [1, 1]
 
 
 def test_fitting_nilpotent_block(f):
-    spaces = f.fitting_split(f.mat([[0, 1], [0, 0]]))
-    assert len(spaces) == 1 and spaces[0].shape[1] == 2
+    assert f.coprime_factors(f.mat([[0, 1], [0, 0]])) == [[0, 1]]
+    assert _eigenspaces(f, f.mat([[0, 1], [0, 0]])) == []
 
 
 def test_fitting_spaces_are_invariant(f):
@@ -86,7 +96,10 @@ def test_fitting_spaces_are_invariant(f):
     for _ in range(15):
         n = int(rng.integers(1, 6))
         e = rng.integers(0, f.p, size=(n, n))
-        spaces = f.fitting_split(e)
+        spaces = _eigenspaces(f, e)
+        if not spaces:
+            assert len(f.coprime_factors(e)) == 1
+            continue
         assert sum(s.shape[1] for s in spaces) == n
         for s in spaces:
             assert f.solve(s, f.mul(e % f.p, s)) is not None
@@ -94,15 +107,120 @@ def test_fitting_spaces_are_invariant(f):
 
 def test_fitting_deterministic(f):
     e = f.mat([[5, 1, 0], [0, 5, 0], [0, 0, 9]])
-    first = f.fitting_split(e)
-    second = f.fitting_split(e)
+    first = _eigenspaces(f, e)
+    second = _eigenspaces(f, e)
+    assert [s.shape[1] for s in first] == [2, 1]
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_minimal_polynomial(f):
     e = f.mat([[0, 1], [0, 0]])
-    assert np.array_equal(f.minimal_polynomial(e), f.mat([0, 0, 1]).reshape(-1))
-    assert np.array_equal(f.minimal_polynomial(f.eye(3)), np.array([f.p - 1, 1]))
+    assert f.minimal_polynomial(e) == [0, 0, 1]
+    assert f.minimal_polynomial(f.eye(3)) == [f.p - 1, 1]
+
+
+PRIMES = (32003, 101)
+
+
+def _ref_poly(fld, coeffs):
+    """Reduced, trimmed int list of a coefficient array, computed apart from fld."""
+    out = [int(c) % fld.p for c in coeffs]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _linear_product(fld, roots):
+    out = np.ones(1, dtype=np.int64)
+    for lam in roots:
+        out = np.convolve(out, [-lam % fld.p, 1]) % fld.p
+    return _ref_poly(fld, out)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_divmod_identity(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for _ in range(200):
+        f = _ref_poly(fld, rng.integers(0, p, size=int(rng.integers(1, 25))))
+        g = _ref_poly(fld, rng.integers(0, p, size=int(rng.integers(1, 12))))
+        if g == [0]:
+            continue
+        q, r = fld.poly_divmod(f, g)
+        assert r == [0] or len(r) < len(g)
+        qg = np.convolve(q, g) % p
+        total = np.zeros(max(qg.size, len(r)), dtype=np.int64)
+        total[: qg.size] += qg
+        total[: len(r)] += r
+        assert _ref_poly(fld, total) == f
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_roots_of_split_poly_sorted(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 1)
+    for k in range(1, 9):
+        roots = [int(v) for v in rng.choice(p, size=k, replace=False)]
+        assert fld.roots_of_split_poly(_linear_product(fld, roots)) == sorted(roots)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_distinct_degree_split_keeps_irreducible_quadratic(p):
+    fld = PrimeField(p)
+    a = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+    linear = _linear_product(fld, [1, 2, 5])
+    quadratic = [-a % p, 0, 1]
+    f = fld.poly_mul(linear, quadratic)
+    assert fld.distinct_degree_split(f) == [(1, linear), (2, quadratic)]
+    assert fld.roots_of_split_poly(linear) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_minimal_polynomial_of_companion_matrix(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 2)
+    for n in range(1, 8):
+        poly = [int(v) for v in rng.integers(0, p, size=n)] + [1]
+        comp = fld.zeros(n, n)
+        comp[np.arange(1, n), np.arange(n - 1)] = 1
+        comp[:, n - 1] = [-c % p for c in poly[:n]]
+        assert fld.minimal_polynomial(comp) == poly
+
+
+def _kernel_by_loops(fld, m):
+    """Kernel basis filled entry by entry from the RREF."""
+    nrows, ncols = m.shape
+    if ncols == 0:
+        return fld.zeros(0, 0)
+    if nrows == 0:
+        return fld.eye(ncols)
+    r, pivots = fld.rref(m)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = fld.zeros(ncols, len(free))
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-r[i, fc]) % fld.p
+    return basis
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_kernel_basis_matches_entrywise_construction(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 3)
+    for trial in range(250):
+        rows, cols = int(rng.integers(0, 8)), int(rng.integers(0, 8))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        if trial % 5 == 0:
+            rank = 0
+        m = fld.mul(rng.integers(0, p, size=(rows, rank)), rng.integers(0, p, size=(rank, cols)))
+        if rows and trial % 7 == 0:
+            m[int(rng.integers(0, rows))] = 0
+        if cols and trial % 11 == 0:
+            m[:, int(rng.integers(0, cols))] = 0
+        got = fld.kernel_basis(m)
+        assert np.array_equal(got, _kernel_by_loops(fld, m))
+        assert not np.any(fld.mul(m, got))
 
 
 def test_trace_form_radical_triangular_algebra(f):

@@ -165,6 +165,16 @@ def test_is_isomorphic_basics(a3, f):
     assert is_isomorphic(p2, base_change(p2, 17))
 
 
+def test_basis_scan_is_conclusive_on_indecomposables(atlas_a3):
+    mods = atlas_a3.modules
+    moved = [base_change(x, 40 + i) for i, x in enumerate(mods)]
+    for i, x in enumerate(mods):
+        for j, y in enumerate(mods):
+            assert is_isomorphic(x, y, tries=0) == (i == j)
+            # not the same object, so the scan must find a non-identity isomorphism
+            assert is_isomorphic(y, moved[i], tries=0) == (i == j)
+
+
 def test_dual_twist_convention(a3):
     dq, basis = a3
     p1, p2, p3 = (projective_module(basis, i) for i in (1, 2, 3))
