@@ -11,7 +11,7 @@ import sys
 
 from .atlas import ATLAS_FORMAT_VERSION, Atlas, enumerate_indecomposables
 from .config import Config, build_config
-from .endo import BoundAlgebra, enumerate_tilting
+from .endo import ExtCalculatorB, enumerate_tilting
 from .errors import EnumerationError, FormatError, InputError, PreprojError
 from .linalg import PrimeField
 from .rigidgraph import (
@@ -110,9 +110,8 @@ def cmd_graph(args) -> int:
             print("--rigid ID is required for tilting graphs", file=sys.stderr)
             return 2
         t_index = resolve_rigid_label(atlas, rigids, args.rigid)
-        algebra = BoundAlgebra(atlas, rigids[t_index], seed=cfg.seed)
-        candidates = {m: algebra.hom_image(atlas.modules[m]) for m in range(atlas.size)}
-        tilts = enumerate_tilting(algebra, candidates)
+        calc = ExtCalculatorB.for_rigid(atlas, rigids[t_index], cfg.seed)
+        tilts = enumerate_tilting(calc.algebra, calc.candidates, calc)
         vertices = [
             RigidModule(summands=tuple(s), contains_projectives=True) for s in tilts
         ]
@@ -128,38 +127,27 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _run_suite(name: str, cfg: Config, qtype: str):
-    if name == "remark-a4":
-        qtype = "A4"
-    atlas = get_atlas(cfg, qtype)
-    if name == "lemma21":
-        cross = get_atlas(cfg, qtype, cfg.cross_check_char)
-        return [suites.suite_lemma21(atlas, cross)]
-    if name == "extbounds":
-        return [suites.suite_extbounds(atlas)]
-    if name == "remark-a4":
-        return [suites.suite_remark_a4(atlas)]
-    rigids, graph = _graph_for(cfg, atlas)
-    tsel = suites.select_t_indices(qtype, rigids, cfg)
-    if name == "connected":
-        return [suites.suite_connected(atlas, rigids, graph)]
-    if name == "lemma37":
-        return [suites.suite_lemma37(atlas, rigids, tsel, cfg)]
-    if name == "lemma22":
-        return [suites.suite_lemma22(atlas, rigids, tsel, cfg)]
-    if name == "theorem1":
-        return [suites.suite_theorem1(atlas, rigids, graph, tsel, cfg)]
-    raise InputError(f"unknown suite {name!r}")
-
-
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
     names = [s for s in SUITES if s != "all"] if args.suite == "all" else [args.suite]
     if args.suite == "all" and args.type != "A4":
         names = [n for n in names if n != "remark-a4"]
-    reports = []
-    for name in names:
-        reports.extend(_run_suite(name, cfg, args.type))
+    qtype = "A4" if args.suite == "remark-a4" else args.type
+    atlas = get_atlas(cfg, qtype)
+    if {"lemma37", "lemma22", "theorem1", "connected"}.intersection(names):
+        rigids, graph = _graph_for(cfg, atlas)
+        tsel = suites.select_t_indices(qtype, rigids, cfg)
+    calcs = {}  # End(T) per T index for this run: lemma22 fills it, theorem1 empties it
+    run = {
+        "lemma21": lambda: suites.suite_lemma21(atlas, get_atlas(cfg, qtype, cfg.cross_check_char)),
+        "extbounds": lambda: suites.suite_extbounds(atlas),
+        "remark-a4": lambda: suites.suite_remark_a4(atlas),
+        "connected": lambda: suites.suite_connected(atlas, rigids, graph),
+        "lemma37": lambda: suites.suite_lemma37(atlas, rigids, tsel, cfg),
+        "lemma22": lambda: suites.suite_lemma22(atlas, rigids, tsel, cfg, calcs),
+        "theorem1": lambda: suites.suite_theorem1(atlas, rigids, graph, tsel, cfg, calcs),
+    }
+    reports = [run[name]() for name in names]
     lines = [json.dumps(rep, sort_keys=True, separators=(",", ":")) for rep in reports]
     for line in lines:
         print(line)

@@ -19,7 +19,7 @@ from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
 from .linalg import PrimeField
 from .modules import ModuleMap, Representation, hom_basis, intertwiner_system, kernel_maps
-from .rigidgraph import RigidModule, _bron_kerbosch
+from .rigidgraph import RigidModule, _bron_kerbosch, exchange_pairs
 
 
 @dataclass(frozen=True)
@@ -395,25 +395,22 @@ def hom_b_dim(m: BModule, n: BModule) -> int:
     return a.shape[1] - m.algebra.field.rank(a)
 
 
+def _radical_image(m: BModule, k: int) -> np.ndarray:
+    """Columns spanning rad(B) m in component k, one block per radical element."""
+    images = []
+    for idx in m.algebra.radical_elements:
+        blk = m.blocks.get(idx)
+        if m.algebra.elements[idx].tgt == k and blk is not None and np.any(blk):
+            images.append(blk)
+    if not images:
+        return m.algebra.field.zeros(m.comp_dims[k], 0)
+    return np.concatenate(images, axis=1)
+
+
 def top_dims_b(m: BModule) -> tuple[int, ...]:
     """Multiplicity of each simple in m / rad(B) m."""
-    alg = m.algebra
-    fld = alg.field
-    out = []
-    for l in range(alg.r):
-        images = []
-        for idx in alg.radical_elements:
-            e = alg.elements[idx]
-            if e.tgt != l:
-                continue
-            blk = m.blocks.get(idx)
-            if blk is not None and np.any(blk):
-                images.append(blk)
-        if images:
-            out.append(m.comp_dims[l] - fld.rank(np.concatenate(images, axis=1)))
-        else:
-            out.append(m.comp_dims[l])
-    return tuple(out)
+    fld = m.algebra.field
+    return tuple(m.comp_dims[l] - fld.rank(_radical_image(m, l)) for l in range(m.algebra.r))
 
 
 def projective_cover_b(m: BModule):
@@ -426,16 +423,7 @@ def projective_cover_b(m: BModule):
     fld = alg.field
     lifts = []  # (k, column vector in component k)
     for k in range(alg.r):
-        images = []
-        for idx in alg.radical_elements:
-            e = alg.elements[idx]
-            if e.tgt != k:
-                continue
-            blk = m.blocks.get(idx)
-            if blk is not None and np.any(blk):
-                images.append(blk)
-        h = np.concatenate(images, axis=1) if images else fld.zeros(m.comp_dims[k], 0)
-        _, pivots = fld.rref(h.T)
+        _, pivots = fld.rref(_radical_image(m, k).T)
         for c in sorted(set(range(m.comp_dims[k])).difference(pivots)):
             vec = fld.zeros(m.comp_dims[k], 1)
             vec[c, 0] = 1
@@ -465,10 +453,11 @@ def projective_cover_b(m: BModule):
 
 
 def syzygy_b(m: BModule):
-    """Returns (syzygy module, kernel bases per component, cover module)."""
+    """Returns (syzygy module, copies): the kernel of the projective cover
+    and the summand positions k of its projectives B e_k, one per copy."""
     alg = m.algebra
     fld = alg.field
-    cover_mod, cover_mats, _ = projective_cover_b(m)
+    cover_mod, cover_mats, copies = projective_cover_b(m)
     kers = [fld.kernel_basis(cover_mats[j]) for j in range(alg.r)]
     comp_dims = tuple(k.shape[1] for k in kers)
     blocks = {}
@@ -482,52 +471,36 @@ def syzygy_b(m: BModule):
             raise StructureError("syzygy is not closed under the action")
         if np.any(coords):
             blocks[idx] = coords
-    return BModule(alg, comp_dims, blocks), kers, cover_mod
+    return BModule(alg, comp_dims, blocks), copies
 
 
 def proj_dim_le1(m: BModule) -> bool:
     """Whether the first syzygy of the minimal presentation is projective."""
-    syz, _, _ = syzygy_b(m)
-    if syz.dim == 0:
-        return True
-    tops = top_dims_b(syz)
-    want = sum(t * m.algebra.projective(k).dim for k, t in enumerate(tops))
-    return want == syz.dim
-
-
-def _ext1_from_presentation(syz: BModule, kers, cover_mod: BModule, n: BModule) -> int:
-    alg = syz.algebra
-    fld = alg.field
-    if syz.dim == 0:
-        return 0
-    syz_homs = hom_b_dim(syz, n)
-    if not syz_homs:
-        return 0
-    homs_cover = hom_b(cover_mod, n)
-    if not homs_cover:
-        return syz_homs
-    # restriction along the inclusion: h -> (h_j @ K_j)_j
-    cols = []
-    for h in homs_cover:
-        parts = [fld.mul(h[j], kers[j]).reshape(-1) for j in range(alg.r)]
-        cols.append(np.concatenate(parts))
-    a = np.stack(cols, axis=1)
-    return syz_homs - fld.rank(a)
+    return ExtCalculatorB(m.algebra, {0: m}).pd_le1(0)
 
 
 def ext1_b(m: BModule, n: BModule) -> int:
     """dim Ext^1 over B from the minimal presentation of m."""
-    syz, kers, cover_mod = syzygy_b(m)
-    return _ext1_from_presentation(syz, kers, cover_mod, n)
+    return ExtCalculatorB(m.algebra, {0: m, 1: n}).ext1(0, 1)
 
 
 class ExtCalculatorB:
-    """Ext-over-B computations with the minimal presentations cached."""
+    """Per-T context of the End(T) checks: the algebra B = End(T), candidate
+    B-modules keyed by vertex name, and, cached, their minimal presentations
+    and the Ext and Hom dimensions of each ordered pair."""
 
     def __init__(self, algebra: BoundAlgebra, candidates: dict[int, BModule]):
         self.algebra = algebra
         self.candidates = candidates
         self._pres: dict[int, tuple] = {}
+        self._ext: dict[tuple[int, int], int] = {}
+        self._hom: dict[tuple[int, int], int] = {}
+
+    @classmethod
+    def for_rigid(cls, atlas: Atlas, rigid: RigidModule, seed: int = 0) -> "ExtCalculatorB":
+        """End(T) for T = rigid; candidates are the Hom(-, T) images of the atlas."""
+        algebra = BoundAlgebra(atlas, rigid, seed=seed)
+        return cls(algebra, {mid: algebra.hom_image(m) for mid, m in enumerate(atlas.modules)})
 
     def _presentation(self, key: int):
         got = self._pres.get(key)
@@ -537,16 +510,40 @@ class ExtCalculatorB:
         return got
 
     def pd_le1(self, key: int) -> bool:
-        syz, _, _ = self._presentation(key)
+        syz, _ = self._presentation(key)
         if syz.dim == 0:
             return True
         tops = top_dims_b(syz)
         want = sum(t * self.algebra.projective(k).dim for k, t in enumerate(tops))
         return want == syz.dim
 
+    def hom_dim(self, a: int, b: int) -> int:
+        """dim Hom_B(candidates[a], candidates[b])."""
+        got = self._hom.get((a, b))
+        if got is None:
+            got = hom_b_dim(self.candidates[a], self.candidates[b])
+            self._hom[(a, b)] = got
+        return got
+
     def ext1(self, a: int, b: int) -> int:
-        syz, kers, cover_mod = self._presentation(a)
-        return _ext1_from_presentation(syz, kers, cover_mod, self.candidates[b])
+        """dim Ext^1_B(M, N) for M = candidates[a], N = candidates[b], by ranks.
+
+        The minimal presentation 0 -> ΩM -> P0 -> M -> 0, P0 = ⊕_k (B e_k)^{c_k},
+        and Ext^1(P0, N) = 0 give the exact sequence
+            0 -> Hom(M, N) -> Hom(P0, N) -> Hom(ΩM, N) -> Ext^1(M, N) -> 0.
+        As Hom_B(B e_k, N) = e_k N,
+        dim Ext^1(M, N) = dim Hom(ΩM, N) - Σ_k c_k dim e_k N + dim Hom(M, N).
+        """
+        got = self._ext.get((a, b))
+        if got is not None:
+            return got
+        syz, copies = self._presentation(a)
+        n = self.candidates[b]
+        got = hom_b_dim(syz, n) if syz.dim else 0
+        if got:
+            got += self.hom_dim(a, b) - sum(n.comp_dims[k] for k in copies)
+        self._ext[(a, b)] = got
+        return got
 
 
 # -- tilting sets and the graph correspondence ------------------------------
@@ -586,28 +583,32 @@ def enumerate_tilting(algebra: BoundAlgebra, candidates: dict[int, BModule], cal
 
 
 def verify_graph_correspondence(
-    atlas: Atlas, rigids, graph, t_index: int, seed: int = 0
+    atlas: Atlas, rigids, graph, t_index: int, seed: int = 0, calc: ExtCalculatorB | None = None
 ) -> dict:
     """Check that mapping a maximal rigid module through Hom(-, T) gives a
     bijection onto the tilting sets of End(T) preserving one-summand
-    exchanges, for T = rigids[t_index]."""
+    exchanges, for T = rigids[t_index].
+
+    calc, if given, is ExtCalculatorB.for_rigid(atlas, rigids[t_index], seed)
+    with whatever it has cached; by default one is built here."""
     t = rigids[t_index]
-    algebra = BoundAlgebra(atlas, t, seed=seed)
-    candidates = {mid: algebra.hom_image(m) for mid, m in enumerate(atlas.modules)}
+    if calc is None:
+        calc = ExtCalculatorB.for_rigid(atlas, t, seed)
     mismatches = []
     # images must stay distinguishable and keep their endomorphism dimension
     # (object injectivity / faithfulness of the contravariant functor)
     fps: dict[tuple, int] = {}
-    for mid, cand in candidates.items():
-        if hom_b_dim(cand, cand) != int(atlas.hom_table[mid, mid]):
+    for mid, cand in calc.candidates.items():
+        end = calc.hom_dim(mid, mid)
+        if end != int(atlas.hom_table[mid, mid]):
             mismatches.append(f"module {mid}: End dimension changed under the functor")
         fp = (cand.comp_dims, top_dims_b(cand))
         other = fps.get(fp)
-        if other is not None and hom_b_dim(candidates[other], cand) == hom_b_dim(cand, cand):
-            if hom_b_dim(cand, candidates[other]) == hom_b_dim(cand, cand):
+        if other is not None and calc.hom_dim(other, mid) == end:
+            if calc.hom_dim(mid, other) == end:
                 mismatches.append(f"images of modules {other} and {mid} are indistinguishable")
         fps[fp] = mid
-    tilts = enumerate_tilting(algebra, candidates)
+    tilts = enumerate_tilting(calc.algebra, calc.candidates, calc)
     lam = sorted(tuple(v.summands) for v in rigids)
     bijection = tilts == lam
     if not bijection:
@@ -615,15 +616,7 @@ def verify_graph_correspondence(
         missing = [list(s) for s in lam if tuple(s) not in set(map(tuple, tilts))]
         mismatches.append(f"tilting sets extra={extra} missing={missing}")
     # edges on both sides are one-summand exchanges; compare explicitly
-    def edge_set(sets):
-        out = set()
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if len(set(sets[i]) ^ set(sets[j])) == 2:
-                    out.add((i, j))
-        return out
-
-    edges_preserved = bijection and edge_set(tilts) == edge_set(lam)
+    edges_preserved = bijection and exchange_pairs(tilts) == exchange_pairs(lam)
     if bijection and not edges_preserved:
         mismatches.append("edge sets differ")
     return {
@@ -639,10 +632,20 @@ def verify_graph_correspondence(
 
 def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule, seed: int = 0) -> dict:
     """Exhibit the two-term coresolution of B = End(T) by the tilting set
-    coming from T': over the module category this is the kernel sequence of
-    the universal map (add T')-approximation onto T, which stays exact under
-    Hom(-, T) because T has no self-extensions."""
-    from .modules import decompose, direct_sum, hom_dim, sub_representation
+    coming from T': over the module category this is the kernel sequence
+    0 -> K -> T'' -> T -> 0 of the universal map (add T')-approximation
+    T'' -> T, which stays exact under Hom(-, T) because T has no
+    self-extensions.
+
+    The approximation map is built and checked to be a surjective
+    intertwiner; K is identified by its atlas summands.  Exactness under
+    Hom(-, T) is the count dim Hom(K, T) + dim Hom(T, T) = dim Hom(T'', T).
+    Hom is additive, so each term is a sum of hom_table entries over the
+    summands.  For K this is exact: summand_multiplicities only returns
+    multiplicities whose Hom row against every atlas module matches K's,
+    and the decompose fallback is a decomposition up to isomorphism.
+    """
+    from .modules import decompose, direct_sum, sub_representation
 
     fld = atlas.field
     dq = atlas.dq
@@ -653,9 +656,9 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule, seed:
         src = atlas.modules[i]
         hb = hom_basis(src, t_mod)
         for b in hb.basis:
-            pieces.append(src)
+            pieces.append(i)
             maps.append(b)
-    approx_src = direct_sum(dq, fld, pieces)
+    approx_src = direct_sum(dq, fld, [atlas.modules[i] for i in pieces])
     mats = []
     for v in range(dq.nv):
         cols = [b[v] for b in maps]
@@ -675,8 +678,10 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule, seed:
     in_add = all(
         mid is not None and mid in set(t_prime.summands) for mid, _ in kernel_ids
     )
+    to_t = atlas.hom_table[:, list(t.summands)].sum(axis=1)  # dim Hom(X, T) per atlas X
     dims_ok = in_add and (
-        hom_dim(kernel, t_mod) + hom_dim(t_mod, t_mod) == hom_dim(approx_src, t_mod)
+        sum(mult * int(to_t[mid]) for mid, mult in kernel_ids) + int(to_t[list(t.summands)].sum())
+        == int(to_t[pieces].sum())
     )
     return {
         "kernel_summands": kernel_ids,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .atlas import Atlas
 from .errors import FormatError, InputError, StructureError
@@ -91,6 +92,21 @@ def enumerate_maximal_rigid(atlas: Atlas) -> list[RigidModule]:
     return out
 
 
+def exchange_pairs(sets) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of distinct r-subsets (sorted
+    tuples) that differ in exactly one element.
+
+    Two such subsets share exactly one (r-1)-subset, their intersection, so
+    keying each subset by its r (r-1)-subsets finds every pair in O(V r).
+    """
+    buckets: dict[tuple, list[int]] = {}
+    for i, s in enumerate(sets):
+        for drop in range(len(s)):
+            buckets.setdefault(s[:drop] + s[drop + 1 :], []).append(i)
+    pairs = {p for ids in buckets.values() for p in combinations(ids, 2)}
+    return sorted((i, j) for i, j in pairs if sets[i] != sets[j])
+
+
 def mutation_graph(rigids, n: int) -> MutationGraph:
     """Edges join vertices whose summand sets differ in exactly one element."""
     rigids = sorted(rigids, key=lambda t: t.summands)
@@ -98,13 +114,8 @@ def mutation_graph(rigids, n: int) -> MutationGraph:
     if len(sizes) != 1:
         raise InputError("vertices must all have the same summand count")
     r = sizes.pop()
-    edges = []
-    sets = [set(t.summands) for t in rigids]
-    for i in range(len(rigids)):
-        for j in range(i + 1, len(rigids)):
-            if len(sets[i] ^ sets[j]) == 2:
-                edges.append((i, j))
-    return MutationGraph(vertices=rigids, edges=sorted(edges), r=r, n=n)
+    edges = exchange_pairs([tuple(t.summands) for t in rigids])
+    return MutationGraph(vertices=rigids, edges=edges, r=r, n=n)
 
 
 def is_connected(g: MutationGraph) -> bool:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .atlas import Atlas, compare_atlases
 from .config import Config
-from .endo import BoundAlgebra, ExtCalculatorB, coresolution_check, verify_graph_correspondence
+from .endo import ExtCalculatorB, coresolution_check, verify_graph_correspondence
 from .errors import InputError
 from .extensions import _scalar_classes, build_extension, ext1_cocycle, is_hom_exact
 from .modules import hom_dim, is_isomorphic
@@ -179,7 +179,8 @@ def suite_lemma37(atlas: Atlas, rigids, t_indices, cfg: Config) -> dict:
 # -- lemma22 ----------------------------------------------------------------
 
 
-def suite_lemma22(atlas: Atlas, rigids, t_indices, cfg: Config) -> dict:
+def suite_lemma22(atlas: Atlas, rigids, t_indices, cfg: Config, calcs: dict | None = None) -> dict:
+    """Stores each T's ExtCalculatorB in calcs (T index -> calculator), if given."""
     cache = _MiddleRows(atlas, cfg)
     failures = []
     checks = 0
@@ -205,9 +206,9 @@ def suite_lemma22(atlas: Atlas, rigids, t_indices, cfg: Config) -> dict:
 
     for ti in t_indices:
         t = rigids[ti]
-        algebra = BoundAlgebra(atlas, t, seed=cfg.seed)
-        candidates = {m: algebra.hom_image(atlas.modules[m]) for m in range(atlas.size)}
-        calc = ExtCalculatorB(algebra, candidates)
+        calc = (calcs or {}).get(ti) or ExtCalculatorB.for_rigid(atlas, t, cfg.seed)
+        if calcs is not None:
+            calcs[ti] = calc
         for x in range(atlas.size):
             for y in range(atlas.size):
                 lhs = calc.ext1(x, y)
@@ -225,7 +226,11 @@ def suite_lemma22(atlas: Atlas, rigids, t_indices, cfg: Config) -> dict:
 # -- theorem1 ---------------------------------------------------------------
 
 
-def suite_theorem1(atlas: Atlas, rigids, graph: MutationGraph, t_indices, cfg: Config) -> dict:
+def suite_theorem1(
+    atlas: Atlas, rigids, graph: MutationGraph, t_indices, cfg: Config, calcs: dict | None = None
+) -> dict:
+    """Takes and removes each T's ExtCalculatorB from calcs, as suite_lemma22
+    leaves it; T indices without an entry get a fresh one."""
     failures = []
     reports = []
     neighbors = {i: [] for i in range(len(rigids))}
@@ -234,7 +239,8 @@ def suite_theorem1(atlas: Atlas, rigids, graph: MutationGraph, t_indices, cfg: C
         neighbors[j].append(i)
 
     for ti in t_indices:
-        rep = verify_graph_correspondence(atlas, rigids, graph, ti, seed=cfg.seed)
+        calc = calcs.pop(ti, None) if calcs else None
+        rep = verify_graph_correspondence(atlas, rigids, graph, ti, seed=cfg.seed, calc=calc)
         nb = neighbors[ti][0]
         rep["coresolution"] = coresolution_check(atlas, rigids[ti], rigids[nb], seed=cfg.seed)
         reports.append(rep)

@@ -96,6 +96,20 @@ def test_verify_all_a2(tmp_path, capsys):
     assert suites == ["lemma21", "extbounds", "lemma37", "lemma22", "theorem1", "connected"]
 
 
+def test_verify_all_a3_equals_single_suite_runs(tmp_path, capsys):
+    # one verify run shares its atlas, graph and End(T) calculators between
+    # suites; that must not change a byte of any report
+    cache = str(tmp_path / "c")
+    code, together, _ = run(capsys, "verify", "--suite", "all", "--type", "A3", "--cache-dir", cache)
+    assert code == 0
+    single = []
+    for suite in ("lemma21", "extbounds", "lemma37", "lemma22", "theorem1", "connected"):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--type", "A3", "--cache-dir", cache)
+        assert code == 0
+        single.append(out)
+    assert together == "".join(single)
+
+
 def test_corrupt_cache_exits_2(tmp_path, capsys):
     root = tmp_path / "c" / "A2-p32003-v1"
     root.mkdir(parents=True)

@@ -12,10 +12,12 @@ from preproj.endo import (
     hom_b,
     hom_b_dim,
     proj_dim_le1,
+    projective_cover_b,
+    syzygy_b,
     top_dims_b,
     verify_graph_correspondence,
 )
-from preproj.modules import zero_rep
+from preproj.modules import hom_basis, zero_rep
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,48 @@ def test_ext_b_from_projective_vanishes(setup_a3):
         assert ext1_b(algebra.projective(k), target) == 0
 
 
+def _ext1_by_restriction(m, n):
+    """dim Ext^1_B(m, n) as the cokernel of the restriction
+    Hom(P0, n) -> Hom(Ωm, n), h -> (h_j K_j)_j, along the kernel bases K_j of
+    the projective cover P0 -> m: the computation the rank formula replaced."""
+    fld = m.algebra.field
+    syz, _ = syzygy_b(m)
+    if syz.dim == 0:
+        return 0
+    syz_homs = hom_b_dim(syz, n)
+    if not syz_homs:
+        return 0
+    cover_mod, cover_mats, _ = projective_cover_b(m)
+    kers = [fld.kernel_basis(c) for c in cover_mats]
+    homs_cover = hom_b(cover_mod, n)
+    if not homs_cover:
+        return syz_homs
+    cols = [
+        np.concatenate([fld.mul(h[j], kers[j]).reshape(-1) for j in range(len(kers))])
+        for h in homs_cover
+    ]
+    return syz_homs - fld.rank(np.stack(cols, axis=1))
+
+
+def _check_rank_formula(atlas, t):
+    calc = ExtCalculatorB.for_rigid(atlas, t)
+    for a, m in calc.candidates.items():
+        for b, n in calc.candidates.items():
+            assert calc.ext1(a, b) == _ext1_by_restriction(m, n), (t.summands, a, b)
+    for n in calc.candidates.values():
+        for k in range(calc.algebra.r):
+            assert ext1_b(calc.algebra.projective(k), n) == 0
+
+
+def test_ext1_rank_formula_matches_restriction_a3(atlas_a3, rigids_a3):
+    for t in rigids_a3[0]:
+        _check_rank_formula(atlas_a3, t)
+
+
+def test_ext1_rank_formula_matches_restriction_a4(atlas_a4, rigids_a4):
+    _check_rank_formula(atlas_a4, rigids_a4[0][215])
+
+
 def test_top_of_projective(setup_a3):
     _, _, _, algebra = setup_a3
     for k in range(algebra.r):
@@ -190,6 +234,36 @@ def test_coresolution_spot_check(setup_a3):
     out = coresolution_check(atlas, rigids[i], rigids[j])
     assert out["ok"]
     assert out["kernel_in_add_t_prime"] and out["hom_dims_additive"]
+
+
+def test_coresolution_table_sums_match_direct_sums(setup_a3):
+    # the Hom dimensions coresolution_check reads from hom_table, against
+    # hom_dim on the direct sums themselves
+    from preproj.modules import direct_sum, hom_dim, sub_representation
+
+    atlas, rigids, graph, _ = setup_a3
+    fld, dq = atlas.field, atlas.dq
+    for i, j in graph.edges:
+        for t, t_prime in ((rigids[i], rigids[j]), (rigids[j], rigids[i])):
+            out = coresolution_check(atlas, t, t_prime)
+            assert out["ok"]
+            t_mod = direct_sum(dq, fld, [atlas.modules[k] for k in t.summands])
+            piece_ids, maps = [], []
+            for k in t_prime.summands:
+                for b in hom_basis(atlas.modules[k], t_mod).basis:
+                    piece_ids.append(k)
+                    maps.append(b)
+            approx = direct_sum(dq, fld, [atlas.modules[k] for k in piece_ids])
+            mats = [np.concatenate([b[v] for b in maps], axis=1) for v in range(dq.nv)]
+            kernel, _ = sub_representation(approx, [fld.kernel_basis(m) for m in mats])
+            to_t = atlas.hom_table[:, list(t.summands)].sum(axis=1)
+            hom_k = hom_dim(kernel, t_mod)
+            hom_t = hom_dim(t_mod, t_mod)
+            hom_approx = hom_dim(approx, t_mod)
+            assert hom_k == sum(mult * to_t[mid] for mid, mult in out["kernel_summands"])
+            assert hom_t == sum(to_t[k] for k in t.summands)
+            assert hom_approx == sum(to_t[k] for k in piece_ids)
+            assert out["hom_dims_additive"] == (hom_k + hom_t == hom_approx)
 
 
 def test_bmodule_shape_validation(setup_a3):

@@ -8,6 +8,7 @@ from preproj.errors import InputError
 from preproj.rigidgraph import (
     A3_RIGID_LABELS,
     compatibility_graph,
+    exchange_pairs,
     export_graph,
     is_connected,
     load_graph_json,
@@ -80,6 +81,24 @@ def test_mutation_graph_shapes(rigids_a2, rigids_a3, rigids_a4):
 def test_a4_edge_count_formula(rigids_a4):
     graph = rigids_a4[1]
     assert len(graph.edges) == 672 * 6 // 2
+
+
+def test_exchange_pairs_match_brute_force(rigids_a2, rigids_a3, rigids_a4):
+    def brute(sets):
+        return [
+            (i, j)
+            for i in range(len(sets))
+            for j in range(i + 1, len(sets))
+            if len(set(sets[i]) ^ set(sets[j])) == 2
+        ]
+
+    for rigids, _ in (rigids_a2, rigids_a3, rigids_a4):
+        sets = [t.summands for t in rigids]
+        assert exchange_pairs(sets) == brute(sets)
+        # input order is free, and a repeated subset is not its own partner
+        shuffled = sets[::-1] + sets[:1]
+        assert exchange_pairs(shuffled) == brute(shuffled)
+    assert exchange_pairs([]) == []
 
 
 def test_label_sets_are_the_vertices(atlas_a3, rigids_a3):
