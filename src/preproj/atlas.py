@@ -214,6 +214,12 @@ class Atlas:
 # -- enumeration ----------------------------------------------------------
 
 
+def _iso_key(m: Representation) -> tuple:
+    """Isomorphism invariants: dimension vector, dim End and the rank of each
+    arrow matrix.  The closure seeks isomorphisms only within one key."""
+    return (m.dims, m.end_dim, tuple(m.field.rank(a) for a in m.mats))
+
+
 def enumerate_indecomposables(
     qtype: str,
     field: PrimeField,
@@ -221,44 +227,41 @@ def enumerate_indecomposables(
     max_passes: int = 64,
     ext_samples: int = 8,
 ) -> Atlas:
+    """Run the closure of the module docstring, then tabulate Hom and Ext.
+
+    Each pass records dim Ext^1 for every ordered pair of the modules known
+    at its start.  The closure stops after a pass that adds nothing, so the
+    Ext table is read from those records: every final pair was visited."""
     dq = double(preset_quiver(qtype))
     basis = PreprojectiveBasis(dq, field)
     cap = 4 * dq.nv
 
     mods: list[Representation] = []
-    quick: dict[tuple, list[int]] = {}
+    quick: dict[tuple, list[int]] = {}  # _iso_key -> ids
 
-    def identify(c: Representation) -> int | None:
-        key = (c.dims, c.end_dim)
-        for mid in quick.get(key, []):
-            if is_isomorphic(mods[mid], c, seed=seed, tries=0):
-                return mid
-        return None
-
-    def add(c: Representation):
-        key = (c.dims, c.end_dim)
-        quick.setdefault(key, []).append(len(mods))
+    def place(c: Representation) -> bool:
+        """Add c unless an isomorphic module is known; True if added."""
+        known = quick.setdefault(_iso_key(c), [])
+        if any(is_isomorphic(mods[mid], c, seed=seed, tries=0) for mid in known):
+            return False
+        known.append(len(mods))
         mods.append(c)
+        return True
 
     def absorb(rep: Representation) -> bool:
         got_new = False
         for piece, _ in decompose(rep, seed=seed):
-            if piece.total_dim == 0 or piece.total_dim > cap:
-                continue
-            if identify(piece) is None:
-                add(piece)
+            if 0 < piece.total_dim <= cap and place(piece):
                 got_new = True
         return got_new
 
     for v in dq.vertices:
-        add(simple(dq, field, v))
+        place(simple(dq, field, v))
     for v in dq.vertices:
-        p = projective_module(basis, v)
-        if identify(p) is None:
-            add(p)
+        place(projective_module(basis, v))
 
     done_unary: set[int] = set()
-    done_pairs: set[tuple[int, int]] = set()
+    ext_dims: dict[tuple[int, int], int] = {}  # (i, j) -> dim Ext^1(mods[i], mods[j])
     for _ in range(max_passes):
         changed = False
         n0 = len(mods)
@@ -273,7 +276,7 @@ def enumerate_indecomposables(
             done_unary.add(idx)
         for i in range(n0):
             for j in range(n0):
-                if (i, j) in done_pairs:
+                if (i, j) in ext_dims:
                     continue
                 space = ext1_cocycle(mods[i], mods[j])
                 if space.dim:
@@ -282,7 +285,7 @@ def enumerate_indecomposables(
                         seq = build_extension(space, coeffs)
                         if absorb(seq.mid):
                             changed = True
-                done_pairs.add((i, j))
+                ext_dims[i, j] = space.dim
         if not changed:
             break
     else:
@@ -302,9 +305,8 @@ def enumerate_indecomposables(
     )
     modules = [pmods[i] for i in final]
     hom_table = hom1[np.ix_(final, final)]
-    ext_table = np.array(
-        [[ext1_cocycle(x, y).dim for y in modules] for x in modules], dtype=np.int64
-    )
+    order = [provisional[i] for i in final]  # canonical position -> closure id
+    ext_table = np.array([[ext_dims[i, j] for j in order] for i in order], dtype=np.int64)
     atlas = Atlas(
         qtype=qtype,
         field=field,

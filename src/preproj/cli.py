@@ -38,10 +38,13 @@ def get_atlas(cfg: Config, qtype: str, p: int | None = None) -> Atlas:
     root = _cache_dir(cfg, qtype, p)
     path = os.path.join(root, "atlas.json")
     if os.path.exists(path):
-        return Atlas.load(path, field)
+        atlas = Atlas.load(path, field)
+        print(f"loaded {qtype} atlas from {path}", file=sys.stderr)
+        return atlas
     atlas = enumerate_indecomposables(qtype, field, seed=cfg.seed)
     os.makedirs(root, exist_ok=True)
     atlas.save(path)
+    print(f"built {qtype} atlas, saved to {path}", file=sys.stderr)
     return atlas
 
 

@@ -586,8 +586,9 @@ def verify_graph_correspondence(
     atlas: Atlas, rigids, graph, t_index: int, seed: int = 0, calc: ExtCalculatorB | None = None
 ) -> dict:
     """Check that mapping a maximal rigid module through Hom(-, T) gives a
-    bijection onto the tilting sets of End(T) preserving one-summand
-    exchanges, for T = rigids[t_index].
+    bijection onto the tilting sets of End(T), for T = rigids[t_index], and
+    that every one-summand exchange between tilting sets is a mutation:
+    Ext^1_B is nonzero between its two complements in exactly one direction.
 
     calc, if given, is ExtCalculatorB.for_rigid(atlas, rigids[t_index], seed)
     with whatever it has cached; by default one is built here."""
@@ -615,10 +616,19 @@ def verify_graph_correspondence(
         extra = [list(s) for s in tilts if tuple(s) not in set(map(tuple, lam))]
         missing = [list(s) for s in lam if tuple(s) not in set(map(tuple, tilts))]
         mismatches.append(f"tilting sets extra={extra} missing={missing}")
-    # edges on both sides are one-summand exchanges; compare explicitly
-    edges_preserved = bijection and exchange_pairs(tilts) == exchange_pairs(lam)
-    if bijection and not edges_preserved:
-        mismatches.append("edge sets differ")
+    # Happel-Unger (1989): the two complements x, y of an almost complete
+    # tilting module are joined by a non-split sequence in exactly one direction
+    edges_preserved = bijection
+    for i, j in exchange_pairs(tilts):
+        (x,) = set(tilts[i]).difference(tilts[j])
+        (y,) = set(tilts[j]).difference(tilts[i])
+        directions = (calc.ext1(x, y) > 0) + (calc.ext1(y, x) > 0)
+        if directions != 1:
+            edges_preserved = False
+            mismatches.append(
+                f"edge {list(tilts[i])} -- {list(tilts[j])}: complements {x} and {y} "
+                f"have non-split extensions in {directions} directions"
+            )
     return {
         "t_id": t_index,
         "t_summands": list(t.summands),

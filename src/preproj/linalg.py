@@ -127,26 +127,28 @@ class PrimeField:
         leftmost pivot column, first nonzero row, no row permutation
         beyond the swap into pivot position.
         """
-        r = (np.asarray(m, dtype=np.int64) % self.p).copy()
+        p = self.p
+        r = np.asarray(m, dtype=np.int64) % p  # a new array, safe to modify
         nrows, ncols = r.shape
         pivots: list[int] = []
         row = 0
         for col in range(ncols):
             if row >= nrows:
                 break
-            nz = np.nonzero(r[row:, col])[0]
+            nz = r[row:, col].nonzero()[0]
             if nz.size == 0:
                 continue
             src = row + int(nz[0])
             if src != row:
                 r[[row, src]] = r[[src, row]]
-            inv = self.inv_scalar(int(r[row, col]))
-            r[row] = (r[row] * inv) % self.p
+            piv = int(r[row, col])
+            if piv != 1:
+                r[row] = r[row] * self.inv_scalar(piv) % p
             colvals = r[:, col].copy()
             colvals[row] = 0
-            mask = np.nonzero(colvals)[0]
+            mask = colvals.nonzero()[0]
             if mask.size:
-                r[mask] = (r[mask] - np.outer(colvals[mask], r[row])) % self.p
+                r[mask] = (r[mask] - colvals[mask, None] * r[row]) % p
             pivots.append(col)
             row += 1
         return r, pivots

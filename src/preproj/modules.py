@@ -494,16 +494,36 @@ def is_isomorphic(x: Representation, y: Representation, seed: int = 0, tries: in
     return _invertible_in_hom(hxy, seed, tries) is not None
 
 
+def _stable_power(fld: PrimeField, m: np.ndarray) -> np.ndarray:
+    """m^(2^k) for the least 2^k >= size of m: its kernel is the generalized
+    kernel of m, and it is zero exactly when m is nilpotent."""
+    for _ in range(max(m.shape[0] - 1, 0).bit_length()):
+        m = fld.mul(m, m)
+    return m
+
+
 def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
     """Vertex-wise generalized eigenspace bases of an endomorphism, one
     entry per coprime factor of its minimal polynomial (only factors with
-    nonzero total dimension are returned); [] when there is one factor."""
+    nonzero total dimension are returned); [] when there is one factor.
+
+    Shortcut: when p does not divide n = total_dim, an endomorphism E with
+    a single eigenvalue has it at lam = tr(E)/n.  If every vertex block
+    E_i - lam*I is nilpotent, the minimal polynomial is (t - lam)^k, one
+    factor, and [] is returned without factoring.  Otherwise, and always
+    when p divides n, the minimal polynomial is factored."""
     fld = rep.field
     nv = rep.dq.nv
     nonzero = [i for i in range(nv) if rep.dims[i] > 0]
     if not nonzero:
         return []
-    big = fld.zeros(rep.total_dim, rep.total_dim)
+    n = rep.total_dim
+    if n % fld.p:
+        lam = sum(int(np.trace(end_mats[i])) for i in nonzero) * fld.inv_scalar(n) % fld.p
+        shifted = ((end_mats[i] - lam * fld.eye(rep.dims[i])) % fld.p for i in nonzero)
+        if not any(np.any(_stable_power(fld, m)) for m in shifted):
+            return []
+    big = fld.zeros(n, n)
     off = np.concatenate([[0], np.cumsum(rep.dims)])
     for i in nonzero:
         big[off[i] : off[i + 1], off[i] : off[i + 1]] = end_mats[i]
@@ -516,10 +536,7 @@ def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
         for i in range(nv):
             d = rep.dims[i]
             m = fld.poly_eval_matrix(f, end_mats[i]) if d else fld.zeros(0, 0)
-            # ker f(E)^k is stable from k = d on; square up to a power >= d
-            for _ in range(max(d - 1, 0).bit_length()):
-                m = fld.mul(m, m)
-            bases.append(fld.kernel_basis(m))
+            bases.append(fld.kernel_basis(_stable_power(fld, m)))
         if sum(b.shape[1] for b in bases):
             out.append(bases)
     if sum(b[i].shape[1] for b in out for i in range(nv)) != rep.total_dim:
@@ -551,6 +568,7 @@ def decompose(rep: Representation, seed: int = 0, tries: int = 64):
 
 def _decompose_rec(rep: Representation, seed: int, tries: int) -> list[Representation]:
     ends = hom_basis(rep, rep)
+    rep._end_dim = ends.dim  # spares is_isomorphic and the atlas closure a rank
     if ends.dim == 1:
         return [rep]
 

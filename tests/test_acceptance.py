@@ -180,7 +180,12 @@ PINNED_DIGESTS = {
 }
 
 
-def test_pinned_output_digests(tmp_path):
+# sha256 of `preproj verify --suite all --type A3` (seed 0): its stdout and
+# the file --out writes hold the same bytes
+PINNED_VERIFY_A3 = "785a78e33a9063517fff4fd39a0d45d5c853e77fd90d35c13e94fe1a8da43029"
+
+
+def test_pinned_output_digests(tmp_path, capsys):
     for (qtype, p, kind), want in PINNED_DIGESTS.items():
         atlas = shared_atlas(qtype, p)
         path = tmp_path / f"{qtype}-{p}-{kind}.json"
@@ -190,3 +195,9 @@ def test_pinned_output_digests(tmp_path):
             _, graph = shared_rigids(qtype, p)
             export_graph(graph, "json", path, qtype, atlas)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, (qtype, p, kind)
+    report = tmp_path / "report.jsonl"
+    argv = ["verify", "--suite", "all", "--type", "A3", "--cache-dir", str(tmp_path / "c")]
+    assert cli_main(argv + ["--out", str(report)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == PINNED_VERIFY_A3
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == PINNED_VERIFY_A3

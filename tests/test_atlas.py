@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from preproj.atlas import Atlas, compare_atlases, enumerate_indecomposables
+from preproj.atlas import Atlas, _iso_key, compare_atlases, enumerate_indecomposables
 from preproj.errors import FormatError
 from preproj.extensions import ext1_cocycle
 from preproj.linalg import PrimeField
 from preproj.modules import direct_sum, hom_basis, hom_dim, simple, top, socle_dims
 from tests.conftest import shared_atlas
+from tests.test_modules import base_change
 
 
 def test_counts(atlas_a2, atlas_a3, atlas_a4):
@@ -159,6 +160,24 @@ def test_table_cache_coherence(atlas_a3):
         assert atlas_a3.ext_table[i, j] == ext1_cocycle(
             atlas_a3.modules[i], atlas_a3.modules[j]
         ).dim
+
+
+@pytest.mark.parametrize("qtype", ["A3", "A4"])
+def test_ext_table_matches_recomputed_cocycles(qtype):
+    # the closure's table is read from the dimensions it recorded per pair
+    atlas = shared_atlas(qtype)
+    mods = atlas.modules
+    want = [[ext1_cocycle(x, y).dim for y in mods] for x in mods]
+    assert atlas.ext_table.tolist() == want
+
+
+@pytest.mark.parametrize("qtype", ["A3", "A4"])
+def test_iso_key_separates_modules_and_is_invariant(qtype):
+    atlas = shared_atlas(qtype)
+    keys = [_iso_key(m) for m in atlas.modules]
+    assert len(set(keys)) == atlas.size
+    for i, m in enumerate(atlas.modules):
+        assert _iso_key(base_change(m, 60 + i)) == keys[i]
 
 
 def test_ext_table_shape_facts(atlas_a3):

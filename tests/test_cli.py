@@ -185,3 +185,17 @@ def test_second_invocation_reuses_cache(tmp_path, capsys):
     assert code == 0 and "4 indecomposables" in out
     assert path.read_bytes() == first
     assert path.stat().st_mtime_ns == stamp  # loaded, not rebuilt
+
+
+def test_stderr_says_whether_the_atlas_was_built_or_loaded(tmp_path, capsys):
+    cache = str(tmp_path / "c")
+    path = tmp_path / "c" / "A2-p32003-v1" / "atlas.json"
+    code, first_out, first_err = run(capsys, "atlas", "--type", "A2", "--cache-dir", cache)
+    assert code == 0
+    assert first_err == f"built A2 atlas, saved to {path}\n"
+    saved = path.read_bytes()
+    code, second_out, second_err = run(capsys, "atlas", "--type", "A2", "--cache-dir", cache)
+    assert code == 0
+    assert second_err == f"loaded A2 atlas from {path}\n"
+    assert second_out == first_out
+    assert path.read_bytes() == saved

@@ -18,6 +18,7 @@ from preproj.endo import (
     verify_graph_correspondence,
 )
 from preproj.modules import hom_basis, zero_rep
+from preproj.rigidgraph import exchange_pairs
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +227,26 @@ def test_verify_correspondence_single_a3(setup_a3):
     atlas, rigids, graph, _ = setup_a3
     rep = verify_graph_correspondence(atlas, rigids, graph, 7)
     assert rep["bijection"] and rep["edges_preserved"] and not rep["mismatches"]
+
+
+def test_edge_check_fails_when_complements_extend_both_ways(setup_a3):
+    atlas, rigids, graph, _ = setup_a3
+    calc = ExtCalculatorB.for_rigid(atlas, rigids[7])
+    tilts = enumerate_tilting(calc.algebra, calc.candidates, calc)
+
+    def complements(i, j):
+        return min(set(tilts[i]) - set(tilts[j])), min(set(tilts[j]) - set(tilts[i]))
+
+    pairs = exchange_pairs(tilts)
+    x, y = complements(*pairs[0])
+    assert (calc.ext1(x, y) > 0) + (calc.ext1(y, x) > 0) == 1
+    # x and y never share a tilting set, so the tilting sets stay as they are
+    calc._ext[x, y] = calc._ext[y, x] = 1
+    rep = verify_graph_correspondence(atlas, rigids, graph, 7, calc=calc)
+    assert rep["bijection"] and not rep["edges_preserved"]
+    hit = [p for p in pairs if set(complements(*p)) == {x, y}]
+    assert len(rep["mismatches"]) == len(hit) >= 1
+    assert all("non-split extensions in 2 directions" in m for m in rep["mismatches"])
 
 
 def test_coresolution_spot_check(setup_a3):

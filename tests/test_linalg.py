@@ -223,6 +223,60 @@ def test_kernel_basis_matches_entrywise_construction(p):
         assert not np.any(fld.mul(m, got))
 
 
+def _rref_reference(fld, m):
+    """The elimination rref used before it was trimmed of numpy calls."""
+    r = (np.asarray(m, dtype=np.int64) % fld.p).copy()
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        src = row + int(nz[0])
+        if src != row:
+            r[[row, src]] = r[[src, row]]
+        inv = fld.inv_scalar(int(r[row, col]))
+        r[row] = (r[row] * inv) % fld.p
+        colvals = r[:, col].copy()
+        colvals[row] = 0
+        mask = np.nonzero(colvals)[0]
+        if mask.size:
+            r[mask] = (r[mask] - np.outer(colvals[mask], r[row])) % fld.p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_matches_reference(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 5)
+    for trial in range(300):
+        rows, cols = int(rng.integers(0, 9)), int(rng.integers(0, 9))
+        rank = 0 if trial % 5 == 0 else int(rng.integers(0, min(rows, cols) + 1))
+        m = fld.mul(rng.integers(0, p, size=(rows, rank)), rng.integers(0, p, size=(rank, cols)))
+        if rows and trial % 7 == 0:
+            m[int(rng.integers(0, rows))] = 0
+        if cols and trial % 11 == 0:
+            m[:, int(rng.integers(0, cols))] = 0
+        if rows > 1 and trial % 3 == 0:
+            m[rows - 1] = m[0]
+        if rows and cols and trial % 4 == 0:
+            # leading entries already 1, so no row needs scaling
+            m[:, 0] = 1
+        if trial % 13 == 0:
+            m = m - p  # unreduced input, entries in [-p, 0)
+        m_before = m.copy()
+        got_r, got_piv = fld.rref(m)
+        want_r, want_piv = _rref_reference(fld, m)
+        assert got_piv == want_piv
+        assert np.array_equal(got_r, want_r)
+        assert np.array_equal(m, m_before)  # the input is left alone
+
+
 def test_trace_form_radical_triangular_algebra(f):
     # span{I, E12} inside 2x2 matrices: radical is the span of E12
     basis = [f.eye(2), f.mat([[0, 1], [0, 0]])]

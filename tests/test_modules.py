@@ -6,11 +6,13 @@ from preproj.linalg import PrimeField
 from preproj.modules import (
     ModuleMap,
     Representation,
+    _split_spaces,
     check_relations,
     cosyzygy,
     decompose,
     direct_sum,
     dual_twist,
+    hom_basis,
     hom_dim,
     is_isomorphic,
     projective_module,
@@ -173,6 +175,75 @@ def test_basis_scan_is_conclusive_on_indecomposables(atlas_a3):
             assert is_isomorphic(x, y, tries=0) == (i == j)
             # not the same object, so the scan must find a non-identity isomorphism
             assert is_isomorphic(y, moved[i], tries=0) == (i == j)
+
+
+def _split_iff_one_factor(rep, mats):
+    """_split_spaces returns [] exactly when coprime_factors finds one factor
+    for the block-diagonal matrix of mats; returns whether it was []."""
+    fld = rep.field
+    off = np.concatenate([[0], np.cumsum(rep.dims)])
+    big = fld.zeros(rep.total_dim, rep.total_dim)
+    for i, m in enumerate(mats):
+        big[off[i] : off[i + 1], off[i] : off[i + 1]] = m
+    unsplit = _split_spaces(rep, mats) == []
+    assert unsplit == (len(fld.coprime_factors(big)) <= 1)
+    return unsplit
+
+
+def test_one_eigenvalue_shortcut_on_atlas_endomorphisms(atlas_a3):
+    mods = atlas_a3.modules
+    reps = list(mods) + [
+        direct_sum(atlas_a3.dq, atlas_a3.field, [x, y])
+        for i, x in enumerate(mods)
+        for y in mods[i:]
+    ]
+    seen = set()
+    for rep in reps:
+        for b in hom_basis(rep, rep).basis:
+            seen.add(_split_iff_one_factor(rep, b))
+    assert seen == {True, False}
+
+
+def _conjugate(fld, rng, e):
+    while True:
+        g = rng.integers(0, fld.p, size=e.shape)
+        if fld.is_invertible(g):
+            return fld.mulchain(g, e, fld.inv(g))
+
+
+@pytest.mark.parametrize("p", (32003, 101))
+def test_one_eigenvalue_shortcut_on_scalar_plus_nilpotent(p):
+    fld = PrimeField(p)
+    dq = double(dynkin_a(1))
+    rng = np.random.default_rng(p + 7)
+    for n in range(1, 8):
+        for _ in range(6):
+            lam = int(rng.integers(0, p))
+            tri = lam * fld.eye(n) + np.triu(rng.integers(0, p, size=(n, n)), 1)
+            rep = Representation(dq, fld, (n,), [])
+            assert _split_iff_one_factor(rep, [_conjugate(fld, rng, tri % p)])
+            if n > 1:
+                # a second eigenvalue: the shortcut must not fire
+                tri[-1, -1] += 1
+                assert not _split_iff_one_factor(rep, [_conjugate(fld, rng, tri % p)])
+    # t^2 - c for a non-square c is irreducible: one factor of degree 2, not
+    # a single eigenvalue, so the factoring path decides
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    companion = fld.mat([[0, c], [1, 0]])
+    assert _split_iff_one_factor(Representation(dq, fld, (2,), []), [companion])
+
+
+def test_one_eigenvalue_shortcut_skipped_when_p_divides_n():
+    fld = PrimeField(5)
+    dq = double(dynkin_a(1))
+    rng = np.random.default_rng(5)
+    rep = Representation(dq, fld, (5,), [])
+    jordan = 2 * fld.eye(5)
+    jordan[0, 1] = 1
+    assert _split_iff_one_factor(rep, [_conjugate(fld, rng, jordan % 5)])
+    # trace 1 + 1 + 1 + 1 + 2 = 1 but n = 0 in F_5, so tr/n is undefined
+    two = _conjugate(fld, rng, fld.mat(np.diag([1, 1, 1, 1, 2])))
+    assert not _split_iff_one_factor(rep, [two])
 
 
 def test_dual_twist_convention(a3):
