@@ -6,7 +6,9 @@ pair of summands (k, l) a basis of Hom(T_k, T_l), with the identity of
 each End(T_k) normalized to be the first diagonal basis element and the
 remaining diagonal elements shifted to nilpotents.  A B-module is graded
 by the idempotents: one component per summand, with one action block per
-basis element.
+basis element.  Hom and Ext over B from a module of projective dimension
+at most one come from its minimal projective presentation: one rank of
+one small matrix per pair of modules (ExtCalculatorB).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
 from .linalg import PrimeField
-from .modules import ModuleMap, Representation, hom_basis, intertwiner_system, kernel_maps
+from .modules import ModuleMap, Representation, hom_basis
 from .rigidgraph import RigidModule, _bron_kerbosch, exchange_pairs
 
 
@@ -107,21 +109,11 @@ class BoundAlgebra:
         return [e.index for e in self.elements if e.index not in idents]
 
     def _block_matrix(self, k: int, l: int) -> np.ndarray:
+        """Columns: the chosen basis of a nonzero block Hom(T_k, T_l), flattened."""
         key = (k, l)
         got = self._block_solvers.get(key)
         if got is None:
-            cols = [self._vec(self.elements[i].mats) for i in self.block_elems[key]]
-            got = (
-                np.stack(cols, axis=1)
-                if cols
-                else self.field.zeros(
-                    sum(
-                        self.summands[l].dims[i] * self.summands[k].dims[i]
-                        for i in range(len(self.summands[k].dims))
-                    ),
-                    0,
-                )
-            )
+            got = np.stack([self._vec(self.elements[i].mats) for i in self.block_elems[key]], axis=1)
             self._block_solvers[key] = got
         return got
 
@@ -371,30 +363,6 @@ def direct_sum_b(mods: list[BModule]) -> BModule:
     return BModule(alg, comp_dims, blocks)
 
 
-def _hom_b_system(m: BModule, n: BModule) -> np.ndarray:
-    """Intertwining system of B-module maps m -> n: the radical basis
-    elements act as the arrows; those acting as zero on both are left out."""
-    alg = m.algebra
-    actions = []
-    for idx in alg.radical_elements:
-        b = alg.elements[idx]
-        mb = m.action_block(idx)
-        nb = n.action_block(idx)
-        if np.any(mb) or np.any(nb):
-            actions.append((b.src, b.tgt, mb, nb))
-    return intertwiner_system(alg.field, m.comp_dims, n.comp_dims, actions)
-
-
-def hom_b(m: BModule, n: BModule) -> list[tuple]:
-    """Basis of B-module maps m -> n, as per-component block tuples."""
-    return kernel_maps(m.algebra.field, m.comp_dims, n.comp_dims, _hom_b_system(m, n))
-
-
-def hom_b_dim(m: BModule, n: BModule) -> int:
-    a = _hom_b_system(m, n)
-    return a.shape[1] - m.algebra.field.rank(a)
-
-
 def _radical_image(m: BModule, k: int) -> np.ndarray:
     """Columns spanning rad(B) m in component k, one block per radical element."""
     images = []
@@ -413,6 +381,17 @@ def top_dims_b(m: BModule) -> tuple[int, ...]:
     return tuple(m.comp_dims[l] - fld.rank(_radical_image(m, l)) for l in range(m.algebra.r))
 
 
+def _top_basis(m: BModule) -> list[tuple[int, int]]:
+    """(k, c) per top generator of m: the coordinates c of component k
+    left free by rad(B) m, so their unit vectors span a complement of it."""
+    fld = m.algebra.field
+    tops = []
+    for k in range(m.algebra.r):
+        _, pivots = fld.rref(_radical_image(m, k).T)
+        tops.extend((k, c) for c in sorted(set(range(m.comp_dims[k])).difference(pivots)))
+    return tops
+
+
 def projective_cover_b(m: BModule):
     """Returns (cover module P, per-component cover matrices P -> m, copies).
 
@@ -421,40 +400,24 @@ def projective_cover_b(m: BModule):
     """
     alg = m.algebra
     fld = alg.field
-    lifts = []  # (k, column vector in component k)
-    for k in range(alg.r):
-        _, pivots = fld.rref(_radical_image(m, k).T)
-        for c in sorted(set(range(m.comp_dims[k])).difference(pivots)):
-            vec = fld.zeros(m.comp_dims[k], 1)
-            vec[c, 0] = 1
-            lifts.append((k, vec))
+    lifts = _top_basis(m)
     copies = [k for k, _ in lifts]
     projs = [alg.projective(k) for k in copies]
-    if projs:
-        cover_mod = direct_sum_b(projs)
-    else:
-        cover_mod = BModule(alg, (0,) * alg.r, {})
+    cover_mod = direct_sum_b(projs) if projs else BModule(alg, (0,) * alg.r, {})
     # columns of the cover: basis element b of (k, j) block maps to b . u
     cover_mats = []
     for j in range(alg.r):
-        cols = []
-        for (k, vec), proj in zip(lifts, projs):
-            block = fld.zeros(m.comp_dims[j], proj.comp_dims[j])
-            for c, idx in enumerate(alg.block_elems[(k, j)]):
-                block[:, c : c + 1] = fld.mul(m.action_block(idx), vec)
-            cols.append(block)
-        cover_mats.append(
-            np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0)
-        )
-    for j in range(alg.r):
+        cols = [m.action_block(i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
+        cover_mats.append(np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0))
         if fld.rank(cover_mats[j]) != m.comp_dims[j]:
             raise StructureError("projective cover is not surjective")
     return cover_mod, cover_mats, copies
 
 
 def syzygy_b(m: BModule):
-    """Returns (syzygy module, copies): the kernel of the projective cover
-    and the summand positions k of its projectives B e_k, one per copy."""
+    """Returns (syzygy module, copies, kernels): the kernel of the projective
+    cover, the summand positions k of its projectives B e_k, one per copy,
+    and per component j the columns embedding the syzygy in the cover."""
     alg = m.algebra
     fld = alg.field
     cover_mod, cover_mats, copies = projective_cover_b(m)
@@ -471,28 +434,57 @@ def syzygy_b(m: BModule):
             raise StructureError("syzygy is not closed under the action")
         if np.any(coords):
             blocks[idx] = coords
-    return BModule(alg, comp_dims, blocks), copies
+    return BModule(alg, comp_dims, blocks), copies, kers
 
 
-def proj_dim_le1(m: BModule) -> bool:
-    """Whether the first syzygy of the minimal presentation is projective."""
-    return ExtCalculatorB(m.algebra, {0: m}).pd_le1(0)
+@dataclass(frozen=True)
+class Presentation:
+    """Minimal presentation 0 -> ⊕_ρ B e_{k_ρ} -> ⊕_g B e_{k_g} -> M -> 0 of a
+    B-module M of projective dimension at most one: copies[g] = k_g,
+    relations[ρ] = k_ρ, and coords[(ρ, g)] the nonzero (basis element,
+    coefficient) pairs of the generator ρ of ΩM in copy g, over
+    block_elems[(k_g, k_ρ)]."""
+
+    copies: tuple
+    relations: tuple
+    coords: dict
 
 
-def ext1_b(m: BModule, n: BModule) -> int:
-    """dim Ext^1 over B from the minimal presentation of m."""
-    return ExtCalculatorB(m.algebra, {0: m, 1: n}).ext1(0, 1)
+def hom_b(pres: Presentation, n: BModule) -> np.ndarray:
+    """R_N, the map ⊕_g e_{k_g} N -> ⊕_ρ e_{k_ρ} N that pres induces under
+    Hom_B(-, N), as Hom_B(B e_k, N) = e_k N: block (ρ, g) is
+    Σ_b c_{ρ,g,b} N.action_block(b).  Its kernel is Hom_B(M, N) and its
+    cokernel is Ext^1_B(M, N)."""
+    fld = n.algebra.field
+    cols = np.cumsum([0] + [n.comp_dims[k] for k in pres.copies])
+    rows = np.cumsum([0] + [n.comp_dims[k] for k in pres.relations])
+    out = fld.zeros(int(rows[-1]), int(cols[-1]))
+    for (r, g), terms in pres.coords.items():
+        blk = out[rows[r] : rows[r + 1], cols[g] : cols[g + 1]]
+        for idx, c in terms:
+            blk += c * n.action_block(idx)
+            blk %= fld.p
+    return out
 
 
 class ExtCalculatorB:
     """Per-T context of the End(T) checks: the algebra B = End(T), candidate
     B-modules keyed by vertex name, and, cached, their minimal presentations
-    and the Ext and Hom dimensions of each ordered pair."""
+    and the Ext and Hom dimensions of each ordered pair.
+
+    Every candidate M must have projective dimension at most one, so that
+    its presentation 0 -> ⊕_ρ B e_{k_ρ} -> ⊕_g B e_{k_g} -> M -> 0 has a
+    projective syzygy; ext1 and hom_dim raise InputError otherwise.  Then
+    Hom_B(-, N) turns it into 0 -> Hom(M, N) -> ⊕_g e_{k_g} N -R_N->
+    ⊕_ρ e_{k_ρ} N -> Ext^1(M, N) -> 0 (see hom_b), and with n_k = dim e_k N
+        dim Hom_B(M, N) = Σ_g n_{k_g} - rank R_N,
+        dim Ext^1_B(M, N) = Σ_ρ n_{k_ρ} - rank R_N,
+    both memoised from the one rank."""
 
     def __init__(self, algebra: BoundAlgebra, candidates: dict[int, BModule]):
         self.algebra = algebra
         self.candidates = candidates
-        self._pres: dict[int, tuple] = {}
+        self._pres: dict[int, Presentation | None] = {}
         self._ext: dict[tuple[int, int], int] = {}
         self._hom: dict[tuple[int, int], int] = {}
 
@@ -502,48 +494,54 @@ class ExtCalculatorB:
         algebra = BoundAlgebra(atlas, rigid, seed=seed)
         return cls(algebra, {mid: algebra.hom_image(m) for mid, m in enumerate(atlas.modules)})
 
-    def _presentation(self, key: int):
-        got = self._pres.get(key)
-        if got is None:
-            got = syzygy_b(self.candidates[key])
-            self._pres[key] = got
-        return got
+    def _presentation(self, key: int) -> Presentation | None:
+        """The minimal presentation of candidates[key]; None if its syzygy
+        is not projective, that is, not as large as the cover of its top."""
+        if key in self._pres:
+            return self._pres[key]
+        alg = self.algebra
+        syz, copies, kers = syzygy_b(self.candidates[key])
+        tops = _top_basis(syz)
+        pres = None
+        if sum(alg.projective(k).dim for k, _ in tops) == syz.dim:
+            coords = {}
+            for r, (k, c) in enumerate(tops):
+                col, off = kers[k][:, c], 0
+                for g, kg in enumerate(copies):
+                    ids = alg.block_elems[(kg, k)]
+                    terms = [(idx, int(v)) for idx, v in zip(ids, col[off:]) if v]
+                    off += len(ids)
+                    if terms:
+                        coords[(r, g)] = terms
+            pres = Presentation(tuple(copies), tuple(k for k, _ in tops), coords)
+        self._pres[key] = pres
+        return pres
 
     def pd_le1(self, key: int) -> bool:
-        syz, _ = self._presentation(key)
-        if syz.dim == 0:
-            return True
-        tops = top_dims_b(syz)
-        want = sum(t * self.algebra.projective(k).dim for k, t in enumerate(tops))
-        return want == syz.dim
+        return self._presentation(key) is not None
+
+    def _fill(self, a: int, b: int):
+        pres = self._presentation(a)
+        if pres is None:
+            raise InputError(f"candidate {a} has projective dimension > 1")
+        n = self.candidates[b]
+        rank = self.algebra.field.rank(hom_b(pres, n))
+        self._hom[(a, b)] = sum(n.comp_dims[k] for k in pres.copies) - rank
+        self._ext[(a, b)] = sum(n.comp_dims[k] for k in pres.relations) - rank
 
     def hom_dim(self, a: int, b: int) -> int:
-        """dim Hom_B(candidates[a], candidates[b])."""
-        got = self._hom.get((a, b))
-        if got is None:
-            got = hom_b_dim(self.candidates[a], self.candidates[b])
-            self._hom[(a, b)] = got
-        return got
+        """dim Hom_B(M, N) = Σ_g n_{k_g} - rank R_N for M = candidates[a],
+        N = candidates[b]; InputError if pd M > 1."""
+        if (a, b) not in self._hom:
+            self._fill(a, b)
+        return self._hom[(a, b)]
 
     def ext1(self, a: int, b: int) -> int:
-        """dim Ext^1_B(M, N) for M = candidates[a], N = candidates[b], by ranks.
-
-        The minimal presentation 0 -> ΩM -> P0 -> M -> 0, P0 = ⊕_k (B e_k)^{c_k},
-        and Ext^1(P0, N) = 0 give the exact sequence
-            0 -> Hom(M, N) -> Hom(P0, N) -> Hom(ΩM, N) -> Ext^1(M, N) -> 0.
-        As Hom_B(B e_k, N) = e_k N,
-        dim Ext^1(M, N) = dim Hom(ΩM, N) - Σ_k c_k dim e_k N + dim Hom(M, N).
-        """
-        got = self._ext.get((a, b))
-        if got is not None:
-            return got
-        syz, copies = self._presentation(a)
-        n = self.candidates[b]
-        got = hom_b_dim(syz, n) if syz.dim else 0
-        if got:
-            got += self.hom_dim(a, b) - sum(n.comp_dims[k] for k in copies)
-        self._ext[(a, b)] = got
-        return got
+        """dim Ext^1_B(M, N) = Σ_ρ n_{k_ρ} - rank R_N for M = candidates[a],
+        N = candidates[b]; InputError if pd M > 1."""
+        if (a, b) not in self._ext:
+            self._fill(a, b)
+        return self._ext[(a, b)]
 
 
 # -- tilting sets and the graph correspondence ------------------------------
@@ -558,11 +556,7 @@ def enumerate_tilting(algebra: BoundAlgebra, candidates: dict[int, BModule], cal
     """
     if calc is None:
         calc = ExtCalculatorB(algebra, candidates)
-    keys = sorted(candidates)
-    for key in keys:
-        if not calc.pd_le1(key):
-            raise InputError(f"candidate {key} has projective dimension > 1")
-    verts = [key for key in keys if calc.ext1(key, key) == 0]
+    verts = [key for key in sorted(candidates) if calc.ext1(key, key) == 0]
     adj = {v: set() for v in verts}
     for a in verts:
         for b in verts:

@@ -5,20 +5,42 @@ from preproj.endo import (
     BModule,
     BoundAlgebra,
     ExtCalculatorB,
+    Presentation,
     coresolution_check,
     direct_sum_b,
     enumerate_tilting,
-    ext1_b,
     hom_b,
-    hom_b_dim,
-    proj_dim_le1,
-    projective_cover_b,
     syzygy_b,
     top_dims_b,
     verify_graph_correspondence,
 )
-from preproj.modules import hom_basis, zero_rep
+from preproj.errors import InputError
+from preproj.modules import hom_basis, intertwiner_system, kernel_maps, zero_rep
 from preproj.rigidgraph import exchange_pairs
+
+
+def _system(m, n):
+    """Intertwining system of B-module maps m -> n: the radical basis
+    elements act as the arrows; those acting as zero on both are left out.
+    The test oracle for Hom over End(T), independent of presentations."""
+    alg = m.algebra
+    actions = []
+    for idx in alg.radical_elements:
+        b = alg.elements[idx]
+        mb = m.action_block(idx)
+        nb = n.action_block(idx)
+        if np.any(mb) or np.any(nb):
+            actions.append((b.src, b.tgt, mb, nb))
+    return intertwiner_system(alg.field, m.comp_dims, n.comp_dims, actions)
+
+
+def oracle_hom_basis(m, n):
+    return kernel_maps(m.algebra.field, m.comp_dims, n.comp_dims, _system(m, n))
+
+
+def oracle_hom_dim(m, n):
+    a = _system(m, n)
+    return a.shape[1] - m.algebra.field.rank(a)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +114,7 @@ def test_images_of_summands_are_projectives(setup_a3):
         proj = algebra.projective(pos)
         assert image.comp_dims == proj.comp_dims
         # an isomorphism: matching component dims plus an invertible map
-        maps = hom_b(image, proj)
+        maps = oracle_hom_basis(image, proj)
         assert any(
             all(algebra.field.is_invertible(h[k]) for k in range(algebra.r))
             for h in maps
@@ -107,71 +129,107 @@ def test_image_of_zero(setup_a3):
 
 def test_images_pairwise_distinct(setup_a3):
     atlas, _, _, algebra = setup_a3
-    images = [algebra.hom_image(m) for m in atlas.modules]
+    calc = ExtCalculatorB(algebra, {i: algebra.hom_image(m) for i, m in enumerate(atlas.modules)})
     fps = []
-    for im in images:
-        fps.append(
-            (im.comp_dims, tuple(hom_b_dim(im, other) for other in images))
-        )
+    for a, im in calc.candidates.items():
+        fps.append((im.comp_dims, tuple(calc.hom_dim(a, b) for b in calc.candidates)))
     assert len(set(fps)) == 12
 
 
 def test_proj_dim(setup_a3):
     atlas, _, _, algebra = setup_a3
-    assert proj_dim_le1(algebra.projective(0))
-    for m in atlas.modules:
-        assert proj_dim_le1(algebra.hom_image(m))
-    flags = [proj_dim_le1(algebra.simple(k)) for k in range(algebra.r)]
+    r = algebra.r
+    mods = [algebra.projective(0)] + [algebra.simple(k) for k in range(r)]
+    mods += [algebra.hom_image(m) for m in atlas.modules]
+    calc = ExtCalculatorB(algebra, dict(enumerate(mods)))
+    assert calc.pd_le1(0)
+    assert all(calc.pd_le1(1 + r + i) for i in range(atlas.size))
+    flags = [calc.pd_le1(1 + k) for k in range(r)]
     assert not all(flags)  # the algebra has global dimension > 1
 
 
 def test_ext_b_from_projective_vanishes(setup_a3):
     atlas, _, _, algebra = setup_a3
-    target = algebra.hom_image(atlas.modules[5])
+    target = algebra.r
+    mods = {k: algebra.projective(k) for k in range(algebra.r)}
+    mods[target] = algebra.hom_image(atlas.modules[5])
+    calc = ExtCalculatorB(algebra, mods)
     for k in range(algebra.r):
-        assert ext1_b(algebra.projective(k), target) == 0
+        assert calc.ext1(k, target) == 0
 
 
-def _ext1_by_restriction(m, n):
-    """dim Ext^1_B(m, n) as the cokernel of the restriction
-    Hom(P0, n) -> Hom(Ωm, n), h -> (h_j K_j)_j, along the kernel bases K_j of
-    the projective cover P0 -> m: the computation the rank formula replaced."""
-    fld = m.algebra.field
-    syz, _ = syzygy_b(m)
-    if syz.dim == 0:
-        return 0
-    syz_homs = hom_b_dim(syz, n)
-    if not syz_homs:
-        return 0
-    cover_mod, cover_mats, _ = projective_cover_b(m)
-    kers = [fld.kernel_basis(c) for c in cover_mats]
-    homs_cover = hom_b(cover_mod, n)
-    if not homs_cover:
-        return syz_homs
-    cols = [
-        np.concatenate([fld.mul(h[j], kers[j]).reshape(-1) for j in range(len(kers))])
-        for h in homs_cover
-    ]
-    return syz_homs - fld.rank(np.stack(cols, axis=1))
-
-
-def _check_rank_formula(atlas, t):
+def _check_against_oracle(atlas, t):
+    # Ext from 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(ΩM, N) -> Ext^1(M, N) -> 0,
+    # Hom_B(B e_k, N) = e_k N and every other Hom from the system oracle
     calc = ExtCalculatorB.for_rigid(atlas, t)
     for a, m in calc.candidates.items():
+        syz, copies, _ = syzygy_b(m)
         for b, n in calc.candidates.items():
-            assert calc.ext1(a, b) == _ext1_by_restriction(m, n), (t.summands, a, b)
-    for n in calc.candidates.values():
-        for k in range(calc.algebra.r):
-            assert ext1_b(calc.algebra.projective(k), n) == 0
+            hom = oracle_hom_dim(m, n)
+            ext = oracle_hom_dim(syz, n) - sum(n.comp_dims[k] for k in copies) + hom
+            assert (calc.hom_dim(a, b), calc.ext1(a, b)) == (hom, ext), (t.summands, a, b)
+    # and from each projective B e_k: Ext 0 and Hom e_k N
+    alg = calc.algebra
+    projs = ExtCalculatorB(alg, {**calc.candidates, **{-1 - k: alg.projective(k) for k in range(alg.r)}})
+    for k in range(alg.r):
+        for b, n in calc.candidates.items():
+            assert (projs.ext1(-1 - k, b), projs.hom_dim(-1 - k, b)) == (0, n.comp_dims[k])
 
 
-def test_ext1_rank_formula_matches_restriction_a3(atlas_a3, rigids_a3):
+def test_ext1_and_hom_dim_match_system_oracle_a3(atlas_a3, rigids_a3):
     for t in rigids_a3[0]:
-        _check_rank_formula(atlas_a3, t)
+        _check_against_oracle(atlas_a3, t)
 
 
-def test_ext1_rank_formula_matches_restriction_a4(atlas_a4, rigids_a4):
-    _check_rank_formula(atlas_a4, rigids_a4[0][215])
+@pytest.mark.parametrize("t_index", [0, 215, 245, 621])
+def test_ext1_and_hom_dim_match_system_oracle_a4(atlas_a4, rigids_a4, t_index):
+    _check_against_oracle(atlas_a4, rigids_a4[0][t_index])
+
+
+def test_modules_of_proj_dim_above_one_are_refused(setup_a3):
+    _, _, _, algebra = setup_a3
+    simples = {k: algebra.simple(k) for k in range(algebra.r)}
+    calc = ExtCalculatorB(algebra, simples)
+    bad = [k for k in simples if not calc.pd_le1(k)]
+    assert bad
+    for k in bad:
+        for j in simples:
+            with pytest.raises(InputError):
+                calc.ext1(k, j)
+            with pytest.raises(InputError):
+                calc.hom_dim(k, j)
+    with pytest.raises(InputError):
+        enumerate_tilting(algebra, simples)
+
+
+def test_zero_and_projectives_have_empty_presentation_matrix(setup_a3):
+    # no relations: R_N has no rows, Ext vanishes and Hom is Σ_g n_{k_g}
+    atlas, _, _, algebra = setup_a3
+    r = algebra.r
+    mods = {k: algebra.projective(k) for k in range(r)}
+    mods[r] = algebra.hom_image(zero_rep(atlas.dq, atlas.field))
+    targets = {r + 1 + i: algebra.hom_image(m) for i, m in enumerate(atlas.modules)}
+    calc = ExtCalculatorB(algebra, {**mods, **targets})
+    for a, m in mods.items():
+        pres = calc._presentation(a)
+        assert pres.relations == () and pres.copies == ((a,) if a < r else ())
+        for b, n in targets.items():
+            assert hom_b(pres, n).size == 0
+            assert calc.ext1(a, b) == 0
+            assert calc.hom_dim(a, b) == (n.comp_dims[a] if a < r else 0)
+            assert calc.hom_dim(a, b) == oracle_hom_dim(m, n)
+
+
+def test_presentation_matrix_sums_every_term(setup_a3):
+    # the atlas presentations have one term per block; R_N must add them all
+    _, _, _, algebra = setup_a3
+    (k, l), ids = next((kl, ids) for kl, ids in algebra.block_elems.items() if len(ids) >= 2)
+    n = algebra.projective(k)
+    a0, a1 = n.action_block(ids[0]), n.action_block(ids[1])
+    pres = Presentation((k, k), (l,), {(0, 0): [(ids[0], 2), (ids[1], 3)], (0, 1): [(ids[1], 1)]})
+    want = np.concatenate([(2 * a0 + 3 * a1) % algebra.field.p, a1], axis=1)
+    assert np.any(a0) and np.any(a1)
+    assert np.array_equal(hom_b(pres, n), want)
 
 
 def test_top_of_projective(setup_a3):
