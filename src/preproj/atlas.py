@@ -280,7 +280,7 @@ def enumerate_indecomposables(
                     continue
                 space = ext1_cocycle(mods[i], mods[j])
                 if space.dim:
-                    classes = _scalar_classes(field, space.dim, False, seed, ext_samples)
+                    classes = _scalar_classes(field, space.dim, seed, ext_samples)
                     for coeffs in classes:
                         seq = build_extension(space, coeffs)
                         if absorb(seq.mid):

@@ -64,10 +64,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--cross-check-char", type=int, dest="cross_check_char")
     p.add_argument("--seed", type=int)
     p.add_argument("--cache-dir", dest="cache_dir")
-    p.add_argument(
-        "--exhaustive-ext-sampling", action="store_const", const=True, default=None,
-        dest="exhaustive_ext_sampling",
-    )
     p.add_argument("--a4-sample-count", type=int, dest="a4_sample_count")
 
 
@@ -77,7 +73,6 @@ def _config_from(args) -> Config:
         "cross_check_char",
         "seed",
         "cache_dir",
-        "exhaustive_ext_sampling",
         "a4_sample_count",
     )
     overrides = {k: getattr(args, k) for k in keys}
@@ -146,7 +141,7 @@ def cmd_verify(args) -> int:
         "extbounds": lambda: suites.suite_extbounds(atlas),
         "remark-a4": lambda: suites.suite_remark_a4(atlas),
         "connected": lambda: suites.suite_connected(atlas, rigids, graph),
-        "lemma37": lambda: suites.suite_lemma37(atlas, rigids, tsel, cfg),
+        "lemma37": lambda: suites.suite_lemma37(atlas, rigids, tsel),
         "lemma22": lambda: suites.suite_lemma22(atlas, rigids, tsel, cfg, calcs),
         "theorem1": lambda: suites.suite_theorem1(atlas, rigids, graph, tsel, cfg, calcs),
     }

@@ -1,4 +1,4 @@
-"""Engine configuration: field moduli, seed, cache location, sampling knobs.
+"""Engine configuration: field moduli, seed, cache location, A4 sample size.
 
 Flags override an optional flat key=value config file; the only
 environment hook is PREPROJ_CACHE for the cache directory.
@@ -13,7 +13,8 @@ from .errors import FieldSizeError, InputError
 from .linalg import _is_prime
 
 # Inner dimension up to which products over F_p must stay exact in int64.
-# The largest the suites reach is 110 (A4 theorem1 and lemma37).
+# The largest the suites reach is 162 (A4 theorem1, seed 0); lemma37 and
+# lemma22 stay at 9 on A4.
 EXACT_INNER_DIM = 4096
 
 
@@ -23,7 +24,6 @@ class Config:
     cross_check_char: int = 101
     seed: int = 0
     cache_dir: str = "cache"
-    exhaustive_ext_sampling: bool = False
     a4_sample_count: int = 5
 
     def validate(self) -> "Config":
@@ -40,16 +40,9 @@ class Config:
         return self
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
 def _coerce(name: str, raw: str):
     kind = {f.name: f.type for f in fields(Config)}[name]
     raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() not in _BOOL_WORDS:
-            raise InputError(f"bad boolean for {name}: {raw!r}")
-        return _BOOL_WORDS[raw.lower()]
     if kind == "int":
         return int(raw)
     return raw

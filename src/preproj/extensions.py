@@ -5,6 +5,12 @@ An extension class of x by y (sequences 0 -> y -> E -> x -> 0) is stored
 as one matrix C_a per arrow; the middle term acts by the block matrices
 [[Y_a, C_a], [0, X_a]].  Coboundaries are the cocycles Y_a f - f X_a
 coming from arbitrary vertex maps f: x -> y.
+
+Hom(-, N) keeps such a sequence exact if and only if its connecting map
+Hom(y, N) -> Ext^1(x, N), f -> [f C], is zero (Auslander-Solberg): f C
+must be a coboundary for every f in a basis of Hom(y, N).  That map is
+linear in the class, so the classes exact under Hom(-, T) are the kernel
+of one matrix, `connecting_matrix` stacked over the summands N of T.
 """
 
 from __future__ import annotations
@@ -88,6 +94,21 @@ def _cocycle_columns(x: Representation, y: Representation):
     return shapes, offs
 
 
+def _coboundary_residues(x: Representation, y: Representation, vecs: np.ndarray) -> np.ndarray:
+    """Residues of cocycle coordinate vectors of (x, y), given as columns,
+    modulo coboundaries: the free coordinates left after eliminating against
+    the reduced echelon form of the coboundary space.  The map is linear,
+    and a column's residue is zero exactly when the column is a coboundary.
+    """
+    fld = x.field
+    # coboundaries f -> (Y_a f_s - f_t X_a)_a form the negated Hom system,
+    # whose rows are the cocycle coordinates in arrow order: same column space
+    red, pivots = fld.rref(_hom_system(x, y).T)
+    free = np.ones(red.shape[1], dtype=bool)
+    free[pivots] = False
+    return (vecs[free] - fld.mul(red[: len(pivots), free].T, vecs[pivots])) % fld.p
+
+
 def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
     """Extension space of x by y, with explicit class representatives."""
     if x.dq != y.dq:
@@ -122,19 +143,12 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
     cond = np.concatenate(rows, axis=0) % fld.p if rows else fld.zeros(0, ncols)
     z_basis = fld.kernel_basis(cond)
 
-    # coboundaries f -> (Y_a f_s - f_t X_a)_a form the negated Hom system,
-    # whose rows are the cocycle coordinates in arrow order: same column space
-    red, pivots = fld.rref(_hom_system(x, y).T)
-
     # reduce cocycles modulo coboundaries, keeping originals as representatives
-    brows = red[: len(pivots)]
+    residues = _coboundary_residues(x, y, z_basis)
     reps = []
     kept_residues = None
     for c in range(z_basis.shape[1]):
-        vec = z_basis[:, c : c + 1].copy()
-        if pivots:
-            coeffs = vec[pivots, 0]
-            vec = (vec - fld.mul(brows.T, coeffs.reshape(-1, 1))) % fld.p
+        vec = residues[:, c : c + 1]
         if not np.any(vec):
             continue
         if kept_residues is None:
@@ -341,6 +355,43 @@ def is_hom_exact(s: ShortExactSequence, n: Representation) -> bool:
     return hom_dim(s.mid, n) == hom_dim(s.sub, n) + hom_dim(s.quot, n)
 
 
+def connecting_matrix(space: ExtSpace, n: Representation) -> np.ndarray:
+    """Matrix of the connecting maps Hom(y, n) -> Ext^1(x, n) of the classes.
+
+    Column i stacks, over a basis f of Hom(y, n), the residue of f C_i
+    modulo the coboundaries of (x, n), where C_i is the i-th class
+    representative.  Its kernel is the space of classes whose sequences
+    0 -> y -> E -> x -> 0 stay exact under Hom(-, n).
+    """
+    x, y = space.x, space.y
+    fld = x.field
+    homs = hom_basis(y, n).basis
+    if not homs or not space.dim:
+        return fld.zeros(0, space.dim)
+    h, d = len(homs), space.dim
+    parts = []
+    for k, a in enumerate(x.dq.arrows):
+        s, t = a.source - 1, a.target - 1
+        # rows (f, row of f_t), columns (class, column of C_i) of all f_t C_i
+        fs = np.stack([f[t] for f in homs]).reshape(h * n.dims[t], y.dims[t])
+        cs = np.stack([rep[k] for rep in space.representatives], axis=1)
+        prod = fld.mul(fs, cs.reshape(y.dims[t], d * x.dims[s]))
+        prod = prod.reshape(h, n.dims[t], d, x.dims[s]).transpose(0, 2, 1, 3)
+        parts.append(prod.reshape(h, d, n.dims[t] * x.dims[s]))
+    vecs = np.concatenate(parts, axis=2).reshape(h * d, -1).T
+    res = _coboundary_residues(x, n, vecs)
+    return res.reshape(-1, h, d).transpose(1, 0, 2).reshape(-1, d)
+
+
+def exact_classes(space: ExtSpace, t_summands) -> np.ndarray:
+    """Basis (columns of coefficient vectors) of the classes whose sequences
+    stay exact under Hom(-, n) for every n in t_summands."""
+    fld = space.x.field
+    blocks = [fld.zeros(0, space.dim)]
+    blocks += [connecting_matrix(space, n) for n in t_summands]
+    return fld.kernel_basis(np.concatenate(blocks, axis=0))
+
+
 class Verdict(Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
@@ -348,13 +399,11 @@ class Verdict(Enum):
     NONE = "none"
 
 
-def _scalar_classes(fld, dim: int, exhaustive: bool, seed: int, samples: int):
+def _scalar_classes(fld, dim: int, seed: int, samples: int):
     """Nonzero class representatives up to scalar, first coordinate normalized."""
     if dim == 1:
         return [(1,)]
     if dim == 2:
-        if exhaustive:
-            return [(1, c) for c in range(fld.p)] + [(0, 1)]
         rng = np.random.default_rng([seed, 0xE87])
         out = [(1, 0), (0, 1), (1, 1)]
         for _ in range(samples):
@@ -368,93 +417,25 @@ def _scalar_classes(fld, dim: int, exhaustive: bool, seed: int, samples: int):
     return list(dict.fromkeys(out))
 
 
-def _middle_hom_row(seq: ShortExactSequence, n_list) -> bool:
-    return all(is_hom_exact(seq, n) for n in n_list)
-
-
-def hom_exact_direction(
-    x: Representation,
-    y: Representation,
-    t_summands,
-    *,
-    exhaustive: bool = False,
-    seed: int = 0,
-    samples: int = 64,
-):
-    """Search both extension orientations of a pair for a non-split sequence
-    that stays exact under Hom(-, T).
+def hom_exact_direction(x: Representation, y: Representation, t_summands):
+    """Find, in both extension orientations of a pair, the non-split
+    sequences that stay exact under Hom(-, T).
 
     FORWARD means some sequence 0 -> y -> E -> x -> 0 works, BACKWARD some
-    sequence 0 -> x -> M -> y -> 0; the witness is returned alongside.
-    Requires a nonzero extension space between x and y.
+    sequence 0 -> x -> M -> y -> 0; a witness sequence, built from a kernel
+    vector, is returned alongside.  Requires a nonzero extension space
+    between x and y.
     """
     t_summands = list(t_summands)
     fwd_space = ext1_cocycle(x, y)
     if fwd_space.dim == 0:
         raise InputError("pair has no nonzero extensions")
     bwd_space = ext1_cocycle(y, x)
-    fld = x.field
-
-    def witness(space):
-        for coeffs in _scalar_classes(fld, space.dim, exhaustive, seed, samples):
-            seq = build_extension(space, coeffs)
-            if _middle_hom_row(seq, t_summands):
-                return seq
-        return None
-
-    fwd = witness(fwd_space)
-    bwd = witness(bwd_space)
-    if fwd is not None and bwd is not None:
-        return Verdict.BOTH, fwd
-    if fwd is not None:
-        return Verdict.FORWARD, fwd
-    if bwd is not None:
-        return Verdict.BACKWARD, bwd
+    fwd = exact_classes(fwd_space, t_summands)
+    bwd = exact_classes(bwd_space, t_summands)
+    if fwd.shape[1]:
+        verdict = Verdict.BOTH if bwd.shape[1] else Verdict.FORWARD
+        return verdict, build_extension(fwd_space, fwd[:, 0])
+    if bwd.shape[1]:
+        return Verdict.BACKWARD, build_extension(bwd_space, bwd[:, 0])
     return Verdict.NONE, None
-
-
-def hom_exact_class_dim(
-    space: ExtSpace,
-    t_summands,
-    *,
-    exhaustive: bool = False,
-    seed: int = 0,
-    samples: int = 64,
-) -> int:
-    """Dimension of the subgroup of classes whose sequences stay exact under
-    Hom(-, T), measured by counting exact classes up to scalar.
-
-    For dim <= 1 this is a single test.  For dim 2 the exact classes are
-    counted across scalar-class representatives and, unless every class is
-    exact, linearity is spot-checked by re-testing the class structure:
-    0 classes -> 0, exactly one scalar class -> 1, all classes -> 2.
-    """
-    from .errors import StructureError
-
-    if space.dim == 0:
-        return 0
-    fld = space.x.field
-
-    def exact(coeffs):
-        return _middle_hom_row(build_extension(space, coeffs), t_summands)
-
-    if space.dim == 1:
-        return 1 if exact((1,)) else 0
-    if space.dim != 2:
-        raise InputError(f"unexpected extension dimension {space.dim}")
-    classes = _scalar_classes(fld, 2, exhaustive, seed, samples)
-    hits = [c for c in classes if exact(c)]
-    if not hits:
-        return 0
-    if len(hits) == len(classes):
-        return 2
-    if len(hits) == 1:
-        return 1
-    # several but not all classes exact: only consistent with a line if the
-    # hits are scalar multiples, otherwise the set is not a subspace
-    base = hits[0]
-    for other in hits[1:]:
-        det = (base[0] * other[1] - base[1] * other[0]) % fld.p
-        if det:
-            raise StructureError("exact classes do not form a subspace")
-    return 1

@@ -114,13 +114,13 @@ def test_criterion_07_exact_direction_exists():
     with criterion(7, "every extension pair admits an orientation exact under Hom(-, T)"):
         cfg = Config()
         atlas, (rigids, _) = shared_atlas("A3"), shared_rigids("A3")
-        rep = suite_lemma37(atlas, rigids, range(14), cfg)
+        rep = suite_lemma37(atlas, rigids, range(14))
         assert rep["passed"], rep["failures"]
         assert rep["details"]["ext_pairs"] > 0
 
         atlas4, (rigids4, _) = shared_atlas("A4"), shared_rigids("A4")
         chosen = select_t_indices("A4", rigids4, cfg)
-        rep4 = suite_lemma37(atlas4, rigids4, chosen, cfg)
+        rep4 = suite_lemma37(atlas4, rigids4, chosen)
         assert rep4["passed"], rep4["failures"]
 
 
@@ -137,6 +137,18 @@ def test_criterion_09_relative_ext_match():
         rep = suite_lemma22(atlas, rigids, range(14), cfg)
         assert rep["passed"], rep["failures"]
         assert rep["checks"] == 14 * 12 * 12
+
+
+def test_exact_classes_on_named_a4_vertices():
+    # at T = 245 and 621 some 2-dim Ext spaces have a single line of exact
+    # classes out of p + 1, which a sample of classes misses
+    atlas, (rigids, _) = shared_atlas("A4"), shared_rigids("A4")
+    named = [215, 245, 287, 305, 621]
+    rep22 = suite_lemma22(atlas, rigids, named, Config())
+    assert rep22["passed"], rep22["failures"]
+    assert rep22["checks"] == len(named) * 40 * 40
+    rep37 = suite_lemma37(atlas, rigids, named)
+    assert rep37["passed"], rep37["failures"]
 
 
 def test_criterion_10_determinism(tmp_path, capsys):

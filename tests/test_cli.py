@@ -137,9 +137,10 @@ def test_config_file(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no_such_key = 1\n")
-    with pytest.raises(InputError):
-        load_config_file(cfg)
+    for line in ("no_such_key = 1\n", "exhaustive_ext_sampling = true\n"):
+        cfg.write_text(line)
+        with pytest.raises(InputError):
+            load_config_file(cfg)
 
 
 def test_cache_env_override(tmp_path, monkeypatch, capsys):

@@ -7,9 +7,9 @@ from preproj.extensions import (
     build_extension,
     ext1_cocycle,
     ext1_dim_formula,
+    exact_classes,
     factors_along,
     factors_through,
-    hom_exact_class_dim,
     hom_exact_direction,
     is_hom_exact,
     is_split,
@@ -160,13 +160,36 @@ def test_hom_exact_direction_witness(atlas_a3):
     assert all(is_hom_exact(witness, n) for n in summands)
 
 
-def test_hom_exact_class_dim_zero_and_one(atlas_a3):
+def test_exact_classes_match_middle_terms(atlas_a3, atlas_a4, rigids_a4):
+    # A3: projectives are injective, so every sequence stays exact; under
+    # S2 the connecting map sends the identity to the class itself
     s1 = alias_rep(atlas_a3, "S1")
     s2 = alias_rep(atlas_a3, "S2")
     p_all = [alias_rep(atlas_a3, f"P{v}") for v in atlas_a3.dq.vertices]
     space = ext1_cocycle(s1, s2)
-    # projectives are injective, so every sequence stays exact
-    assert hom_exact_class_dim(space, p_all) == 1
+    assert exact_classes(space, p_all).shape[1] == 1
+    assert exact_classes(space, [s2]).shape[1] == 0
+
+    # A4, T = 245: the kernel against middle terms, on every 2-dim Ext
+    rigids, _ = rigids_a4
+    summands = [atlas_a4.modules[n] for n in rigids[245].summands]
+    pairs = [(x, y) for x in range(40) for y in range(40) if atlas_a4.ext_table[x, y] == 2]
+    assert len(pairs) == 60
+    kernel_dims = []
+    for x, y in pairs:
+        space = ext1_cocycle(atlas_a4.modules[x], atlas_a4.modules[y])
+        ker = exact_classes(space, summands)
+        kernel_dims.append(ker.shape[1])
+        for c in range(ker.shape[1]):
+            seq = build_extension(space, ker[:, c])
+            assert all(is_hom_exact(seq, n) for n in summands), (x, y)
+        # a basis class outside the kernel fails for some summand
+        for e in ((1, 0), (0, 1)):
+            with_e = np.concatenate([ker, np.array(e).reshape(2, 1)], axis=1)
+            if atlas_a4.field.rank(with_e) > ker.shape[1]:
+                seq = build_extension(space, e)
+                assert not all(is_hom_exact(seq, n) for n in summands), (x, y, e)
+    assert 1 in kernel_dims
 
 
 def test_middle_term_decomposes_to_expected_pieces(atlas_a3):
