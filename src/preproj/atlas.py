@@ -82,10 +82,6 @@ class Atlas:
     def projective_ids(self) -> tuple[int, ...]:
         return tuple(self.id_by_alias(f"P{v}") for v in self.dq.vertices)
 
-    @property
-    def simple_ids(self) -> tuple[int, ...]:
-        return tuple(self.id_by_alias(f"S{v}") for v in self.dq.vertices)
-
     def fingerprint(self, m: Representation) -> Fingerprint:
         return Fingerprint(
             dims=m.dims,

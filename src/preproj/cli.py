@@ -64,17 +64,10 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--cross-check-char", type=int, dest="cross_check_char")
     p.add_argument("--seed", type=int)
     p.add_argument("--cache-dir", dest="cache_dir")
-    p.add_argument("--a4-sample-count", type=int, dest="a4_sample_count")
 
 
 def _config_from(args) -> Config:
-    keys = (
-        "field_char",
-        "cross_check_char",
-        "seed",
-        "cache_dir",
-        "a4_sample_count",
-    )
+    keys = ("field_char", "cross_check_char", "seed", "cache_dir")
     overrides = {k: getattr(args, k) for k in keys}
     return build_config(args.config, overrides)
 
@@ -134,18 +127,17 @@ def cmd_verify(args) -> int:
     atlas = get_atlas(cfg, qtype)
     if {"lemma37", "lemma22", "theorem1", "connected"}.intersection(names):
         rigids, graph = _graph_for(cfg, atlas)
-        tsel = suites.select_t_indices(qtype, rigids, cfg)
-    calcs = {}  # End(T) per T index for this run: lemma22 fills it, theorem1 empties it
+    t_names = [n for n in names if n in suites.T_SUITES]
+    t_reports = {}
+    if t_names:  # every T-suite in one pass over all T
+        t_reports = suites.run_t_suites(t_names, atlas, rigids, graph, range(len(rigids)), cfg.seed)
     run = {
         "lemma21": lambda: suites.suite_lemma21(atlas, get_atlas(cfg, qtype, cfg.cross_check_char)),
         "extbounds": lambda: suites.suite_extbounds(atlas),
         "remark-a4": lambda: suites.suite_remark_a4(atlas),
         "connected": lambda: suites.suite_connected(atlas, rigids, graph),
-        "lemma37": lambda: suites.suite_lemma37(atlas, rigids, tsel),
-        "lemma22": lambda: suites.suite_lemma22(atlas, rigids, tsel, cfg, calcs),
-        "theorem1": lambda: suites.suite_theorem1(atlas, rigids, graph, tsel, cfg, calcs),
     }
-    reports = [run[name]() for name in names]
+    reports = [t_reports[name] if name in t_reports else run[name]() for name in names]
     lines = [json.dumps(rep, sort_keys=True, separators=(",", ":")) for rep in reports]
     for line in lines:
         print(line)

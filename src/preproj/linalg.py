@@ -215,9 +215,6 @@ class PrimeField:
             raise InputError("matrix is singular")
         return x
 
-    def column_space_contains(self, basis: np.ndarray, v: np.ndarray) -> bool:
-        return self.solve(basis, v) is not None
-
     def quotient_map(self, w: np.ndarray, dim: int) -> np.ndarray:
         """Matrix of the projection k^dim -> k^dim / span(columns of w).
 

@@ -102,8 +102,7 @@ class DoubleQuiver:
     """Base quiver plus one reversed starred arrow per base arrow.
 
     Arrows are indexed 0..2m-1 with the unstarred arrows first; partner[k]
-    is the index of the arrow paired with k by the star involution, and
-    sign[k] is +1 on unstarred, -1 on starred arrows.
+    is the index of the arrow paired with k by the star involution.
     """
 
     def __init__(self, base: Quiver):
@@ -115,16 +114,11 @@ class DoubleQuiver:
         starred = tuple(Arrow(a.name + "*", a.target, a.source) for a in base.arrows)
         self.arrows: tuple[Arrow, ...] = base.arrows + starred
         self.partner = tuple(list(range(m, 2 * m)) + list(range(m)))
-        self.sign = tuple([1] * m + [-1] * m)
-        self.index_by_name = {a.name: k for k, a in enumerate(self.arrows)}
         self._out = {v: [] for v in self.vertices}
         self._in = {v: [] for v in self.vertices}
         for k, a in enumerate(self.arrows):
             self._out[a.source].append(k)
             self._in[a.target].append(k)
-
-    def is_starred(self, k: int) -> bool:
-        return k >= self.n_base
 
     def arrows_out(self, v: int) -> list[int]:
         return self._out[v]
@@ -194,7 +188,6 @@ class PreprojectiveBasis:
             sum(len(v) for v in layer.values()) for layer in self.basis_paths
         ]
         self.total_dim = sum(self.graded_dims)
-        self.top_degree = len(self.graded_dims) - 1
 
     def _build(self, cap: int):
         dq, fld = self.dq, self.field
@@ -285,7 +278,3 @@ class PreprojectiveBasis:
         if red is None or red.shape[0] == 0:
             return coords
         return self.field.mul(red, vec)
-
-    def multiply(self, upath: tuple[int, ...], wpath: tuple[int, ...], i: int, j: int) -> np.ndarray:
-        """Coordinates of class(u after w) where w: i -> mid and u: mid -> j."""
-        return self.reduce_path(wpath + upath, i, j)

@@ -1,13 +1,15 @@
 """Machine-verification suites: each checks one verified statement across
-the whole atlas and reports counts plus the first counterexample found.
+the whole atlas and reports its check count and its first failures.
 
 Suite names follow the CLI contract: lemma21 (Ext dimension formula and
 symmetry), extbounds (Ext dimension caps), lemma37 (existence of an
 orientation staying exact under Hom(-, T)), lemma22 (relative-Ext match
 over End(T)), theorem1 (mutation/tilting graph correspondence), connected
 (graph shape and connectivity), remark-a4 (the fixed counterexample).
-lemma37 and lemma22 decide exactness under Hom(-, T) for every class at
-once, as the kernel of the stacked connecting matrices.
+lemma37, lemma22 and theorem1 quantify over the basic maximal rigid T;
+the CLI runs them on every T in one pass of run_t_suites.  lemma37 and
+lemma22 decide exactness under Hom(-, T) for every class at once, as the
+kernel of the stacked connecting matrices.
 """
 
 from __future__ import annotations
@@ -36,15 +38,6 @@ def _report(suite, qtype, checks, failures, details=None):
         "failures": failures[:8],
         "details": details or {},
     }
-
-
-def select_t_indices(qtype: str, rigids, cfg: Config) -> list[int]:
-    """All vertices for A2/A3; a seeded sample for A4."""
-    if qtype != "A4":
-        return list(range(len(rigids)))
-    count = min(cfg.a4_sample_count, len(rigids))
-    rng = np.random.default_rng([cfg.seed, 0x7154])
-    return sorted(int(i) for i in rng.choice(len(rigids), size=count, replace=False))
 
 
 # -- lemma21: formula vs cocycle, symmetry, two-prime agreement ------------
@@ -96,7 +89,7 @@ def suite_extbounds(atlas: Atlas) -> dict:
     )
 
 
-# -- lemma37 ----------------------------------------------------------------
+# -- lemma37, lemma22, theorem1: the suites over maximal rigid T -----------
 
 
 class _ConnectingMatrices:
@@ -131,7 +124,18 @@ class _ConnectingMatrices:
         return d - self.atlas.field.rank(np.concatenate(blocks))
 
 
-def suite_lemma37(atlas: Atlas, rigids, t_indices) -> dict:
+T_SUITES = ("lemma37", "lemma22", "theorem1")
+
+
+def run_t_suites(
+    names, atlas: Atlas, rigids, graph: MutationGraph | None, t_indices, seed: int = 0
+) -> dict:
+    """Reports of the named suites of T_SUITES, keyed by name, from one pass
+    with T on the outside.  Each T builds End(T) at most once, when lemma22
+    or theorem1 is named, and drops it before the next T.  One set of
+    connecting matrices serves the whole pass, as a block depends only on
+    the pair and the summand.  theorem1 needs graph."""
+    t_indices = list(t_indices)
     ext = atlas.ext_table
     pairs = [
         (x, y)
@@ -140,80 +144,70 @@ def suite_lemma37(atlas: Atlas, rigids, t_indices) -> dict:
         if ext[x, y] != 0
     ]
     conn = _ConnectingMatrices(atlas)
-    failures = []
-    for ti in t_indices:
-        summands = rigids[ti].summands
-        for x, y in pairs:
-            if not (conn.exact_dim(x, y, summands) or conn.exact_dim(y, x, summands)):
-                failures.append({"pair": [x, y], "t_index": ti, "verdict": "NONE"})
-    checks = len(pairs) * len(list(t_indices))
-    return _report(
-        "lemma37",
-        atlas.qtype,
-        checks,
-        failures,
-        {"ext_pairs": len(pairs), "t_count": len(list(t_indices))},
-    )
-
-
-# -- lemma22 ----------------------------------------------------------------
-
-
-def suite_lemma22(atlas: Atlas, rigids, t_indices, cfg: Config, calcs: dict | None = None) -> dict:
-    """Stores each T's ExtCalculatorB in calcs (T index -> calculator), if given."""
-    conn = _ConnectingMatrices(atlas)
-    failures = []
-    checks = 0
+    failures = {name: [] for name in T_SUITES}
+    reports = []
     for ti in t_indices:
         t = rigids[ti]
-        calc = (calcs or {}).get(ti) or ExtCalculatorB.for_rigid(atlas, t, cfg.seed)
-        if calcs is not None:
-            calcs[ti] = calc
-        for x in range(atlas.size):
-            for y in range(atlas.size):
-                lhs = calc.ext1(x, y)
-                # classes of 0 -> x -> E -> y -> 0 staying exact under Hom(-, T)
-                rhs = conn.exact_dim(y, x, t.summands)
-                checks += 1
-                if lhs != rhs:
-                    failures.append(
-                        {"t_index": ti, "pair": [x, y], "ext_B": lhs, "relative": rhs}
-                    )
-    return _report(
-        "lemma22", atlas.qtype, checks, failures, {"t_count": len(list(t_indices))}
-    )
+        if "lemma37" in names:
+            for x, y in pairs:
+                if not (conn.exact_dim(x, y, t.summands) or conn.exact_dim(y, x, t.summands)):
+                    failures["lemma37"].append({"pair": [x, y], "t_index": ti, "verdict": "NONE"})
+        if "lemma22" not in names and "theorem1" not in names:
+            continue
+        calc = ExtCalculatorB.for_rigid(atlas, t, seed)
+        if "lemma22" in names:
+            for x in range(atlas.size):
+                for y in range(atlas.size):
+                    lhs = calc.ext1(x, y)
+                    # classes of 0 -> x -> E -> y -> 0 staying exact under Hom(-, T)
+                    rhs = conn.exact_dim(y, x, t.summands)
+                    if lhs != rhs:
+                        failures["lemma22"].append(
+                            {"t_index": ti, "pair": [x, y], "ext_B": lhs, "relative": rhs}
+                        )
+        if "theorem1" in names:
+            rep = verify_graph_correspondence(atlas, rigids, graph, ti, seed=seed, calc=calc)
+            nb = next(j if i == ti else i for i, j in graph.edges if ti in (i, j))
+            rep["coresolution"] = coresolution_check(atlas, t, rigids[nb], seed=seed)
+            reports.append(rep)
+            if not (rep["bijection"] and rep["edges_preserved"] and rep["coresolution"]["ok"]):
+                failures["theorem1"].append(rep)
+        del calc
+    t_count = len(t_indices)
+    counts = {
+        "lemma37": (len(pairs) * t_count, {"ext_pairs": len(pairs), "t_count": t_count}),
+        "lemma22": (atlas.size ** 2 * t_count, {"t_count": t_count}),
+        "theorem1": (t_count, {"t_indices": t_indices, "reports": reports}),
+    }
+    return {
+        name: _report(name, atlas.qtype, checks, failures[name], details)
+        for name, (checks, details) in counts.items()
+        if name in names
+    }
 
 
-# -- theorem1 ---------------------------------------------------------------
+def suite_lemma37(atlas: Atlas, rigids, t_indices) -> dict:
+    """For every pair with Ext^1(x, y) != 0, some orientation of its
+    extensions has a class exact under Hom(-, T)."""
+    return run_t_suites(("lemma37",), atlas, rigids, None, t_indices)["lemma37"]
 
 
-def suite_theorem1(
-    atlas: Atlas, rigids, graph: MutationGraph, t_indices, cfg: Config, calcs: dict | None = None
-) -> dict:
-    """Takes and removes each T's ExtCalculatorB from calcs, as suite_lemma22
-    leaves it; T indices without an entry get a fresh one."""
-    failures = []
-    reports = []
-    neighbors = {i: [] for i in range(len(rigids))}
-    for i, j in graph.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
+def suite_lemma22(atlas: Atlas, rigids, t_indices, cfg: Config) -> dict:
+    """dim Ext^1_B(Hom(x, T), Hom(y, T)) over B = End(T) equals the dimension
+    of the classes of 0 -> x -> E -> y -> 0 exact under Hom(-, T)."""
+    return run_t_suites(("lemma22",), atlas, rigids, None, t_indices, cfg.seed)["lemma22"]
 
-    for ti in t_indices:
-        calc = calcs.pop(ti, None) if calcs else None
-        rep = verify_graph_correspondence(atlas, rigids, graph, ti, seed=cfg.seed, calc=calc)
-        nb = neighbors[ti][0]
-        rep["coresolution"] = coresolution_check(atlas, rigids[ti], rigids[nb], seed=cfg.seed)
-        reports.append(rep)
-        if not (rep["bijection"] and rep["edges_preserved"] and rep["coresolution"]["ok"]):
-            failures.append(rep)
-    return _report(
-        "theorem1",
-        atlas.qtype,
-        len(reports),
-        failures,
-        {"t_indices": list(t_indices), "reports": reports},
-    )
+
+def suite_theorem1(atlas: Atlas, rigids, graph: MutationGraph, t_indices, cfg: Config) -> dict:
+    """verify_graph_correspondence at each T, and coresolution_check of T
+    against its first neighbour in graph.edges.
+
+    The coresolution check covers one edge per T, from T's end: over all
+    672 A4 vertices, 665 of the 2,016 edges, 7 of them from both ends.
+    Theorem 1 needs no more.  The bijection onto the tilting sets and the
+    exchange check already decide the graph isomorphism at each T; the
+    coresolution is a spot check of the proof's construction."""
+    return run_t_suites(("theorem1",), atlas, rigids, graph, t_indices, cfg.seed)["theorem1"]
 
 
 # -- connected / graph shape -------------------------------------------------

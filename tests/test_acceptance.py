@@ -12,7 +12,6 @@ from preproj.cli import main as cli_main
 from preproj.config import Config
 from preproj.rigidgraph import A3_RIGID_LABELS, export_graph, is_connected
 from preproj.verify import (
-    select_t_indices,
     suite_extbounds,
     suite_lemma21,
     suite_lemma22,
@@ -23,6 +22,11 @@ from preproj.verify import (
 from tests.conftest import BUILD_SECONDS, CLIQUE_SECONDS, shared_atlas, shared_rigids
 
 from tests.test_rigidgraph import A3_EDGES, label_summands
+
+# A4 vertices the A4 suites check here; `preproj verify --type A4` checks all
+# 672.  At 245 and 621 some 2-dim Ext spaces have a single line of exact
+# classes out of p + 1, which a sample of classes misses.
+A4_NAMED = [215, 245, 287, 305, 621]
 
 
 @contextmanager
@@ -104,23 +108,19 @@ def test_criterion_06_graph_correspondence():
         assert rep2["passed"], rep2["failures"]
 
         atlas4, (rigids4, graph4) = shared_atlas("A4"), shared_rigids("A4")
-        chosen = select_t_indices("A4", rigids4, cfg)
-        assert len(chosen) >= 5
-        rep4 = suite_theorem1(atlas4, rigids4, graph4, chosen, cfg)
+        rep4 = suite_theorem1(atlas4, rigids4, graph4, A4_NAMED, cfg)
         assert rep4["passed"], rep4["failures"]
 
 
 def test_criterion_07_exact_direction_exists():
     with criterion(7, "every extension pair admits an orientation exact under Hom(-, T)"):
-        cfg = Config()
         atlas, (rigids, _) = shared_atlas("A3"), shared_rigids("A3")
         rep = suite_lemma37(atlas, rigids, range(14))
         assert rep["passed"], rep["failures"]
         assert rep["details"]["ext_pairs"] > 0
 
         atlas4, (rigids4, _) = shared_atlas("A4"), shared_rigids("A4")
-        chosen = select_t_indices("A4", rigids4, cfg)
-        rep4 = suite_lemma37(atlas4, rigids4, chosen)
+        rep4 = suite_lemma37(atlas4, rigids4, A4_NAMED)
         assert rep4["passed"], rep4["failures"]
 
 
@@ -140,14 +140,11 @@ def test_criterion_09_relative_ext_match():
 
 
 def test_exact_classes_on_named_a4_vertices():
-    # at T = 245 and 621 some 2-dim Ext spaces have a single line of exact
-    # classes out of p + 1, which a sample of classes misses
     atlas, (rigids, _) = shared_atlas("A4"), shared_rigids("A4")
-    named = [215, 245, 287, 305, 621]
-    rep22 = suite_lemma22(atlas, rigids, named, Config())
+    rep22 = suite_lemma22(atlas, rigids, A4_NAMED, Config())
     assert rep22["passed"], rep22["failures"]
-    assert rep22["checks"] == len(named) * 40 * 40
-    rep37 = suite_lemma37(atlas, rigids, named)
+    assert rep22["checks"] == len(A4_NAMED) * 40 * 40
+    rep37 = suite_lemma37(atlas, rigids, A4_NAMED)
     assert rep37["passed"], rep37["failures"]
 
 

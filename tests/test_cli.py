@@ -1,10 +1,12 @@
 import json
 import os
+import weakref
 
 import pytest
 
 from preproj.cli import main
 from preproj.config import build_config, load_config_file
+from preproj.endo import ExtCalculatorB
 from preproj.errors import InputError
 
 
@@ -110,6 +112,28 @@ def test_verify_all_a3_equals_single_suite_runs(tmp_path, capsys):
     assert together == "".join(single)
 
 
+def test_verify_builds_each_end_t_once_and_drops_it(tmp_path, capsys, monkeypatch):
+    built = []
+    most_alive = 0
+    for_rigid = ExtCalculatorB.for_rigid.__func__
+
+    def tracked(cls, *args, **kwargs):
+        nonlocal most_alive
+        calc = for_rigid(cls, *args, **kwargs)
+        built.append(weakref.ref(calc))
+        most_alive = max(most_alive, sum(ref() is not None for ref in built))
+        return calc
+
+    monkeypatch.setattr(ExtCalculatorB, "for_rigid", classmethod(tracked))
+    cache = str(tmp_path / "c")
+    code, _, _ = run(capsys, "verify", "--suite", "lemma37", "--type", "A3", "--cache-dir", cache)
+    assert code == 0 and built == []
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--type", "A3", "--cache-dir", cache)
+    assert code == 0
+    assert len(built) == 14
+    assert most_alive == 1
+
+
 def test_corrupt_cache_exits_2(tmp_path, capsys):
     root = tmp_path / "c" / "A2-p32003-v1"
     root.mkdir(parents=True)
@@ -120,16 +144,20 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nonsense"])
-    assert exc.value.code == 2
+    for argv in (
+        ["verify", "--suite", "nonsense"],
+        ["verify", "--suite", "all", "--a4-sample-count", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "engine.cfg"
-    cfg.write_text("seed = 3\ncache_dir = {}\n# comment\na4_sample_count = 2\n".format(tmp_path / "c"))
+    cfg.write_text("seed = 3\ncache_dir = {}\n# comment\ncross_check_char = 103\n".format(tmp_path / "c"))
     values = load_config_file(cfg)
-    assert values == {"seed": 3, "cache_dir": str(tmp_path / "c"), "a4_sample_count": 2}
+    assert values == {"seed": 3, "cache_dir": str(tmp_path / "c"), "cross_check_char": 103}
     code, out, _ = run(capsys, "atlas", "--type", "A2", "--config", str(cfg))
     assert code == 0
     assert (tmp_path / "c" / "A2-p32003-v1" / "atlas.json").exists()
@@ -137,7 +165,7 @@ def test_config_file(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    for line in ("no_such_key = 1\n", "exhaustive_ext_sampling = true\n"):
+    for line in ("no_such_key = 1\n", "exhaustive_ext_sampling = true\n", "a4_sample_count = 5\n"):
         cfg.write_text(line)
         with pytest.raises(InputError):
             load_config_file(cfg)
