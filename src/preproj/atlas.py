@@ -1,9 +1,15 @@
 """Complete lists of indecomposable modules with Hom/Ext tables.
 
-Enumeration runs a closure from simples and projectives: build extensions
-between known modules, decompose the middles, and also add summands of
-radicals, tops, syzygies and cosyzygies, until a full pass adds nothing.
-Expected counts are asserted by callers, not used for termination.
+Enumeration runs a closure from simples and projectives.  Each pass adds
+the summands of the radicals, tops, syzygies and cosyzygies of the modules
+it has not yet seen, and of the middles of sampled extensions between the
+modules known at its start.  Then it asks for an Auslander-Reiten
+certificate (_certify_complete): the known modules are closed under
+tau = cosyzygy and under the almost split sequences, and their AR quiver is
+connected, so by Auslander's theorem they are all the indecomposables.  The
+closure stops at the first pass that certifies, and a pass that adds
+nothing without certifying is an error.  Expected counts are asserted by
+callers, not used for termination.
 """
 
 from __future__ import annotations
@@ -15,11 +21,13 @@ import numpy as np
 
 from .errors import EnumerationError, FormatError, IntegrityError, InputError
 from .linalg import PrimeField
-from .extensions import _scalar_classes, build_extension, ext1_cocycle
+from .extensions import _scalar_classes, build_extension, ext1_cocycle, pullback_matrix
 from .modules import (
     Representation,
+    block_diagonal,
     cosyzygy,
     decompose,
+    hom_basis,
     hom_dim,
     is_isomorphic,
     projective_module,
@@ -216,18 +224,100 @@ def _iso_key(m: Representation) -> tuple:
     return (m.dims, m.end_dim, tuple(m.field.rank(a) for a in m.mats))
 
 
+def _locate(mods: list, quick: dict, c: Representation, seed: int) -> int | None:
+    """Id of the module of mods isomorphic to c, or None.  quick maps each
+    _iso_key to the ids carrying it; only those are compared."""
+    for mid in quick.get(_iso_key(c), ()):
+        if is_isomorphic(mods[mid], c, seed=seed, tries=0):
+            return mid
+    return None
+
+
+def _end_radical(m: Representation) -> list[tuple]:
+    """A basis of rad End(m), as tuples of vertex maps."""
+    fld = m.field
+    ends = hom_basis(m, m).basis
+    coords = fld.trace_form_radical([block_diagonal(m, b) for b in ends])
+    return [
+        tuple(
+            sum(int(c) * b[i] for c, b in zip(col, ends)) % fld.p
+            for i in range(m.dq.nv)
+        )
+        for col in coords.T
+    ]
+
+
+def _ar_socle(m: Representation, tau_m: Representation):
+    """Ext^1(m, tau_m) and a basis (columns) of its socle over End(m): the
+    classes killed by pulling back along every map in rad End(m)."""
+    space = ext1_cocycle(m, tau_m)
+    return space, m.field.kernel_basis(pullback_matrix(space, _end_radical(m)))
+
+
+def _certify_complete(mods: list, basis: PreprojectiveBasis, seed: int = 0) -> str | None:
+    """Auslander-Reiten certificate that mods lists every indecomposable.
+
+    mods holds pairwise non-isomorphic indecomposables.  The stable category
+    is 2-Calabi-Yau, so tau = cosyzygy, which is zero exactly on the
+    projectives.  For a non-projective M, tau M must be in mods, and the
+    almost split sequence 0 -> tau M -> E -> M -> 0 spans the socle of
+    Ext^1(M, tau M) over End(M): the classes killed by pulling back along
+    rad End(M), which must be 1-dimensional.  The summands of E, and of
+    rad P for a projective P, are the arrows into each module of the AR
+    quiver, and must be in mods too.  tau must permute the non-projectives,
+    which gives the arrows out of each module, and the quiver must be
+    connected.  Then mods is a finite component of the AR quiver, hence all
+    of it (Auslander).  Returns None when that holds, else the failing part.
+    """
+    quick: dict[tuple, list[int]] = {}
+    for mid, m in enumerate(mods):
+        quick.setdefault(_iso_key(m), []).append(mid)
+    tau: dict[int, int] = {}
+    links = {mid: set() for mid in range(len(mods))}
+    for mid, m in enumerate(mods):
+        tau_m = cosyzygy(m, basis)
+        if tau_m.total_dim:
+            tid = _locate(mods, quick, tau_m, seed)
+            if tid is None:
+                return f"tau of module {mid} is missing"
+            tau[mid] = tid
+            space, socle = _ar_socle(m, tau_m)
+            if socle.shape[1] != 1:
+                return f"socle of Ext^1(M, tau M) has dimension {socle.shape[1]} at module {mid}"
+            middle = build_extension(space, socle[:, 0]).mid
+        else:
+            middle = radical(m)[0]
+        for piece, _ in decompose(middle, seed=seed):
+            pid = _locate(mods, quick, piece, seed)
+            if pid is None:
+                return f"a predecessor of module {mid} is missing"
+            links[mid].add(pid)
+            links[pid].add(mid)
+    if sorted(tau.values()) != sorted(tau):
+        return "tau does not permute the non-projective modules"
+    seen, stack = {0}, [0]
+    while stack:
+        for nxt in links[stack.pop()] - seen:
+            seen.add(nxt)
+            stack.append(nxt)
+    if len(seen) != len(mods):
+        return "the AR quiver is not connected"
+    return None
+
+
 def enumerate_indecomposables(
     qtype: str,
     field: PrimeField,
     seed: int = 0,
-    max_passes: int = 64,
     ext_samples: int = 8,
 ) -> Atlas:
     """Run the closure of the module docstring, then tabulate Hom and Ext.
 
     Each pass records dim Ext^1 for every ordered pair of the modules known
-    at its start.  The closure stops after a pass that adds nothing, so the
-    Ext table is read from those records: every final pair was visited."""
+    at its start, and ends with _certify_complete.  The closure stops at
+    the first pass that certifies; a pass that adds nothing and does not
+    certify raises EnumerationError.  Ext of the pairs no pass visited is
+    computed afterwards, from their cocycles."""
     dq = double(preset_quiver(qtype))
     basis = PreprojectiveBasis(dq, field)
     cap = 4 * dq.nv
@@ -237,10 +327,9 @@ def enumerate_indecomposables(
 
     def place(c: Representation) -> bool:
         """Add c unless an isomorphic module is known; True if added."""
-        known = quick.setdefault(_iso_key(c), [])
-        if any(is_isomorphic(mods[mid], c, seed=seed, tries=0) for mid in known):
+        if _locate(mods, quick, c, seed) is not None:
             return False
-        known.append(len(mods))
+        quick.setdefault(_iso_key(c), []).append(len(mods))
         mods.append(c)
         return True
 
@@ -258,7 +347,7 @@ def enumerate_indecomposables(
 
     done_unary: set[int] = set()
     ext_dims: dict[tuple[int, int], int] = {}  # (i, j) -> dim Ext^1(mods[i], mods[j])
-    for _ in range(max_passes):
+    while True:
         changed = False
         n0 = len(mods)
         for idx in range(n0):
@@ -282,13 +371,18 @@ def enumerate_indecomposables(
                         if absorb(seq.mid):
                             changed = True
                 ext_dims[i, j] = space.dim
-        if not changed:
+        failure = _certify_complete(mods, basis, seed)
+        if failure is None:
             break
-    else:
-        raise EnumerationError(f"closure did not stabilize within {max_passes} passes")
+        if not changed:
+            raise EnumerationError(f"closure stopped without a completeness certificate: {failure}")
+    n = len(mods)
+    for i in range(n):
+        for j in range(n):
+            if (i, j) not in ext_dims:
+                ext_dims[i, j] = ext1_cocycle(mods[i], mods[j]).dim
 
     # canonical order: (total dim, dim vector, hom fingerprint)
-    n = len(mods)
     provisional = sorted(range(n), key=lambda i: (mods[i].total_dim, mods[i].dims, i))
     pmods = [mods[i] for i in provisional]
     hom1 = np.array(

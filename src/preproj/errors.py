@@ -15,7 +15,7 @@ class FieldSizeError(PreprojError):
 
 
 class EnumerationError(PreprojError):
-    """Closure enumeration failed to stabilize within the pass limit."""
+    """A closure pass added no module, yet the completeness certificate failed."""
 
 
 class StructureError(PreprojError):

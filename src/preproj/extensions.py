@@ -355,6 +355,16 @@ def is_hom_exact(s: ShortExactSequence, n: Representation) -> bool:
     return hom_dim(s.mid, n) == hom_dim(s.sub, n) + hom_dim(s.quot, n)
 
 
+def _stacked_residues(x: Representation, y: Representation, parts) -> np.ndarray:
+    """Residues of cocycles of (x, y) given per arrow, in arrow order, as
+    arrays indexed (block, class, entry): one row block per block, one
+    column per class."""
+    h, d = parts[0].shape[:2]
+    vecs = np.concatenate(parts, axis=2).reshape(h * d, -1).T
+    res = _coboundary_residues(x, y, vecs)
+    return res.reshape(-1, h, d).transpose(1, 0, 2).reshape(-1, d)
+
+
 def connecting_matrix(space: ExtSpace, n: Representation) -> np.ndarray:
     """Matrix of the connecting maps Hom(y, n) -> Ext^1(x, n) of the classes.
 
@@ -378,9 +388,32 @@ def connecting_matrix(space: ExtSpace, n: Representation) -> np.ndarray:
         prod = fld.mul(fs, cs.reshape(y.dims[t], d * x.dims[s]))
         prod = prod.reshape(h, n.dims[t], d, x.dims[s]).transpose(0, 2, 1, 3)
         parts.append(prod.reshape(h, d, n.dims[t] * x.dims[s]))
-    vecs = np.concatenate(parts, axis=2).reshape(h * d, -1).T
-    res = _coboundary_residues(x, n, vecs)
-    return res.reshape(-1, h, d).transpose(1, 0, 2).reshape(-1, d)
+    return _stacked_residues(x, n, parts)
+
+
+def pullback_matrix(space: ExtSpace, maps) -> np.ndarray:
+    """Matrix of the pullbacks of the classes along endomorphisms r of x.
+
+    One block per r in maps (tuples of vertex maps x -> x): column i holds
+    the residue of the cocycle (C_i,a r_s(a))_a, the class pulled back
+    along r, modulo the coboundaries of (x, y).  Its kernel is the space of
+    classes killed by pulling back along every r.
+    """
+    x, y = space.x, space.y
+    fld = x.field
+    if not maps or not space.dim:
+        return fld.zeros(0, space.dim)
+    h, d = len(maps), space.dim
+    parts = []
+    for k, a in enumerate(x.dq.arrows):
+        s, t = a.source - 1, a.target - 1
+        # rows (class, row of C_i), columns (r, column of r_s) of all C_i r_s
+        cs = np.stack([rep[k] for rep in space.representatives])
+        rs = np.concatenate([r[s] for r in maps], axis=1)
+        prod = fld.mul(cs.reshape(d * y.dims[t], x.dims[s]), rs)
+        prod = prod.reshape(d, y.dims[t], h, x.dims[s]).transpose(2, 0, 1, 3)
+        parts.append(prod.reshape(h, d, y.dims[t] * x.dims[s]))
+    return _stacked_residues(x, y, parts)
 
 
 def exact_classes(space: ExtSpace, t_summands) -> np.ndarray:

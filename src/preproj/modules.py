@@ -502,6 +502,17 @@ def _stable_power(fld: PrimeField, m: np.ndarray) -> np.ndarray:
     return m
 
 
+def block_diagonal(rep: Representation, vertex_mats) -> np.ndarray:
+    """An endomorphism of rep as one total_dim square matrix, its vertex
+    maps on the diagonal blocks in vertex order."""
+    fld = rep.field
+    off = np.concatenate([[0], np.cumsum(rep.dims)])
+    big = fld.zeros(rep.total_dim, rep.total_dim)
+    for i in range(rep.dq.nv):
+        big[off[i] : off[i + 1], off[i] : off[i + 1]] = vertex_mats[i]
+    return big
+
+
 def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
     """Vertex-wise generalized eigenspace bases of an endomorphism, one
     entry per coprime factor of its minimal polynomial (only factors with
@@ -523,11 +534,7 @@ def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
         shifted = ((end_mats[i] - lam * fld.eye(rep.dims[i])) % fld.p for i in nonzero)
         if not any(np.any(_stable_power(fld, m)) for m in shifted):
             return []
-    big = fld.zeros(n, n)
-    off = np.concatenate([[0], np.cumsum(rep.dims)])
-    for i in nonzero:
-        big[off[i] : off[i + 1], off[i] : off[i + 1]] = end_mats[i]
-    factors = fld.coprime_factors(big)
+    factors = fld.coprime_factors(block_diagonal(rep, end_mats))
     if len(factors) <= 1:
         return []
     out = []
@@ -587,16 +594,8 @@ def _decompose_rec(rep: Representation, seed: int, tries: int) -> list[Represent
         if got is not None:
             return got
     # no basis element split; certify or keep searching with random combos
-    nonzero = [i for i in range(rep.dq.nv) if rep.dims[i] > 0]
-    big_basis = []
-    off = np.concatenate([[0], np.cumsum(rep.dims)])
     fld = rep.field
-    for b in ends.basis:
-        big = fld.zeros(rep.total_dim, rep.total_dim)
-        for i in nonzero:
-            big[off[i] : off[i + 1], off[i] : off[i + 1]] = b[i]
-        big_basis.append(big)
-    rad_coords = fld.trace_form_radical(big_basis)
+    rad_coords = fld.trace_form_radical([block_diagonal(rep, b) for b in ends.basis])
     if ends.dim - rad_coords.shape[1] == 1:
         return [rep]
     rng = np.random.default_rng([seed, 0x0D3C])

@@ -4,11 +4,28 @@ import json
 import numpy as np
 import pytest
 
-from preproj.atlas import Atlas, _iso_key, compare_atlases, enumerate_indecomposables
-from preproj.errors import FormatError
-from preproj.extensions import ext1_cocycle
+import preproj.atlas as atlas_mod
+from preproj.atlas import (
+    Atlas,
+    _ar_socle,
+    _certify_complete,
+    _iso_key,
+    compare_atlases,
+    enumerate_indecomposables,
+)
+from preproj.errors import EnumerationError, FormatError
+from preproj.extensions import build_extension, ext1_cocycle, is_split
 from preproj.linalg import PrimeField
-from preproj.modules import direct_sum, hom_basis, hom_dim, simple, top, socle_dims
+from preproj.modules import (
+    cosyzygy,
+    direct_sum,
+    hom_basis,
+    hom_dim,
+    identity_map,
+    simple,
+    socle_dims,
+    top,
+)
 from tests.conftest import shared_atlas
 from tests.test_modules import base_change
 
@@ -164,7 +181,8 @@ def test_table_cache_coherence(atlas_a3):
 
 @pytest.mark.parametrize("qtype", ["A3", "A4"])
 def test_ext_table_matches_recomputed_cocycles(qtype):
-    # the closure's table is read from the dimensions it recorded per pair
+    # the closure's table is read from the dimensions it recorded per pair,
+    # and from cocycles for the pairs left after the certificate
     atlas = shared_atlas(qtype)
     mods = atlas.modules
     want = [[ext1_cocycle(x, y).dim for y in mods] for x in mods]
@@ -187,6 +205,80 @@ def test_ext_table_shape_facts(atlas_a3):
         pid = atlas_a3.id_by_alias(f"P{v}")
         assert not ext[pid].any()
         assert not ext[:, pid].any()
+
+
+# -- completeness certificate ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [32003, 101])
+@pytest.mark.parametrize("qtype", ["A2", "A3", "A4"])
+def test_certificate_holds(qtype, p):
+    atlas = shared_atlas(qtype, p)
+    assert _certify_complete(atlas.modules, atlas.basis) is None
+
+
+def test_certificate_refuses_a3_without_any_one_module(atlas_a3):
+    mods = atlas_a3.modules
+    for mid in range(len(mods)):
+        rest = mods[:mid] + mods[mid + 1 :]
+        assert _certify_complete(rest, atlas_a3.basis) is not None, mid
+
+
+def test_certificate_refuses_a3_listing_a_module_twice(atlas_a3):
+    # tau of the copy lands on the id tau of the original has
+    twice = atlas_a3.modules + [base_change(atlas_a3.module_by_alias("2over13"), 7)]
+    assert "permute" in _certify_complete(twice, atlas_a3.basis)
+
+
+def test_certificate_refuses_a3_when_pullbacks_kill_nothing(atlas_a3, monkeypatch):
+    # pulling back along the identity kills no class, so no socle is left
+    monkeypatch.setattr(atlas_mod, "_end_radical", lambda m: [identity_map(m).mats])
+    assert "socle" in _certify_complete(atlas_a3.modules, atlas_a3.basis)
+
+
+@pytest.mark.parametrize("alias", ["S2", "P3", "2over13over2"])
+def test_certificate_refuses_a4_without_a_module(atlas_a4, alias):
+    gone = atlas_a4.id_by_alias(alias)
+    rest = [m for mid, m in enumerate(atlas_a4.modules) if mid != gone]
+    assert _certify_complete(rest, atlas_a4.basis) is not None
+
+
+def test_a3_socle_classes_give_almost_split_sequences(atlas_a3):
+    checked = 0
+    for m in atlas_a3.modules:
+        tau_m = cosyzygy(m, atlas_a3.basis)
+        if not tau_m.total_dim:
+            continue
+        space, socle = _ar_socle(m, tau_m)
+        assert socle.shape[1] == 1
+        for col in socle.T:
+            seq = build_extension(space, col)
+            assert not is_split(seq)
+            assert seq.mid.dims == tuple(a + b for a, b in zip(m.dims, tau_m.dims))
+            checked += 1
+    assert checked == 9
+
+
+def test_uncertified_closure_raises(monkeypatch):
+    monkeypatch.setattr(atlas_mod, "_certify_complete", lambda mods, basis, seed=0: "refused")
+    with pytest.raises(EnumerationError, match="refused"):
+        enumerate_indecomposables("A3", PrimeField(32003))
+
+
+def test_a4_closure_builds_few_extensions(monkeypatch):
+    # confirming completeness by one more sampled pass built 1,200 middle
+    # terms on A4; the certificate builds one almost split sequence per
+    # non-projective module
+    calls = []
+    real = atlas_mod.build_extension
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(atlas_mod, "build_extension", counted)
+    assert enumerate_indecomposables("A4", PrimeField(32003)).size == 40
+    assert len(calls) <= 200
 
 
 # -- persistence ------------------------------------------------------------------

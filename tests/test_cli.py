@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+import preproj.atlas as atlas_mod
 from preproj.cli import main
 from preproj.config import build_config, load_config_file
 from preproj.endo import ExtCalculatorB
@@ -141,6 +142,16 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "atlas", "--type", "A2", "--cache-dir", str(tmp_path / "c"))
     assert code == 2
     assert "format_version" in err
+
+
+def test_uncertified_closure_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(atlas_mod, "_certify_complete", lambda mods, basis, seed=0: "refused")
+    for cmd in (["atlas"], ["graph", "--kind", "mutation"]):
+        code, out, err = run(capsys, *cmd, "--type", "A2", "--cache-dir", str(tmp_path / "c"))
+        assert code == 2
+        assert "refused" in err
+        assert out == ""
+    assert not (tmp_path / "c" / "A2-p32003-v1" / "atlas.json").exists()
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from preproj.extensions import (
     is_hom_exact,
     is_split,
     pullback,
+    pullback_matrix,
     pushout,
 )
 from preproj.modules import (
@@ -103,6 +104,27 @@ def test_pullback_nonsplit_iff_not_factoring(atlas_a3):
                 assert is_split(lifted) == factors_through(h, seq.surj)
                 checked += 1
     assert checked > 0
+
+
+def test_pullback_matrix_matches_pullback_sequences(atlas_a4):
+    # column i of the block of r is zero exactly when pulling the sequence of
+    # class i back along r splits, for every endomorphism r in a basis
+    x = alias_rep(atlas_a4, "2over13over2")
+    ends = hom_basis(x, x).basis
+    outcomes = set()
+    for y in atlas_a4.modules:
+        space = ext1_cocycle(x, y)
+        if not space.dim:
+            continue
+        mat = pullback_matrix(space, ends)
+        rows = mat.shape[0] // len(ends)
+        for j, r in enumerate(ends):
+            for i in range(space.dim):
+                seq = build_extension(space, [int(k == i) for k in range(space.dim)])
+                killed = not np.any(mat[j * rows : (j + 1) * rows, i])
+                assert is_split(pullback(seq, ModuleMap(x, x, r))) == killed
+                outcomes.add(killed)
+    assert outcomes == {True, False}
 
 
 def test_pushout_counterexample_shape(atlas_a4):
