@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EnumerationError, FormatError, IntegrityError, InputError
 from .linalg import PrimeField
-from .extensions import _scalar_classes, build_extension, ext1_cocycle, pullback_matrix
+from .extensions import _scalar_classes, build_extension, ext1_cocycle, pair_dims, pullback_matrix
 from .modules import (
     Representation,
     block_diagonal,
@@ -69,6 +69,10 @@ class Atlas:
     hom_table: np.ndarray
     ext_table: np.ndarray
     aliases: dict = dc_field(default_factory=dict)  # id -> name
+    # memos of hom_basis and compose, kept in memory only: never saved,
+    # compared or passed on by dataclasses.replace
+    _homs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _comps: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -96,33 +100,80 @@ class Atlas:
             hom_row=tuple(hom_dim(m, x) for x in self.modules),
         )
 
-    def summand_multiplicities(self, m: Representation) -> list | None:
-        """Multiplicities of each atlas module in m, from Hom dimensions alone.
+    # -- the category of the atlas modules --------------------------------
+    #
+    # Every End(T) is a full subcategory of the atlas modules with their Hom
+    # spaces and composition, so the End(T) layer reads its bases and
+    # structure constants from these two memos.
 
-        The matrix of pairwise Hom dimensions is unimodular for these
-        algebras, so the additivity system has a unique solution; it is
-        solved in floating point and then verified exactly over the
-        integers.  Returns [(id, multiplicity), ...] or None if the data
-        is inconsistent (then the caller should fall back to decompose).
-        """
-        row = np.array([hom_dim(m, x) for x in self.modules], dtype=np.int64)
-        h = self.hom_table
-        try:
-            v = np.linalg.solve(h.T.astype(np.float64), row.astype(np.float64))
-        except np.linalg.LinAlgError:
-            return None
-        ints = np.rint(v).astype(np.int64)
-        if np.any(ints < 0):
-            return None
-        if not np.array_equal(ints @ h, row):
-            return None
-        dims = np.zeros(self.dq.nv, dtype=np.int64)
-        for i, c in enumerate(ints):
-            if c:
-                dims += c * np.array(self.modules[i].dims, dtype=np.int64)
-        if tuple(int(d) for d in dims) != m.dims:
-            return None
-        return [(i, int(c)) for i, c in enumerate(ints) if c]
+    def hom_basis(self, i: int, j: int) -> list:
+        """The chosen basis of Hom(modules[i], modules[j]), tuples of vertex
+        maps.  For i != j it is modules.hom_basis.  For i == j the identity
+        comes first and every other element is nilpotent: a maximal set of
+        hom_basis elements independent of the identity, each shifted by the
+        scalar tr(b_v)/dim_v at its first nonzero vertex v.  End of an
+        indecomposable is local, so the shift must leave it nilpotent;
+        IntegrityError if not."""
+        got = self._homs.get((i, j))
+        if got is not None:
+            return got
+        src, tgt = self.modules[i], self.modules[j]
+        found = hom_basis(src, tgt).basis
+        if i == j:
+            found = self._local_basis(src, found)
+        self._homs[(i, j)] = found
+        return found
+
+    def _local_basis(self, m: Representation, found: list) -> list:
+        fld = self.field
+        ident = tuple(fld.eye(d) for d in m.dims)
+        vecs = [_flat(ident)]
+        chosen = []
+        for b in found:
+            stacked = np.stack(vecs + [_flat(b)], axis=1)
+            if fld.rank(stacked) == len(vecs) + 1:
+                vecs.append(_flat(b))
+                chosen.append(b)
+        v0 = next(i for i, d in enumerate(m.dims) if d > 0)
+        out = [ident]
+        for b in chosen:
+            lam = int(np.trace(b[v0]) % fld.p) * fld.inv_scalar(m.dims[v0]) % fld.p
+            nb = tuple((b[i] - lam * ident[i]) % fld.p for i in range(len(b)))
+            power = nb
+            for _ in range(m.total_dim):
+                power = tuple(fld.mul(power[i], nb[i]) for i in range(len(nb)))
+            if any(np.any(x) for x in power):
+                raise IntegrityError("diagonal basis element is not scalar plus nilpotent")
+            out.append(nb)
+        return out
+
+    def compose(self, i: int, j: int, k: int) -> np.ndarray:
+        """Structure constants of composition Hom(j, k) x Hom(i, j) -> Hom(i, k)
+        over the hom_basis bases: an array c of shape (dim Hom(j, k),
+        dim Hom(i, k), dim Hom(i, j)) in which c[e1][:, e2] holds the
+        coordinates of hom_basis(j, k)[e1] o hom_basis(i, j)[e2].  One solve
+        per triple; IntegrityError if a composite leaves Hom(i, k)."""
+        got = self._comps.get((i, j, k))
+        if got is not None:
+            return got
+        fld = self.field
+        firsts, seconds, targets = self.hom_basis(j, k), self.hom_basis(i, j), self.hom_basis(i, k)
+        out = np.zeros((len(firsts), len(targets), len(seconds)), dtype=np.int64)
+        if firsts and seconds:
+            nv = self.dq.nv
+            prods = np.stack(
+                [_flat([fld.mul(g[v], f[v]) for v in range(nv)]) for g in firsts for f in seconds],
+                axis=1,
+            )
+            if targets:
+                sol = fld.solve(np.stack([_flat(h) for h in targets], axis=1), prods)
+            else:
+                sol = None if np.any(prods) else fld.zeros(0, prods.shape[1])
+            if sol is None:
+                raise IntegrityError(f"a composite {i} -> {j} -> {k} leaves its Hom space")
+            out[:] = sol.reshape(len(targets), len(firsts), len(seconds)).transpose(1, 0, 2)
+        self._comps[(i, j, k)] = out
+        return out
 
     def locate(self, m: Representation) -> int | None:
         fp = self.fingerprint(m).key()
@@ -213,6 +264,11 @@ class Atlas:
             ext_table=ext_table,
             aliases=aliases,
         )
+
+
+def _flat(mats) -> np.ndarray:
+    """Vertex maps stacked into one vector, in vertex order."""
+    return np.concatenate([m.reshape(-1) for m in mats])
 
 
 # -- enumeration ----------------------------------------------------------
@@ -316,8 +372,9 @@ def enumerate_indecomposables(
     Each pass records dim Ext^1 for every ordered pair of the modules known
     at its start, and ends with _certify_complete.  The closure stops at
     the first pass that certifies; a pass that adds nothing and does not
-    certify raises EnumerationError.  Ext of the pairs no pass visited is
-    computed afterwards, from their cocycles."""
+    certify raises EnumerationError.  Then extensions.pair_dims gives Hom and
+    Ext of every pair from two ranks: the Hom table, the Ext of the pairs no
+    pass visited, and a cross-check of the Ext the passes recorded."""
     dq = double(preset_quiver(qtype))
     basis = PreprojectiveBasis(dq, field)
     cap = 4 * dq.nv
@@ -377,18 +434,17 @@ def enumerate_indecomposables(
         if not changed:
             raise EnumerationError(f"closure stopped without a completeness certificate: {failure}")
     n = len(mods)
+    homs = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
-            if (i, j) not in ext_dims:
-                ext_dims[i, j] = ext1_cocycle(mods[i], mods[j]).dim
+            homs[i, j], e = pair_dims(mods[i], mods[j])
+            if ext_dims.setdefault((i, j), e) != e:
+                raise IntegrityError(f"Ext^1 of closure modules {i}, {j}: cocycles and ranks disagree")
 
     # canonical order: (total dim, dim vector, hom fingerprint)
     provisional = sorted(range(n), key=lambda i: (mods[i].total_dim, mods[i].dims, i))
     pmods = [mods[i] for i in provisional]
-    hom1 = np.array(
-        [[x.end_dim if x is y else hom_dim(x, y) for y in pmods] for x in pmods],
-        dtype=np.int64,
-    )
+    hom1 = homs[np.ix_(provisional, provisional)]
     final = sorted(
         range(n),
         key=lambda i: (pmods[i].total_dim, pmods[i].dims, tuple(hom1[i])),

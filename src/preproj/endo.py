@@ -1,26 +1,33 @@
 """The endomorphism algebra of a maximal rigid module, its finite
 dimensional modules, and classical tilting combinatorics over it.
 
-The algebra B = End(T) is stored on an explicit basis: for each ordered
-pair of summands (k, l) a basis of Hom(T_k, T_l), with the identity of
-each End(T_k) normalized to be the first diagonal basis element and the
-remaining diagonal elements shifted to nilpotents.  A B-module is graded
-by the idempotents: one component per summand, with one action block per
-basis element.  Hom and Ext over B from a module of projective dimension
-at most one come from its minimal projective presentation: one rank of
-one small matrix per pair of modules (ExtCalculatorB).
+Every End(T) is a full subcategory of one small category, the atlas
+modules with their Hom spaces and composition (finite because the algebra
+has finite type), so this layer computes no Hom space of its own: the
+bases and structure constants are slices of Atlas.hom_basis and
+Atlas.compose, computed once per run.  B = End(T) has, for each ordered
+pair of summands (k, l), the basis atlas.hom_basis(T_k, T_l) of
+Hom(T_k, T_l): on the diagonal the identity of End(T_k) comes first and
+the other elements are nilpotent.  A B-module is graded by the
+idempotents: one component per summand, with one action block per basis
+element.  The image Hom(X, T) of an atlas module X has components
+Hom(X, T_j) and acts by post-composition, atlas.compose(X, T_k, T_l).
+Hom and Ext over B from a module of projective dimension at most one come
+from its minimal projective presentation: one rank of one small matrix
+per pair of modules (ExtCalculatorB).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
 from .linalg import PrimeField
-from .modules import ModuleMap, Representation, hom_basis
+from .modules import ModuleMap
 from .rigidgraph import RigidModule, _bron_kerbosch, exchange_pairs
 
 
@@ -38,13 +45,20 @@ class BoundAlgebra:
         self.field: PrimeField = atlas.field
         self.rigid = rigid
         self.summand_ids = rigid.summands
-        self.summands = [atlas.modules[i] for i in rigid.summands]
-        self.r = len(self.summands)
+        self.r = len(rigid.summands)
         self.elements: list[BasisElement] = []
         self.block_elems: dict[tuple[int, int], list[int]] = {}
         self.identity_of: dict[int, int] = {}
-        self._build_basis()
-        self._block_solvers: dict[tuple[int, int], np.ndarray] = {}
+        for k, tk in enumerate(self.summand_ids):
+            for l, tl in enumerate(self.summand_ids):
+                ids = []
+                for mats in atlas.hom_basis(tk, tl):
+                    ids.append(len(self.elements))
+                    self.elements.append(BasisElement(ids[-1], k, l, mats))
+                self.block_elems[(k, l)] = ids
+            self.identity_of[k] = self.block_elems[(k, k)][0]
+        idents = set(self.identity_of.values())
+        self.radical_elements = [e.index for e in self.elements if e.index not in idents]
         self.mult: dict[tuple[int, int], np.ndarray] = {}
         self._build_mult_table()
         self._check_structure(seed)
@@ -52,110 +66,25 @@ class BoundAlgebra:
 
     # -- construction ---------------------------------------------------
 
-    def _vec(self, mats) -> np.ndarray:
-        return np.concatenate([m.reshape(-1) for m in mats])
-
-    def _build_basis(self):
-        fld = self.field
-        for k, tk in enumerate(self.summands):
-            for l, tl in enumerate(self.summands):
-                hb = hom_basis(tk, tl)
-                chosen = []
-                if k == l:
-                    ident = tuple(fld.eye(d) for d in tk.dims)
-                    vecs = [self._vec(ident)]
-                    chosen = [ident]
-                    for b in hb.basis:
-                        stacked = np.stack(vecs + [self._vec(b)], axis=1)
-                        if fld.rank(stacked) == len(vecs) + 1:
-                            vecs.append(self._vec(b))
-                            chosen.append(b)
-                    # shift non-identity diagonal elements into the radical
-                    v0 = next(i for i, d in enumerate(tk.dims) if d > 0)
-                    shifted = [ident]
-                    for b in chosen[1:]:
-                        lam = (
-                            int(np.trace(b[v0]) % fld.p)
-                            * fld.inv_scalar(tk.dims[v0])
-                        ) % fld.p
-                        nb = tuple((b[i] - lam * ident[i]) % fld.p for i in range(len(b)))
-                        power = nb
-                        for _ in range(tk.total_dim):
-                            power = tuple(fld.mul(power[i], nb[i]) for i in range(len(nb)))
-                        if any(np.any(m) for m in power):
-                            raise IntegrityError(
-                                "diagonal basis element is not scalar plus nilpotent"
-                            )
-                        shifted.append(nb)
-                    chosen = shifted
-                else:
-                    chosen = hb.basis
-                ids = []
-                for mats in chosen:
-                    idx = len(self.elements)
-                    self.elements.append(BasisElement(idx, k, l, tuple(mats)))
-                    ids.append(idx)
-                self.block_elems[(k, l)] = ids
-                if k == l:
-                    self.identity_of[k] = ids[0]
-
     @property
     def dim(self) -> int:
         return len(self.elements)
 
-    @property
-    def radical_elements(self) -> list[int]:
-        idents = set(self.identity_of.values())
-        return [e.index for e in self.elements if e.index not in idents]
-
-    def _block_matrix(self, k: int, l: int) -> np.ndarray:
-        """Columns: the chosen basis of a nonzero block Hom(T_k, T_l), flattened."""
-        key = (k, l)
-        got = self._block_solvers.get(key)
-        if got is None:
-            got = np.stack([self._vec(self.elements[i].mats) for i in self.block_elems[key]], axis=1)
-            self._block_solvers[key] = got
-        return got
-
-    def coords_in_block(self, k: int, l: int, mats_cols: list) -> np.ndarray:
-        """Coordinates of maps T_k -> T_l over the chosen block basis."""
-        fld = self.field
-        nb = len(self.block_elems[(k, l)])
-        if not mats_cols:
-            return fld.zeros(nb, 0)
-        rhs = np.stack([self._vec(m) for m in mats_cols], axis=1)
-        if nb == 0:
-            if np.any(rhs):
-                raise IntegrityError("nonzero map in a zero Hom block")
-            return fld.zeros(0, rhs.shape[1])
-        sol = fld.solve(self._block_matrix(k, l), rhs)
-        if sol is None:
-            raise IntegrityError("composite does not lie in its Hom block")
-        return sol
-
     def _build_mult_table(self):
-        fld = self.field
-        nv = len(self.summands[0].dims)
+        """mult[(i1, i2)]: coordinates of elements[i1] o elements[i2] over
+        the basis of its block, sliced from atlas.compose."""
+        ids = self.summand_ids
         for m in range(self.r):
             for k in range(self.r):
+                seconds = self.block_elems[(m, k)]
                 for l in range(self.r):
                     firsts = self.block_elems[(k, l)]
-                    seconds = self.block_elems[(m, k)]
                     if not firsts or not seconds:
                         continue
-                    pairs = []
-                    prods = []
-                    for i1 in firsts:
-                        b1 = self.elements[i1].mats
-                        for i2 in seconds:
-                            b2 = self.elements[i2].mats
-                            pairs.append((i1, i2))
-                            prods.append(
-                                tuple(fld.mul(b1[v], b2[v]) for v in range(nv))
-                            )
-                    coords = self.coords_in_block(m, l, prods)
-                    for c, (i1, i2) in enumerate(pairs):
-                        self.mult[(i1, i2)] = coords[:, c].copy()
+                    consts = self.atlas.compose(ids[m], ids[k], ids[l])
+                    for e1, i1 in enumerate(firsts):
+                        for e2, i2 in enumerate(seconds):
+                            self.mult[(i1, i2)] = consts[e1, :, e2]
 
     def product_coords(self, i1: int, i2: int) -> tuple[tuple[int, int], np.ndarray]:
         """Coefficients of elements[i1] o elements[i2] over its block basis."""
@@ -230,7 +159,7 @@ class BoundAlgebra:
             for c, i2 in enumerate(cols):
                 if b.src == self.elements[i2].tgt:
                     block[:, c] = self.mult[(b.index, i2)]
-            if np.any(block) or b.index == self.identity_of.get(src, -1):
+            if block.any() or b.index == self.identity_of[src]:
                 blocks[b.index] = block
         mod = BModule(self, comp_dims, blocks)
         self._proj_cache[k] = mod
@@ -240,71 +169,27 @@ class BoundAlgebra:
         comp_dims = tuple(1 if j == k else 0 for j in range(self.r))
         return BModule(self, comp_dims, {})
 
-    def hom_image(self, m: Representation) -> "BModule":
-        """Image of m under Hom(-, T): components Hom(m, T_j), basis elements
-        of Hom(T_k, T_l) acting by post-composition."""
-        fld = self.field
-        nv = len(m.dims)
-        comp_bases = [hom_basis(m, tj) for tj in self.summands]
-        comp_dims = tuple(hb.dim for hb in comp_bases)
-        solvers = []
-        for hb in comp_bases:
-            cols = [self._vec(b) for b in hb.basis]
-            solvers.append(np.stack(cols, axis=1) if cols else None)
+    def hom_image(self, mid: int) -> "BModule":
+        """Image of atlas module mid under Hom(-, T): component j is
+        Hom(mid, T_j) on the basis atlas.hom_basis(mid, T_j), and basis
+        element e of block (k, l) acts by post-composition, the matrix
+        atlas.compose(mid, T_k, T_l)[e]."""
+        atlas, ids = self.atlas, self.summand_ids
+        comp_dims = tuple(len(atlas.hom_basis(mid, t)) for t in ids)
         blocks = {}
-        for b in self.elements:
-            k, l = b.src, b.tgt
-            if comp_dims[k] == 0 or comp_dims[l] == 0:
+        for (k, l), elems in self.block_elems.items():
+            if not elems or comp_dims[k] == 0 or comp_dims[l] == 0:
                 continue
-            prods = []
-            for f in comp_bases[k].basis:
-                prods.append(tuple(fld.mul(b.mats[v], f[v]) for v in range(nv)))
-            rhs = np.stack([self._vec(pmats) for pmats in prods], axis=1)
-            sol = fld.solve(solvers[l], rhs)
-            if sol is None:
-                raise IntegrityError("post-composition left its Hom component")
-            if np.any(sol) or b.index == self.identity_of.get(k, -1):
-                blocks[b.index] = sol
-        out = BModule(self, comp_dims, blocks)
-        out.hom_bases = comp_bases
-        return out
-
-    def hom_image_map(self, f: ModuleMap, image_of_target: "BModule", image_of_source: "BModule"):
-        """Contravariant image of a module map f: M -> N, as per-component
-        matrices Hom(N, T_j) -> Hom(M, T_j), g -> g after f.
-
-        Both images must come from hom_image (they carry the chosen bases).
-        """
-        fld = self.field
-        nv = len(f.source.dims)
-        out = []
-        for j in range(self.r):
-            dom = image_of_target.hom_bases[j]
-            cod = image_of_source.hom_bases[j]
-            block = fld.zeros(len(cod.basis), len(dom.basis))
-            if dom.basis and cod.basis:
-                cols = []
-                for g in dom.basis:
-                    comp = tuple(fld.mul(g[v], f.mats[v]) for v in range(nv))
-                    cols.append(self._vec(comp))
-                solver = np.stack([self._vec(b) for b in cod.basis], axis=1)
-                sol = fld.solve(solver, np.stack(cols, axis=1))
-                if sol is None:
-                    raise IntegrityError("induced map left its Hom component")
-                block = sol
-            out.append(block)
-        return out
+            consts = atlas.compose(mid, ids[k], ids[l])
+            for e, idx in enumerate(elems):
+                if consts[e].any() or idx == self.identity_of[k]:
+                    blocks[idx] = consts[e]
+        return BModule(self, comp_dims, blocks)
 
 
 class BModule:
     """Finite dimensional left module over a BoundAlgebra, graded by the
-    idempotent components; identity idempotents act implicitly.
-
-    Modules produced by hom_image also carry hom_bases, the chosen bases
-    of their components, so maps can be transported through the functor.
-    """
-
-    hom_bases = None
+    idempotent components; identity idempotents act implicitly."""
 
     def __init__(self, algebra: BoundAlgebra, comp_dims, blocks):
         self.algebra = algebra
@@ -364,12 +249,14 @@ def direct_sum_b(mods: list[BModule]) -> BModule:
 
 
 def _radical_image(m: BModule, k: int) -> np.ndarray:
-    """Columns spanning rad(B) m in component k, one block per radical element."""
-    images = []
-    for idx in m.algebra.radical_elements:
-        blk = m.blocks.get(idx)
-        if m.algebra.elements[idx].tgt == k and blk is not None and np.any(blk):
-            images.append(blk)
+    """Columns spanning rad(B) m in component k, one block per radical
+    element acting nonzero into k (the identities act implicitly)."""
+    alg = m.algebra
+    images = [
+        blk
+        for idx, blk in m.blocks.items()
+        if alg.elements[idx].tgt == k and idx != alg.identity_of[k] and blk.any()
+    ]
     if not images:
         return m.algebra.field.zeros(m.comp_dims[k], 0)
     return np.concatenate(images, axis=1)
@@ -432,7 +319,7 @@ def syzygy_b(m: BModule):
         coords = fld.solve(kers[l], fld.mul(blk, kers[k]))
         if coords is None:
             raise StructureError("syzygy is not closed under the action")
-        if np.any(coords):
+        if coords.any():
             blocks[idx] = coords
     return BModule(alg, comp_dims, blocks), copies, kers
 
@@ -456,9 +343,9 @@ def hom_b(pres: Presentation, n: BModule) -> np.ndarray:
     Σ_b c_{ρ,g,b} N.action_block(b).  Its kernel is Hom_B(M, N) and its
     cokernel is Ext^1_B(M, N)."""
     fld = n.algebra.field
-    cols = np.cumsum([0] + [n.comp_dims[k] for k in pres.copies])
-    rows = np.cumsum([0] + [n.comp_dims[k] for k in pres.relations])
-    out = fld.zeros(int(rows[-1]), int(cols[-1]))
+    cols = list(accumulate((n.comp_dims[k] for k in pres.copies), initial=0))
+    rows = list(accumulate((n.comp_dims[k] for k in pres.relations), initial=0))
+    out = fld.zeros(rows[-1], cols[-1])
     for (r, g), terms in pres.coords.items():
         blk = out[rows[r] : rows[r + 1], cols[g] : cols[g + 1]]
         for idx, c in terms:
@@ -492,7 +379,7 @@ class ExtCalculatorB:
     def for_rigid(cls, atlas: Atlas, rigid: RigidModule, seed: int = 0) -> "ExtCalculatorB":
         """End(T) for T = rigid; candidates are the Hom(-, T) images of the atlas."""
         algebra = BoundAlgebra(atlas, rigid, seed=seed)
-        return cls(algebra, {mid: algebra.hom_image(m) for mid, m in enumerate(atlas.modules)})
+        return cls(algebra, {mid: algebra.hom_image(mid) for mid in range(atlas.size)})
 
     def _presentation(self, key: int) -> Presentation | None:
         """The minimal presentation of candidates[key]; None if its syzygy
@@ -634,57 +521,94 @@ def verify_graph_correspondence(
     }
 
 
+def _multiplicities(atlas: Atlas, to_m: np.ndarray, m_dims) -> list | None:
+    """[(id, multiplicity), ...] of the atlas modules in a module M with
+    dim Hom(X, M) = to_m[X] and dimension vector m_dims: the solution of
+    hom_table v = to_m, or None unless it is a non-negative integer vector
+    that satisfies both exactly."""
+    hom = atlas.hom_table
+    try:
+        v = np.linalg.solve(hom.astype(np.float64), to_m.astype(np.float64))
+    except np.linalg.LinAlgError:
+        return None
+    v = np.rint(v).astype(np.int64)
+    dims = np.array([m.dims for m in atlas.modules], dtype=np.int64)
+    if np.any(v < 0) or not np.array_equal(hom @ v, to_m) or not np.array_equal(v @ dims, m_dims):
+        return None
+    return [(mid, int(c)) for mid, c in enumerate(v) if c]
+
+
 def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule, seed: int = 0) -> dict:
     """Exhibit the two-term coresolution of B = End(T) by the tilting set
     coming from T': over the module category this is the kernel sequence
     0 -> K -> T'' -> T -> 0 of the universal map (add T')-approximation
-    T'' -> T, which stays exact under Hom(-, T) because T has no
+    f: T'' -> T, which stays exact under Hom(-, T) because T has no
     self-extensions.
 
-    The approximation map is built and checked to be a surjective
-    intertwiner; K is identified by its atlas summands.  Exactness under
-    Hom(-, T) is the count dim Hom(K, T) + dim Hom(T, T) = dim Hom(T'', T).
-    Hom is additive, so each term is a sum of hom_table entries over the
-    summands.  For K this is exact: summand_multiplicities only returns
-    multiplicities whose Hom row against every atlas module matches K's,
-    and the decompose fallback is a decomposition up to isomorphism.
+    T'' has one copy of T'_i per basis map atlas.hom_basis(T'_i, T_j), and
+    f is checked to be a surjective intertwiner.  K is identified by its
+    atlas summands without being built.  Hom(X, -) is left exact, so
+    0 -> Hom(X, K) -> Hom(X, T'') -> Hom(X, T) is exact and
+        dim Hom(X, K) = Σ_p dim Hom(X, T''_p) - rank Hom(X, f),
+    where the block of Hom(X, f) from copy p (the map with index e into
+    T_j) is post-composition, atlas.compose(X, T'_i, T_j)[e].  The
+    multiplicities v of the atlas modules in K then solve hom_table v = that
+    column over all X.  hom_table is the Cartan matrix of the Auslander
+    algebra, which has finite global dimension, so it is invertible and v
+    is unique; it is solved in floating point and checked exactly over the
+    integers and against dim K.  If that check fails, K is built and
+    decomposed instead.  Exactness under Hom(-, T) is the count
+    dim Hom(K, T) + dim Hom(T, T) = dim Hom(T'', T), each term a sum of
+    hom_table entries over the summands.
     """
     from .modules import decompose, direct_sum, sub_representation
 
-    fld = atlas.field
-    dq = atlas.dq
-    t_mod = direct_sum(dq, fld, [atlas.modules[i] for i in t.summands])
-    pieces = []
-    maps = []
-    for i in t_prime.summands:
-        src = atlas.modules[i]
-        hb = hom_basis(src, t_mod)
-        for b in hb.basis:
-            pieces.append(i)
-            maps.append(b)
-    approx_src = direct_sum(dq, fld, [atlas.modules[i] for i in pieces])
+    fld, dq, mods = atlas.field, atlas.dq, atlas.modules
+    t_ids = list(t.summands)
+    copies = [  # (i, j, e): T'_i mapped by hom_basis(i, T_j)[e]
+        (i, j, e)
+        for i in t_prime.summands
+        for j, tj in enumerate(t_ids)
+        for e in range(len(atlas.hom_basis(i, tj)))
+    ]
+    pieces = [i for i, _, _ in copies]
+    t_mod = direct_sum(dq, fld, [mods[j] for j in t_ids])
+    approx_src = direct_sum(dq, fld, [mods[i] for i in pieces])
+    row_offs = np.cumsum([[0] * dq.nv] + [mods[j].dims for j in t_ids], axis=0)
     mats = []
     for v in range(dq.nv):
-        cols = [b[v] for b in maps]
-        mats.append(
-            np.concatenate(cols, axis=1) if cols else fld.zeros(t_mod.dims[v], 0)
-        )
+        blocks = []
+        for i, j, e in copies:
+            blk = fld.zeros(t_mod.dims[v], mods[i].dims[v])
+            blk[row_offs[j, v] : row_offs[j + 1, v]] = atlas.hom_basis(i, t_ids[j])[e][v]
+            blocks.append(blk)
+        mats.append(np.concatenate(blocks, axis=1) if blocks else fld.zeros(t_mod.dims[v], 0))
     f = ModuleMap(approx_src, t_mod, tuple(mats))
     if not f.is_intertwiner() or not f.is_surjective():
         raise StructureError("approximation onto T is not surjective")
-    kers = [fld.kernel_basis(mats[v]) for v in range(dq.nv)]
-    kernel, _ = sub_representation(approx_src, kers)
-    kernel_ids = atlas.summand_multiplicities(kernel)
+    hom = atlas.hom_table
+    to_k = np.zeros(atlas.size, dtype=np.int64)  # dim Hom(X, K) per atlas X
+    for x in range(atlas.size):
+        rows = list(accumulate((int(hom[x, j]) for j in t_ids), initial=0))
+        cols = list(accumulate((int(hom[x, i]) for i in pieces), initial=0))
+        hom_x_f = fld.zeros(rows[-1], cols[-1])
+        for p, (i, j, e) in enumerate(copies):
+            hom_x_f[rows[j] : rows[j + 1], cols[p] : cols[p + 1]] = atlas.compose(x, i, t_ids[j])[e]
+        to_k[x] = cols[-1] - fld.rank(hom_x_f)
+    k_dims = np.array(approx_src.dims) - np.array(t_mod.dims)
+    kernel_ids = _multiplicities(atlas, to_k, k_dims)
     if kernel_ids is None:
-        kernel_ids = []
-        for piece, mult in decompose(kernel, seed=seed):
-            kernel_ids.append((atlas.locate(piece), mult))
+        kernel, _ = sub_representation(approx_src, [fld.kernel_basis(m) for m in mats])
+        kernel_ids = sorted(
+            ((atlas.locate(piece), c) for piece, c in decompose(kernel, seed=seed)),
+            key=lambda pair: -1 if pair[0] is None else pair[0],
+        )
     in_add = all(
         mid is not None and mid in set(t_prime.summands) for mid, _ in kernel_ids
     )
-    to_t = atlas.hom_table[:, list(t.summands)].sum(axis=1)  # dim Hom(X, T) per atlas X
+    to_t = hom[:, t_ids].sum(axis=1)  # dim Hom(X, T) per atlas X
     dims_ok = in_add and (
-        sum(mult * int(to_t[mid]) for mid, mult in kernel_ids) + int(to_t[list(t.summands)].sum())
+        sum(c * int(to_t[mid]) for mid, c in kernel_ids) + int(to_t[t_ids].sum())
         == int(to_t[pieces].sum())
     )
     return {

@@ -109,16 +109,17 @@ def _coboundary_residues(x: Representation, y: Representation, vecs: np.ndarray)
     return (vecs[free] - fld.mul(red[: len(pivots), free].T, vecs[pivots])) % fld.p
 
 
-def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
-    """Extension space of x by y, with explicit class representatives."""
+def _cocycle_condition(x: Representation, y: Representation):
+    """The cocycle condition of (x, y), a matrix whose kernel is the
+    cocycle space Z^1 in stacked coordinates, with the per-arrow shapes and
+    offsets of those coordinates: the defining relation linearized at each
+    vertex."""
     if x.dq != y.dq:
         raise InputError("representations live on different double quivers")
     fld = x.field
     dq = x.dq
     shapes, offs = _cocycle_columns(x, y)
     ncols = int(offs[-1])
-
-    # cocycle condition per vertex: linearized defining relation
     rows = []
     for v in dq.vertices:
         xv, yv = x.dims[v - 1], y.dims[v - 1]
@@ -141,6 +142,28 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
                 block[:, offs[first] : offs[first + 1]] += sgn * kron_eye_left(yv, x.mats[second].T)
         rows.append(block)
     cond = np.concatenate(rows, axis=0) % fld.p if rows else fld.zeros(0, ncols)
+    return cond, shapes, offs
+
+
+def pair_dims(x: Representation, y: Representation) -> tuple[int, int]:
+    """(dim Hom(x, y), dim Ext^1(x, y)) from two ranks and no kernel.
+
+    With r the rank of the Hom system, dim Hom = Σ_i x_i y_i - r.  The
+    coboundaries are the image of that system (negated), so they have
+    dimension r, and dim Ext^1 = dim Z^1 - r, where dim Z^1 is the corank
+    of the cocycle condition."""
+    fld = x.field
+    system = _hom_system(x, y)
+    r = fld.rank(system)
+    cond, _, _ = _cocycle_condition(x, y)
+    return system.shape[1] - r, cond.shape[1] - fld.rank(cond) - r
+
+
+def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
+    """Extension space of x by y, with explicit class representatives."""
+    fld = x.field
+    dq = x.dq
+    cond, shapes, offs = _cocycle_condition(x, y)
     z_basis = fld.kernel_basis(cond)
 
     # reduce cocycles modulo coboundaries, keeping originals as representatives

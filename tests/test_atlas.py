@@ -13,7 +13,7 @@ from preproj.atlas import (
     compare_atlases,
     enumerate_indecomposables,
 )
-from preproj.errors import EnumerationError, FormatError
+from preproj.errors import EnumerationError, FormatError, IntegrityError
 from preproj.extensions import build_extension, ext1_cocycle, is_split
 from preproj.linalg import PrimeField
 from preproj.modules import (
@@ -268,17 +268,31 @@ def test_uncertified_closure_raises(monkeypatch):
 def test_a4_closure_builds_few_extensions(monkeypatch):
     # confirming completeness by one more sampled pass built 1,200 middle
     # terms on A4; the certificate builds one almost split sequence per
-    # non-projective module
-    calls = []
-    real = atlas_mod.build_extension
+    # non-projective module.  The passes and the certificate build 521
+    # extension spaces; the 1,116 pairs no pass visited get Ext from
+    # pair_dims, without cocycles
+    calls = {"build_extension": 0, "ext1_cocycle": 0}
+    for name in calls:
+        real = getattr(atlas_mod, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(atlas_mod, "build_extension", counted)
-    assert enumerate_indecomposables("A4", PrimeField(32003)).size == 40
-    assert len(calls) <= 200
+        monkeypatch.setattr(atlas_mod, name, counted)
+    built = enumerate_indecomposables("A4", PrimeField(32003))
+    assert built.size == 40
+    assert calls["build_extension"] <= 200
+    assert calls["ext1_cocycle"] < 40 * 40 // 2
+    assert compare_atlases(built, shared_atlas("A4")) == []
+
+
+def test_closure_ext_is_checked_against_ranks(monkeypatch):
+    # a visited pair whose recorded Ext disagrees with pair_dims is refused
+    real = atlas_mod.pair_dims
+    monkeypatch.setattr(atlas_mod, "pair_dims", lambda x, y: (real(x, y)[0], 99))
+    with pytest.raises(IntegrityError):
+        enumerate_indecomposables("A2", PrimeField(32003))
 
 
 # -- persistence ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from preproj.endo import (
 )
 from preproj.errors import InputError
 from preproj.modules import hom_basis, intertwiner_system, kernel_maps, zero_rep
+from tests.test_acceptance import A4_NAMED
 from preproj.rigidgraph import exchange_pairs
 
 
@@ -41,6 +42,52 @@ def oracle_hom_basis(m, n):
 def oracle_hom_dim(m, n):
     a = _system(m, n)
     return a.shape[1] - m.algebra.field.rank(a)
+
+
+def _flat(mats):
+    return np.concatenate([m.reshape(-1) for m in mats])
+
+
+def oracle_hom_image(algebra, m):
+    """Image of any representation m under Hom(-, T), from a fresh
+    modules.hom_basis of each component Hom(m, T_j) and one solve per
+    (basis element, component): the construction that the atlas's Hom
+    bases and composition constants replace.  The image carries hom_bases,
+    the component bases, for oracle_hom_image_map."""
+    fld = algebra.field
+    nv = len(m.dims)
+    bases = [hom_basis(m, algebra.atlas.modules[t]).basis for t in algebra.summand_ids]
+    comp_dims = tuple(len(b) for b in bases)
+    blocks = {}
+    for b in algebra.elements:
+        k, l = b.src, b.tgt
+        if comp_dims[k] == 0 or comp_dims[l] == 0:
+            continue
+        rhs = np.stack([_flat([fld.mul(b.mats[v], f[v]) for v in range(nv)]) for f in bases[k]], axis=1)
+        sol = fld.solve(np.stack([_flat(g) for g in bases[l]], axis=1), rhs)
+        assert sol is not None, "post-composition left its Hom component"
+        if np.any(sol) or b.index == algebra.identity_of[k]:
+            blocks[b.index] = sol
+    out = BModule(algebra, comp_dims, blocks)
+    out.hom_bases = bases
+    return out
+
+
+def oracle_hom_image_map(f, image_of_target, image_of_source):
+    """Contravariant image of a module map f: M -> N, as per-component
+    matrices Hom(N, T_j) -> Hom(M, T_j), g -> g after f, over the bases
+    the two oracle_hom_image images carry."""
+    fld = f.source.field
+    nv = len(f.source.dims)
+    out = []
+    for dom, cod in zip(image_of_target.hom_bases, image_of_source.hom_bases):
+        block = fld.zeros(len(cod), len(dom))
+        if dom and cod:
+            cols = [_flat([fld.mul(g[v], f.mats[v]) for v in range(nv)]) for g in dom]
+            block = fld.solve(np.stack([_flat(b) for b in cod], axis=1), np.stack(cols, axis=1))
+            assert block is not None, "induced map left its Hom component"
+        out.append(block)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +136,7 @@ def test_radical_elements_nilpotent_on_projectives(setup_a3):
 
 def test_action_respects_multiplication(setup_a3):
     atlas, rigids, _, algebra = setup_a3
-    mod = algebra.hom_image(atlas.modules[3])
+    mod = algebra.hom_image(3)
     rng = np.random.default_rng(4)
     for _ in range(60):
         i1, i2 = (int(v) for v in rng.integers(0, algebra.dim, size=2))
@@ -110,7 +157,7 @@ def test_action_respects_multiplication(setup_a3):
 def test_images_of_summands_are_projectives(setup_a3):
     atlas, rigids, _, algebra = setup_a3
     for pos, mid in enumerate(rigids[0].summands):
-        image = algebra.hom_image(atlas.modules[mid])
+        image = algebra.hom_image(mid)
         proj = algebra.projective(pos)
         assert image.comp_dims == proj.comp_dims
         # an isomorphism: matching component dims plus an invertible map
@@ -123,13 +170,13 @@ def test_images_of_summands_are_projectives(setup_a3):
 
 def test_image_of_zero(setup_a3):
     atlas, _, _, algebra = setup_a3
-    image = algebra.hom_image(zero_rep(atlas.dq, atlas.field))
+    image = oracle_hom_image(algebra, zero_rep(atlas.dq, atlas.field))
     assert image.dim == 0
 
 
 def test_images_pairwise_distinct(setup_a3):
     atlas, _, _, algebra = setup_a3
-    calc = ExtCalculatorB(algebra, {i: algebra.hom_image(m) for i, m in enumerate(atlas.modules)})
+    calc = ExtCalculatorB(algebra, {i: algebra.hom_image(i) for i in range(atlas.size)})
     fps = []
     for a, im in calc.candidates.items():
         fps.append((im.comp_dims, tuple(calc.hom_dim(a, b) for b in calc.candidates)))
@@ -140,7 +187,7 @@ def test_proj_dim(setup_a3):
     atlas, _, _, algebra = setup_a3
     r = algebra.r
     mods = [algebra.projective(0)] + [algebra.simple(k) for k in range(r)]
-    mods += [algebra.hom_image(m) for m in atlas.modules]
+    mods += [algebra.hom_image(i) for i in range(atlas.size)]
     calc = ExtCalculatorB(algebra, dict(enumerate(mods)))
     assert calc.pd_le1(0)
     assert all(calc.pd_le1(1 + r + i) for i in range(atlas.size))
@@ -152,7 +199,7 @@ def test_ext_b_from_projective_vanishes(setup_a3):
     atlas, _, _, algebra = setup_a3
     target = algebra.r
     mods = {k: algebra.projective(k) for k in range(algebra.r)}
-    mods[target] = algebra.hom_image(atlas.modules[5])
+    mods[target] = algebra.hom_image(5)
     calc = ExtCalculatorB(algebra, mods)
     for k in range(algebra.r):
         assert calc.ext1(k, target) == 0
@@ -207,8 +254,8 @@ def test_zero_and_projectives_have_empty_presentation_matrix(setup_a3):
     atlas, _, _, algebra = setup_a3
     r = algebra.r
     mods = {k: algebra.projective(k) for k in range(r)}
-    mods[r] = algebra.hom_image(zero_rep(atlas.dq, atlas.field))
-    targets = {r + 1 + i: algebra.hom_image(m) for i, m in enumerate(atlas.modules)}
+    mods[r] = oracle_hom_image(algebra, zero_rep(atlas.dq, atlas.field))
+    targets = {r + 1 + i: algebra.hom_image(i) for i in range(atlas.size)}
     calc = ExtCalculatorB(algebra, {**mods, **targets})
     for a, m in mods.items():
         pres = calc._presentation(a)
@@ -247,7 +294,7 @@ def test_direct_sum_b(setup_a3):
 
 def test_enumerate_tilting_a3(setup_a3):
     atlas, rigids, _, algebra = setup_a3
-    candidates = {m: algebra.hom_image(atlas.modules[m]) for m in range(atlas.size)}
+    candidates = {m: algebra.hom_image(m) for m in range(atlas.size)}
     tilts = enumerate_tilting(algebra, candidates)
     assert len(tilts) == 14
     assert tuple(rigids[0].summands) in tilts  # the algebra itself is a vertex
@@ -259,7 +306,7 @@ def test_enumerate_tilting_a2_with_exhaustive_oracle(atlas_a2, rigids_a2):
 
     rigids, _ = rigids_a2
     algebra = BoundAlgebra(atlas_a2, rigids[0])
-    candidates = {m: algebra.hom_image(atlas_a2.modules[m]) for m in range(4)}
+    candidates = {m: algebra.hom_image(m) for m in range(4)}
     tilts = enumerate_tilting(algebra, candidates)
     assert len(tilts) == 2
     # oracle: test all 3-element subsets directly
@@ -359,16 +406,16 @@ def test_hom_image_is_contravariantly_functorial(setup_a3):
     m = atlas.module_by_alias("1over2")
     n = atlas.module_by_alias("P2")
     l = atlas.module_by_alias("2over3")
-    images = {x.dims: algebra.hom_image(x) for x in (m, n, l)}
+    images = {x.dims: oracle_hom_image(algebra, x) for x in (m, n, l)}
     f = ModuleMap(m, n, hom_basis(m, n).basis[0])
     g = ModuleMap(n, l, hom_basis(n, l).basis[0])
-    ff = algebra.hom_image_map(f, images[n.dims], images[m.dims])
-    gg = algebra.hom_image_map(g, images[l.dims], images[n.dims])
-    both = algebra.hom_image_map(compose_maps(g, f), images[l.dims], images[m.dims])
+    ff = oracle_hom_image_map(f, images[n.dims], images[m.dims])
+    gg = oracle_hom_image_map(g, images[l.dims], images[n.dims])
+    both = oracle_hom_image_map(compose_maps(g, f), images[l.dims], images[m.dims])
     for j in range(algebra.r):
         assert np.array_equal(both[j], fld.mul(ff[j], gg[j]))
     # identity maps to identity
-    ident = algebra.hom_image_map(
+    ident = oracle_hom_image_map(
         ModuleMap(m, m, tuple(fld.eye(d) for d in m.dims)), images[m.dims], images[m.dims]
     )
     for j in range(algebra.r):
@@ -381,9 +428,9 @@ def test_hom_image_is_additive(setup_a3):
     atlas, _, _, algebra = setup_a3
     m = atlas.module_by_alias("S1")
     n = atlas.module_by_alias("3over2")
-    both = algebra.hom_image(direct_sum(atlas.dq, atlas.field, [m, n]))
+    both = oracle_hom_image(algebra, direct_sum(atlas.dq, atlas.field, [m, n]))
     want = tuple(
-        algebra.hom_image(m).comp_dims[j] + algebra.hom_image(n).comp_dims[j]
+        oracle_hom_image(algebra, m).comp_dims[j] + oracle_hom_image(algebra, n).comp_dims[j]
         for j in range(algebra.r)
     )
     assert both.comp_dims == want
@@ -403,7 +450,163 @@ def test_sequence_dimension_identity_matches_hom_exactness(setup_a3):
             ext1_cocycle(atlas.modules[x], atlas.modules[y]), (1,)
         )
         b_side = (
-            algebra.hom_image(seq.mid).dim
-            == algebra.hom_image(seq.sub).dim + algebra.hom_image(seq.quot).dim
+            oracle_hom_image(algebra, seq.mid).dim
+            == oracle_hom_image(algebra, seq.sub).dim + oracle_hom_image(algebra, seq.quot).dim
         )
         assert b_side == is_hom_exact(seq, t_mod)
+
+
+def _matches_oracle(atlas, t):
+    calc = ExtCalculatorB.for_rigid(atlas, t)
+    alg = calc.algebra
+    oracle = ExtCalculatorB(alg, {mid: oracle_hom_image(alg, m) for mid, m in enumerate(atlas.modules)})
+    for a in range(atlas.size):
+        assert calc.candidates[a].comp_dims == oracle.candidates[a].comp_dims
+        for b in range(atlas.size):
+            got = (calc.hom_dim(a, b), calc.ext1(a, b))
+            assert got == (oracle.hom_dim(a, b), oracle.ext1(a, b)), (t.summands, a, b)
+
+
+def test_hom_image_matches_representation_oracle_a3(atlas_a3, rigids_a3):
+    for t in rigids_a3[0]:
+        _matches_oracle(atlas_a3, t)
+
+
+@pytest.mark.parametrize("t_index", A4_NAMED)
+def test_hom_image_matches_representation_oracle_a4(atlas_a4, rigids_a4, t_index):
+    _matches_oracle(atlas_a4, rigids_a4[0][t_index])
+
+
+def _recomposes(atlas, triples):
+    fld, nv = atlas.field, atlas.dq.nv
+    for i, j, k in triples:
+        consts = atlas.compose(i, j, k)
+        firsts, seconds = atlas.hom_basis(j, k), atlas.hom_basis(i, j)
+        targets = atlas.hom_basis(i, k)
+        assert consts.shape == (len(firsts), len(targets), len(seconds))
+        for e1, g in enumerate(firsts):
+            for e2, f in enumerate(seconds):
+                for v in range(nv):
+                    want = fld.mul(g[v], f[v])
+                    got = fld.zeros(*want.shape)
+                    for c, h in zip(consts[e1][:, e2], targets):
+                        got = (got + int(c) * h[v]) % fld.p
+                    assert np.array_equal(got, want), (i, j, k, e1, e2, v)
+
+
+def test_atlas_compose_recomposes_every_a3_triple(atlas_a3):
+    n = atlas_a3.size
+    _recomposes(atlas_a3, [(i, j, k) for i in range(n) for j in range(n) for k in range(n)])
+
+
+def test_atlas_compose_recomposes_noncommuting_a4_triples(atlas_a4):
+    # on A3 only one triple has two factors of dimension >= 2, and its
+    # constants are symmetric, so a swap of the two factor axes needs A4
+    h, n = atlas_a4.hom_table, atlas_a4.size
+    wide = [
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if h[i, j] >= 2 and h[j, k] >= 2 and h[i, k]
+    ]
+    assert len(wide) == 3432
+    _recomposes(atlas_a4, wide[::8])
+
+
+def test_atlas_end_bases_are_identity_then_nilpotent(atlas_a3):
+    fld = atlas_a3.field
+    for mid, m in enumerate(atlas_a3.modules):
+        basis = atlas_a3.hom_basis(mid, mid)
+        assert len(basis) == int(atlas_a3.hom_table[mid, mid])
+        assert all(np.array_equal(basis[0][v], fld.eye(d)) for v, d in enumerate(m.dims))
+        for b in basis[1:]:
+            power = b
+            for _ in range(m.total_dim):
+                power = tuple(fld.mul(x, y) for x, y in zip(power, b))
+            assert not any(np.any(x) for x in power)
+
+
+def test_atlas_memos_stay_out_of_payload(atlas_a3):
+    from dataclasses import replace
+
+    from preproj.atlas import compare_atlases
+
+    fresh = replace(atlas_a3)
+    before = fresh.to_payload()
+    fresh.compose(0, 5, 7)
+    assert fresh._homs and fresh._comps
+    assert fresh.to_payload() == before
+    assert compare_atlases(fresh, atlas_a3) == []
+    assert not replace(fresh)._homs
+
+
+def _kernel_of_approximation(atlas, t, t_prime):
+    """K in 0 -> K -> T'' -> T -> 0, built from a basis of Hom(T'_i, T)
+    into the whole direct sum T."""
+    from preproj.modules import direct_sum, sub_representation
+
+    fld, dq = atlas.field, atlas.dq
+    t_mod = direct_sum(dq, fld, [atlas.modules[k] for k in t.summands])
+    piece_ids, maps = [], []
+    for k in t_prime.summands:
+        for b in hom_basis(atlas.modules[k], t_mod).basis:
+            piece_ids.append(k)
+            maps.append(b)
+    approx = direct_sum(dq, fld, [atlas.modules[k] for k in piece_ids])
+    mats = [np.concatenate([b[v] for b in maps], axis=1) for v in range(dq.nv)]
+    return sub_representation(approx, [fld.kernel_basis(m) for m in mats])[0]
+
+
+def test_coresolution_multiplicities_match_the_kernel_a3(setup_a3, monkeypatch):
+    # on every edge, in both directions, the Hom column the check derives by
+    # left exactness is the Hom column of the kernel itself, and so are
+    # the dimension vector and Hom column of the summands it reports
+    from preproj import endo
+    from preproj.modules import hom_dim
+
+    atlas, rigids, graph, _ = setup_a3
+    hom = atlas.hom_table
+    dims = np.array([m.dims for m in atlas.modules])
+    outs = {}
+    for i, j in graph.edges:
+        for a, b in ((i, j), (j, i)):
+            out = coresolution_check(atlas, rigids[a], rigids[b])
+            kernel = _kernel_of_approximation(atlas, rigids[a], rigids[b])
+            v = np.zeros(atlas.size, dtype=np.int64)
+            for mid, mult in out["kernel_summands"]:
+                v[mid] = mult
+            assert np.array_equal(hom @ v, [hom_dim(x, kernel) for x in atlas.modules]), (a, b)
+            assert tuple(v @ dims) == kernel.dims
+            outs[(a, b)] = out
+    # against decompose(K), the fallback, on the first edge both ways (one
+    # decomposition takes about a second, so not on all 42)
+    monkeypatch.setattr(endo, "_multiplicities", lambda *args: None)
+    i, j = graph.edges[0]
+    for a, b in ((i, j), (j, i)):
+        assert coresolution_check(atlas, rigids[a], rigids[b]) == outs[(a, b)], (a, b)
+
+
+def test_t_suites_take_hom_bases_from_the_atlas_once(atlas_a3, rigids_a3, monkeypatch):
+    # every Hom basis End(T), Hom(-, T) and the coresolution use is computed
+    # once per run, by the atlas: at most one modules.hom_basis call per
+    # ordered pair of atlas modules (144 on A3)
+    from dataclasses import replace
+
+    from preproj import atlas as atlas_mod
+    from preproj import endo
+    from preproj.verify import T_SUITES, run_t_suites
+
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return hom_basis(x, y)
+
+    monkeypatch.setattr(atlas_mod, "hom_basis", counting)
+    # endo must not compute Hom bases itself; count any binding it gains
+    monkeypatch.setattr(endo, "hom_basis", counting, raising=False)
+    rigids, graph = rigids_a3
+    reports = run_t_suites(T_SUITES, replace(atlas_a3), rigids, graph, range(len(rigids)))
+    assert all(rep["passed"] for rep in reports.values())
+    assert 0 < len(calls) <= atlas_a3.size ** 2

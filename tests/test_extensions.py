@@ -13,6 +13,7 @@ from preproj.extensions import (
     hom_exact_direction,
     is_hom_exact,
     is_split,
+    pair_dims,
     pullback,
     pullback_matrix,
     pushout,
@@ -20,10 +21,12 @@ from preproj.extensions import (
 from preproj.modules import (
     ModuleMap,
     decompose,
+    direct_sum,
     hom_basis,
     hom_dim,
     identity_map,
     is_isomorphic,
+    zero_rep,
 )
 from preproj.rigidgraph import A3_RIGID_LABELS
 
@@ -54,6 +57,17 @@ def test_cocycle_agrees_with_formula_everywhere(atlas_a3):
     for x in atlas_a3.modules:
         for y in atlas_a3.modules:
             assert ext1_cocycle(x, y).dim == ext1_dim_formula(x, y)
+
+
+def test_pair_dims_match_hom_basis_and_cocycles(atlas_a3, atlas_a4):
+    a3 = atlas_a3.modules
+    extra = [zero_rep(atlas_a3.dq, atlas_a3.field), direct_sum(atlas_a3.dq, atlas_a3.field, a3[2:5])]
+    for x in a3 + extra:
+        for y in a3 + extra:
+            assert pair_dims(x, y) == (hom_basis(x, y).dim, ext1_cocycle(x, y).dim)
+    a4 = atlas_a4.modules
+    for i, j in [(0, 39), (39, 0), (17, 23), (23, 17), (30, 30), (12, 35)]:
+        assert pair_dims(a4[i], a4[j]) == (int(atlas_a4.hom_table[i, j]), int(atlas_a4.ext_table[i, j]))
 
 
 def test_ext_vanishes_into_projectives(atlas_a3):
