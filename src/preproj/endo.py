@@ -12,9 +12,11 @@ the other elements are nilpotent.  A B-module is graded by the
 idempotents: one component per summand, with one action block per basis
 element.  The image Hom(X, T) of an atlas module X has components
 Hom(X, T_j) and acts by post-composition, atlas.compose(X, T_k, T_l).
-Hom and Ext over B from a module of projective dimension at most one come
-from its minimal projective presentation: one rank of one small matrix
-per pair of modules (ExtCalculatorB).
+Hom and Ext over B from a module M with pd M <= 1 (that is, dim ΩM equals
+the dimension of the projective cover of the top of ΩM) come from its
+minimal projective presentation, read from the kernel of its cover map in
+the cover's coordinates, with no cover or syzygy module built: one rank of
+one small matrix per pair of modules (ExtCalculatorB).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
 from .linalg import PrimeField
 from .modules import ModuleMap
-from .rigidgraph import RigidModule, _bron_kerbosch, exchange_pairs
+from .rigidgraph import RigidModule, _bron_kerbosch
 
 
 @dataclass(frozen=True)
@@ -227,27 +229,6 @@ class BModule:
         return out
 
 
-def direct_sum_b(mods: list[BModule]) -> BModule:
-    if not mods:
-        raise InputError("empty direct sum needs an algebra")
-    alg = mods[0].algebra
-    fld = alg.field
-    r = alg.r
-    comp_dims = tuple(sum(m.comp_dims[k] for m in mods) for k in range(r))
-    blocks = {}
-    for idx in {i for m in mods for i in m.blocks}:
-        e = alg.elements[idx]
-        blk = fld.zeros(comp_dims[e.tgt], comp_dims[e.src])
-        ro = co = 0
-        for m in mods:
-            piece = m.action_block(idx)
-            blk[ro : ro + piece.shape[0], co : co + piece.shape[1]] = piece
-            ro += piece.shape[0]
-            co += piece.shape[1]
-        blocks[idx] = blk
-    return BModule(alg, comp_dims, blocks)
-
-
 def _radical_image(m: BModule, k: int) -> np.ndarray:
     """Columns spanning rad(B) m in component k, one block per radical
     element acting nonzero into k (the identities act implicitly)."""
@@ -279,49 +260,24 @@ def _top_basis(m: BModule) -> list[tuple[int, int]]:
     return tops
 
 
-def projective_cover_b(m: BModule):
-    """Returns (cover module P, per-component cover matrices P -> m, copies).
+def _cover_kernel(m: BModule):
+    """Returns (copies, kers) for the projective cover P = ⊕_g B e_{k_g} of m.
 
-    copies lists the summand positions k of the projectives B e_k, one per
-    lifted generator.
-    """
+    copies lists the summand position k_g of each lifted top generator.
+    Component j of P has the basis block_elems[(k_g, j)] copy by copy, and
+    kers[j] is a kernel basis (columns) of the cover map e_j P -> e_j m,
+    so ΩM in component j is spanned by the columns of kers[j]."""
     alg = m.algebra
     fld = alg.field
     lifts = _top_basis(m)
-    copies = [k for k, _ in lifts]
-    projs = [alg.projective(k) for k in copies]
-    cover_mod = direct_sum_b(projs) if projs else BModule(alg, (0,) * alg.r, {})
-    # columns of the cover: basis element b of (k, j) block maps to b . u
-    cover_mats = []
+    kers = []
     for j in range(alg.r):
         cols = [m.action_block(i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
-        cover_mats.append(np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0))
-        if fld.rank(cover_mats[j]) != m.comp_dims[j]:
+        cover = np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0)
+        kers.append(fld.kernel_basis(cover))
+        if cover.shape[1] - kers[j].shape[1] != m.comp_dims[j]:
             raise StructureError("projective cover is not surjective")
-    return cover_mod, cover_mats, copies
-
-
-def syzygy_b(m: BModule):
-    """Returns (syzygy module, copies, kernels): the kernel of the projective
-    cover, the summand positions k of its projectives B e_k, one per copy,
-    and per component j the columns embedding the syzygy in the cover."""
-    alg = m.algebra
-    fld = alg.field
-    cover_mod, cover_mats, copies = projective_cover_b(m)
-    kers = [fld.kernel_basis(cover_mats[j]) for j in range(alg.r)]
-    comp_dims = tuple(k.shape[1] for k in kers)
-    blocks = {}
-    for idx, blk in cover_mod.blocks.items():
-        e = alg.elements[idx]
-        k, l = e.src, e.tgt
-        if comp_dims[k] == 0 or comp_dims[l] == 0:
-            continue
-        coords = fld.solve(kers[l], fld.mul(blk, kers[k]))
-        if coords is None:
-            raise StructureError("syzygy is not closed under the action")
-        if coords.any():
-            blocks[idx] = coords
-    return BModule(alg, comp_dims, blocks), copies, kers
+    return [k for k, _ in lifts], kers
 
 
 @dataclass(frozen=True)
@@ -361,7 +317,9 @@ class ExtCalculatorB:
 
     Every candidate M must have projective dimension at most one, so that
     its presentation 0 -> ⊕_ρ B e_{k_ρ} -> ⊕_g B e_{k_g} -> M -> 0 has a
-    projective syzygy; ext1 and hom_dim raise InputError otherwise.  Then
+    projective syzygy: _presentation reads it from the kernel of the cover
+    map and checks Σ_ρ dim B e_{k_ρ} = dim ΩM.  ext1 and hom_dim raise
+    InputError otherwise.  Then
     Hom_B(-, N) turns it into 0 -> Hom(M, N) -> ⊕_g e_{k_g} N -R_N->
     ⊕_ρ e_{k_ρ} N -> Ext^1(M, N) -> 0 (see hom_b), and with n_k = dim e_k N
         dim Hom_B(M, N) = Σ_g n_{k_g} - rank R_N,
@@ -382,22 +340,50 @@ class ExtCalculatorB:
         return cls(algebra, {mid: algebra.hom_image(mid) for mid in range(atlas.size)})
 
     def _presentation(self, key: int) -> Presentation | None:
-        """The minimal presentation of candidates[key]; None if its syzygy
-        is not projective, that is, not as large as the cover of its top."""
+        """The minimal presentation of candidates[key], read in the
+        coordinates of its projective cover P (see _cover_kernel); None if
+        its syzygy ΩM is not projective.
+
+        rad(B) ΩM in component l is spanned by each radical element b: k -> l
+        acting on the columns of kers[k], copy by copy through the action
+        of b on B e_{k_g}.  The columns of kers[l] that are pivots of
+        [rad(B) ΩM | kers[l]] span a complement of it, so they are the top
+        generators ρ of ΩM and their coordinates over P are the columns
+        themselves.  ΩM is projective iff it is as large as the cover of
+        its top: Σ_ρ dim B e_{k_ρ} = dim ΩM = Σ_j (columns of kers[j])."""
         if key in self._pres:
             return self._pres[key]
-        alg = self.algebra
-        syz, copies, kers = syzygy_b(self.candidates[key])
-        tops = _top_basis(syz)
+        alg, fld = self.algebra, self.algebra.field
+        copies, kers = _cover_kernel(self.candidates[key])
+        offs = [
+            list(accumulate((len(alg.block_elems[(kg, j)]) for kg in copies), initial=0))
+            for j in range(alg.r)
+        ]
+        rads = [[] for _ in range(alg.r)]
+        for idx in alg.radical_elements:
+            k, l = alg.elements[idx].src, alg.elements[idx].tgt
+            if not kers[k].shape[1] or not kers[l].shape[1]:
+                continue
+            img = fld.zeros(kers[l].shape[0], kers[k].shape[1])
+            for g, kg in enumerate(copies):
+                blk = alg.projective(kg).blocks.get(idx)
+                if blk is not None:
+                    img[offs[l][g] : offs[l][g + 1]] = fld.mul(blk, kers[k][offs[k][g] : offs[k][g + 1]])
+            rads[l].append(img)
+        tops = []
+        for l in range(alg.r):
+            if kers[l].shape[1]:
+                width = sum(img.shape[1] for img in rads[l])
+                _, pivots = fld.rref(np.concatenate(rads[l] + [kers[l]], axis=1))
+                tops.extend((l, c - width) for c in pivots if c >= width)
         pres = None
-        if sum(alg.projective(k).dim for k, _ in tops) == syz.dim:
+        if sum(alg.projective(k).dim for k, _ in tops) == sum(ker.shape[1] for ker in kers):
             coords = {}
             for r, (k, c) in enumerate(tops):
-                col, off = kers[k][:, c], 0
+                col = kers[k][:, c]
                 for g, kg in enumerate(copies):
                     ids = alg.block_elems[(kg, k)]
-                    terms = [(idx, int(v)) for idx, v in zip(ids, col[off:]) if v]
-                    off += len(ids)
+                    terms = [(idx, int(v)) for idx, v in zip(ids, col[offs[k][g] :]) if v]
                     if terms:
                         coords[(r, g)] = terms
             pres = Presentation(tuple(copies), tuple(k for k, _ in tops), coords)
@@ -468,8 +454,10 @@ def verify_graph_correspondence(
 ) -> dict:
     """Check that mapping a maximal rigid module through Hom(-, T) gives a
     bijection onto the tilting sets of End(T), for T = rigids[t_index], and
-    that every one-summand exchange between tilting sets is a mutation:
-    Ext^1_B is nonzero between its two complements in exactly one direction.
+    that every edge of the mutation graph is an exchange of tilting
+    modules: Ext^1_B is nonzero between its two complements in exactly one
+    direction.  With the bijection, these edges are exactly the
+    one-summand exchanges between tilting sets.
 
     calc, if given, is ExtCalculatorB.for_rigid(atlas, rigids[t_index], seed)
     with whatever it has cached; by default one is built here."""
@@ -498,16 +486,19 @@ def verify_graph_correspondence(
         missing = [list(s) for s in lam if tuple(s) not in set(map(tuple, tilts))]
         mismatches.append(f"tilting sets extra={extra} missing={missing}")
     # Happel-Unger (1989): the two complements x, y of an almost complete
-    # tilting module are joined by a non-split sequence in exactly one direction
+    # tilting module are joined by a non-split sequence in exactly one
+    # direction.  Under the bijection the exchange pairs of the tilting sets
+    # are the mutation edges, so the edges are read from graph.
     edges_preserved = bijection
-    for i, j in exchange_pairs(tilts):
-        (x,) = set(tilts[i]).difference(tilts[j])
-        (y,) = set(tilts[j]).difference(tilts[i])
+    for i, j in graph.edges:
+        a, b = graph.vertices[i].summands, graph.vertices[j].summands
+        (x,) = set(a).difference(b)
+        (y,) = set(b).difference(a)
         directions = (calc.ext1(x, y) > 0) + (calc.ext1(y, x) > 0)
         if directions != 1:
             edges_preserved = False
             mismatches.append(
-                f"edge {list(tilts[i])} -- {list(tilts[j])}: complements {x} and {y} "
+                f"edge {list(a)} -- {list(b)}: complements {x} and {y} "
                 f"have non-split extensions in {directions} directions"
             )
     return {

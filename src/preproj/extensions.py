@@ -388,17 +388,18 @@ def _stacked_residues(x: Representation, y: Representation, parts) -> np.ndarray
     return res.reshape(-1, h, d).transpose(1, 0, 2).reshape(-1, d)
 
 
-def connecting_matrix(space: ExtSpace, n: Representation) -> np.ndarray:
+def connecting_matrix(space: ExtSpace, n: Representation, homs) -> np.ndarray:
     """Matrix of the connecting maps Hom(y, n) -> Ext^1(x, n) of the classes.
 
-    Column i stacks, over a basis f of Hom(y, n), the residue of f C_i
-    modulo the coboundaries of (x, n), where C_i is the i-th class
-    representative.  Its kernel is the space of classes whose sequences
-    0 -> y -> E -> x -> 0 stay exact under Hom(-, n).
+    Column i stacks, over the basis homs of Hom(y, n) (tuples of vertex
+    maps), the residue of f C_i modulo the coboundaries of (x, n), where C_i
+    is the i-th class representative.  Its kernel is the space of classes
+    whose sequences 0 -> y -> E -> x -> 0 stay exact under Hom(-, n); a
+    change of basis of Hom(y, n) acts invertibly on the row blocks, so the
+    kernel and the rank do not depend on the basis.
     """
     x, y = space.x, space.y
     fld = x.field
-    homs = hom_basis(y, n).basis
     if not homs or not space.dim:
         return fld.zeros(0, space.dim)
     h, d = len(homs), space.dim
@@ -444,7 +445,7 @@ def exact_classes(space: ExtSpace, t_summands) -> np.ndarray:
     stay exact under Hom(-, n) for every n in t_summands."""
     fld = space.x.field
     blocks = [fld.zeros(0, space.dim)]
-    blocks += [connecting_matrix(space, n) for n in t_summands]
+    blocks += [connecting_matrix(space, n, hom_basis(space.y, n).basis) for n in t_summands]
     return fld.kernel_basis(np.concatenate(blocks, axis=0))
 
 

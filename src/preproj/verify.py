@@ -94,7 +94,8 @@ def suite_extbounds(atlas: Atlas) -> dict:
 
 class _ConnectingMatrices:
     """Connecting matrices of the atlas's extension spaces, one per
-    (x, y, n), each built on first use.  The classes of 0 -> y -> E -> x -> 0
+    (x, y, n), each built on first use over the atlas's basis
+    atlas.hom_basis(y, n), computed once per run.  The classes of 0 -> y -> E -> x -> 0
     that stay exact under Hom(-, T) are the kernel of their stack over the
     summands n of T."""
 
@@ -110,7 +111,8 @@ class _ConnectingMatrices:
             space = self.spaces.get((x, y))
             if space is None:
                 space = self.spaces[(x, y)] = ext1_cocycle(mods[x], mods[y])
-            got = self.blocks[(x, y, n)] = connecting_matrix(space, mods[n])
+            homs = self.atlas.hom_basis(y, n)
+            got = self.blocks[(x, y, n)] = connecting_matrix(space, mods[n], homs)
         return got
 
     def exact_dim(self, x: int, y: int, summands) -> int:

@@ -6,15 +6,14 @@ from preproj.endo import (
     BoundAlgebra,
     ExtCalculatorB,
     Presentation,
+    _top_basis,
     coresolution_check,
-    direct_sum_b,
     enumerate_tilting,
     hom_b,
-    syzygy_b,
     top_dims_b,
     verify_graph_correspondence,
 )
-from preproj.errors import InputError
+from preproj.errors import InputError, StructureError
 from preproj.modules import hom_basis, intertwiner_system, kernel_maps, zero_rep
 from tests.test_acceptance import A4_NAMED
 from preproj.rigidgraph import exchange_pairs
@@ -88,6 +87,83 @@ def oracle_hom_image_map(f, image_of_target, image_of_source):
             assert block is not None, "induced map left its Hom component"
         out.append(block)
     return out
+
+
+# The oracle for presentations over End(T): the cover module as a direct
+# sum of projectives and the syzygy module ΩM built from it, with one solve
+# per action block, where ExtCalculatorB stays in the cover's coordinates.
+
+
+def direct_sum_b(mods: list[BModule]) -> BModule:
+    if not mods:
+        raise InputError("empty direct sum needs an algebra")
+    alg = mods[0].algebra
+    fld = alg.field
+    r = alg.r
+    comp_dims = tuple(sum(m.comp_dims[k] for m in mods) for k in range(r))
+    blocks = {}
+    for idx in {i for m in mods for i in m.blocks}:
+        e = alg.elements[idx]
+        blk = fld.zeros(comp_dims[e.tgt], comp_dims[e.src])
+        ro = co = 0
+        for m in mods:
+            piece = m.action_block(idx)
+            blk[ro : ro + piece.shape[0], co : co + piece.shape[1]] = piece
+            ro += piece.shape[0]
+            co += piece.shape[1]
+        blocks[idx] = blk
+    return BModule(alg, comp_dims, blocks)
+
+
+def projective_cover_b(m: BModule):
+    """Returns (cover module P, per-component cover matrices P -> m, copies).
+
+    copies lists the summand positions k of the projectives B e_k, one per
+    lifted generator.
+    """
+    alg = m.algebra
+    fld = alg.field
+    lifts = _top_basis(m)
+    copies = [k for k, _ in lifts]
+    projs = [alg.projective(k) for k in copies]
+    cover_mod = direct_sum_b(projs) if projs else BModule(alg, (0,) * alg.r, {})
+    # columns of the cover: basis element b of (k, j) block maps to b . u
+    cover_mats = []
+    for j in range(alg.r):
+        cols = [m.action_block(i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
+        cover_mats.append(np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0))
+        if fld.rank(cover_mats[j]) != m.comp_dims[j]:
+            raise StructureError("projective cover is not surjective")
+    return cover_mod, cover_mats, copies
+
+
+def syzygy_b(m: BModule):
+    """Returns (syzygy module, copies, kernels): the kernel of the projective
+    cover, the summand positions k of its projectives B e_k, one per copy,
+    and per component j the columns embedding the syzygy in the cover."""
+    alg = m.algebra
+    fld = alg.field
+    cover_mod, cover_mats, copies = projective_cover_b(m)
+    kers = [fld.kernel_basis(cover_mats[j]) for j in range(alg.r)]
+    comp_dims = tuple(k.shape[1] for k in kers)
+    blocks = {}
+    for idx, blk in cover_mod.blocks.items():
+        e = alg.elements[idx]
+        k, l = e.src, e.tgt
+        if comp_dims[k] == 0 or comp_dims[l] == 0:
+            continue
+        coords = fld.solve(kers[l], fld.mul(blk, kers[k]))
+        if coords is None:
+            raise StructureError("syzygy is not closed under the action")
+        if coords.any():
+            blocks[idx] = coords
+    return BModule(alg, comp_dims, blocks), copies, kers
+
+
+def oracle_pd_le1(m):
+    """pd m <= 1: the syzygy module is as large as the cover of its top."""
+    syz, _, _ = syzygy_b(m)
+    return sum(m.algebra.projective(k).dim for k, _ in _top_basis(syz)) == syz.dim
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +287,7 @@ def _check_against_oracle(atlas, t):
     calc = ExtCalculatorB.for_rigid(atlas, t)
     for a, m in calc.candidates.items():
         syz, copies, _ = syzygy_b(m)
+        assert calc.pd_le1(a) and oracle_pd_le1(m), (t.summands, a)
         for b, n in calc.candidates.items():
             hom = oracle_hom_dim(m, n)
             ext = oracle_hom_dim(syz, n) - sum(n.comp_dims[k] for k in copies) + hom
@@ -221,6 +298,10 @@ def _check_against_oracle(atlas, t):
     for k in range(alg.r):
         for b, n in calc.candidates.items():
             assert (projs.ext1(-1 - k, b), projs.hom_dim(-1 - k, b)) == (0, n.comp_dims[k])
+    # the simples, some of projective dimension > 1, get the oracle's verdict
+    simples = ExtCalculatorB(alg, {k: alg.simple(k) for k in range(alg.r)})
+    verdicts = [simples.pd_le1(k) for k in range(alg.r)]
+    assert verdicts == [oracle_pd_le1(alg.simple(k)) for k in range(alg.r)], t.summands
 
 
 def test_ext1_and_hom_dim_match_system_oracle_a3(atlas_a3, rigids_a3):
@@ -594,7 +675,7 @@ def test_t_suites_take_hom_bases_from_the_atlas_once(atlas_a3, rigids_a3, monkey
     from dataclasses import replace
 
     from preproj import atlas as atlas_mod
-    from preproj import endo
+    from preproj import endo, extensions
     from preproj.verify import T_SUITES, run_t_suites
 
     calls = []
@@ -604,9 +685,68 @@ def test_t_suites_take_hom_bases_from_the_atlas_once(atlas_a3, rigids_a3, monkey
         return hom_basis(x, y)
 
     monkeypatch.setattr(atlas_mod, "hom_basis", counting)
-    # endo must not compute Hom bases itself; count any binding it gains
+    # endo must not compute Hom bases itself, and the connecting matrices
+    # take Hom(Y, N) from the atlas; count any binding either gains or keeps
     monkeypatch.setattr(endo, "hom_basis", counting, raising=False)
+    monkeypatch.setattr(extensions, "hom_basis", counting)
     rigids, graph = rigids_a3
     reports = run_t_suites(T_SUITES, replace(atlas_a3), rigids, graph, range(len(rigids)))
     assert all(rep["passed"] for rep in reports.values())
     assert 0 < len(calls) <= atlas_a3.size ** 2
+
+
+def test_t_suites_read_the_exchange_edges_from_the_graph(atlas_a3, rigids_a3, monkeypatch):
+    # theorem1 checks the mutation edges graph already holds; it scans no
+    # set of tilting sets for exchange pairs
+    from preproj import endo, rigidgraph
+    from preproj.verify import T_SUITES, run_t_suites
+
+    calls = []
+
+    def counting(sets):
+        calls.append(len(sets))
+        return exchange_pairs(sets)
+
+    monkeypatch.setattr(rigidgraph, "exchange_pairs", counting)
+    monkeypatch.setattr(endo, "exchange_pairs", counting, raising=False)
+    rigids, graph = rigids_a3
+    reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
+    assert all(rep["passed"] for rep in reports.values())
+    assert calls == []
+
+
+def _assert_associative(alg):
+    """(e1 e2) e3 = e1 (e2 e3) for every composable triple of basis elements,
+    from the multiplication table alone.  tab[(m, k, l)][e1, e2] holds the
+    coordinates of e1 o e2 for e1 in block (k, l) and e2 in block (m, k), so
+    per chain a -> b -> c -> d of summand positions both bracketings are
+    one contraction of two such tensors."""
+    fld, r, blocks = alg.field, alg.r, alg.block_elems
+    tab = {}
+    for m in range(r):
+        for k in range(r):
+            for l in range(r):
+                firsts, seconds = blocks[(k, l)], blocks[(m, k)]
+                t = np.zeros((len(firsts), len(seconds), len(blocks[(m, l)])), dtype=np.int64)
+                for e1, i1 in enumerate(firsts):
+                    for e2, i2 in enumerate(seconds):
+                        block, t[e1, e2] = alg.product_coords(i1, i2)
+                        assert block == (m, l)
+                tab[(m, k, l)] = t
+    for a in range(r):
+        for b in range(r):
+            for c in range(r):
+                for d in range(r):
+                    left = np.einsum("xyj,jzo->xyzo", tab[(b, c, d)], tab[(a, b, d)]) % fld.p
+                    right = np.einsum("yzj,xjo->xyzo", tab[(a, b, c)], tab[(a, c, d)]) % fld.p
+                    assert np.array_equal(left, right), (a, b, c, d)
+
+
+def test_end_t_multiplication_is_associative_a3(atlas_a3, rigids_a3):
+    for t in rigids_a3[0]:
+        _assert_associative(BoundAlgebra(atlas_a3, t))
+
+
+@pytest.mark.parametrize("t_index", A4_NAMED)
+def test_end_t_multiplication_is_associative_a4(atlas_a4, rigids_a4, t_index):
+    _assert_associative(BoundAlgebra(atlas_a4, rigids_a4[0][t_index]))
