@@ -9,7 +9,8 @@ tau = cosyzygy and under the almost split sequences, and their AR quiver is
 connected, so by Auslander's theorem they are all the indecomposables.  The
 closure stops at the first pass that certifies, and a pass that adds
 nothing without certifying is an error.  Expected counts are asserted by
-callers, not used for termination.
+callers, not used for termination.  The Hom and Ext tables then come from
+one call of extensions.pair_tables: two ranks per pair, taken in stacks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import EnumerationError, FormatError, IntegrityError, InputError
 from .linalg import PrimeField
-from .extensions import _scalar_classes, build_extension, ext1_cocycle, pair_dims, pullback_matrix
+from .extensions import _scalar_classes, build_extension, ext1_cocycle, pair_tables, pullback_matrix
 from .modules import (
     Representation,
     block_diagonal,
@@ -372,9 +373,10 @@ def enumerate_indecomposables(
     Each pass records dim Ext^1 for every ordered pair of the modules known
     at its start, and ends with _certify_complete.  The closure stops at
     the first pass that certifies; a pass that adds nothing and does not
-    certify raises EnumerationError.  Then extensions.pair_dims gives Hom and
-    Ext of every pair from two ranks: the Hom table, the Ext of the pairs no
-    pass visited, and a cross-check of the Ext the passes recorded."""
+    certify raises EnumerationError.  Then one call of
+    extensions.pair_tables gives Hom and Ext of every pair from two ranks:
+    the Hom table, the Ext of the pairs no pass visited, and a cross-check
+    of the Ext the passes recorded (IntegrityError on a mismatch)."""
     dq = double(preset_quiver(qtype))
     basis = PreprojectiveBasis(dq, field)
     cap = 4 * dq.nv
@@ -434,12 +436,10 @@ def enumerate_indecomposables(
         if not changed:
             raise EnumerationError(f"closure stopped without a completeness certificate: {failure}")
     n = len(mods)
-    homs = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            homs[i, j], e = pair_dims(mods[i], mods[j])
-            if ext_dims.setdefault((i, j), e) != e:
-                raise IntegrityError(f"Ext^1 of closure modules {i}, {j}: cocycles and ranks disagree")
+    homs, exts = pair_tables(mods, mods)
+    for (i, j), e in ext_dims.items():
+        if exts[i, j] != e:
+            raise IntegrityError(f"Ext^1 of closure modules {i}, {j}: cocycles and ranks disagree")
 
     # canonical order: (total dim, dim vector, hom fingerprint)
     provisional = sorted(range(n), key=lambda i: (mods[i].total_dim, mods[i].dims, i))
@@ -452,7 +452,7 @@ def enumerate_indecomposables(
     modules = [pmods[i] for i in final]
     hom_table = hom1[np.ix_(final, final)]
     order = [provisional[i] for i in final]  # canonical position -> closure id
-    ext_table = np.array([[ext_dims[i, j] for j in order] for i in order], dtype=np.int64)
+    ext_table = exts[np.ix_(order, order)]
     atlas = Atlas(
         qtype=qtype,
         field=field,

@@ -101,7 +101,7 @@ def cmd_graph(args) -> int:
             print("--rigid ID is required for tilting graphs", file=sys.stderr)
             return 2
         t_index = resolve_rigid_label(atlas, rigids, args.rigid)
-        calc = ExtCalculatorB.for_rigid(atlas, rigids[t_index], cfg.seed)
+        calc = ExtCalculatorB.for_rigid(atlas, rigids[t_index])
         tilts = enumerate_tilting(calc.algebra, calc.candidates, calc)
         vertices = [
             RigidModule(summands=tuple(s), contains_projectives=True) for s in tilts

@@ -21,14 +21,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
-from .linalg import kron_eye_left, kron_eye_right
 from .modules import (
     ModuleMap,
     Representation,
+    _eye,
     _hom_system,
     compose_maps,
     hom_basis,
     hom_dim,
+    intertwiner_system,
 )
 from .quivers import symmetric_form
 
@@ -83,12 +84,9 @@ class ShortExactSequence:
         return self
 
 
-def _cocycle_columns(x: Representation, y: Representation):
+def _cocycle_columns(dq, x_dims, y_dims):
     """Shapes and offsets for the stacked cocycle coordinate vector."""
-    dq = x.dq
-    shapes = []
-    for a in dq.arrows:
-        shapes.append((y.dims[a.target - 1], x.dims[a.source - 1]))
+    shapes = [(y_dims[a.target - 1], x_dims[a.source - 1]) for a in dq.arrows]
     sizes = [r * c for r, c in shapes]
     offs = np.concatenate([[0], np.cumsum(sizes)])
     return shapes, offs
@@ -109,23 +107,27 @@ def _coboundary_residues(x: Representation, y: Representation, vecs: np.ndarray)
     return (vecs[free] - fld.mul(red[: len(pivots), free].T, vecs[pivots])) % fld.p
 
 
-def _cocycle_condition(x: Representation, y: Representation):
-    """The cocycle condition of (x, y), a matrix whose kernel is the
-    cocycle space Z^1 in stacked coordinates, with the per-arrow shapes and
-    offsets of those coordinates: the defining relation linearized at each
-    vertex."""
-    if x.dq != y.dq:
-        raise InputError("representations live on different double quivers")
-    fld = x.field
-    dq = x.dq
-    shapes, offs = _cocycle_columns(x, y)
-    ncols = int(offs[-1])
-    rows = []
+def _cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats):
+    """The cocycle condition of a pair (x, y), given by dimension vectors
+    and per-arrow matrices: a matrix whose kernel is the cocycle space Z^1
+    in stacked coordinates, with the per-arrow shapes and offsets of those
+    coordinates; the defining relation linearized at each vertex.
+
+    The matrices may carry leading batch axes, which broadcast as in
+    modules.intertwiner_system: x stacked as (kx, 1, ...) against y as
+    (1, ky, ...) gives the conditions of all kx * ky pairs, of shape
+    (kx, ky, rows, columns).  2-D matrices give one 2-D condition."""
+    shapes, offs = _cocycle_columns(dq, x_dims, y_dims)
+    batch = np.broadcast_shapes(*(m.shape[:-2] for m in (*x_mats, *y_mats)))
+    nrows = sum(x_dims[v - 1] * y_dims[v - 1] for v in dq.vertices)
+    cond = np.zeros(batch + (nrows, int(offs[-1])), dtype=np.int64)
+    r0 = 0
     for v in dq.vertices:
-        xv, yv = x.dims[v - 1], y.dims[v - 1]
-        if xv * yv == 0:
+        xv, yv = x_dims[v - 1], y_dims[v - 1]
+        r1 = r0 + yv * xv
+        if r1 == r0:
             continue
-        block = fld.zeros(yv * xv, ncols)
+        block = cond[..., r0:r1, :]
         for k in range(dq.n_base):
             a = dq.arrows[k]
             ks = dq.partner[k]
@@ -137,33 +139,106 @@ def _cocycle_condition(x: Representation, y: Representation):
             if a.target == v:
                 terms.append((k, ks, -1))
             for first, second, sgn in terms:
-                # vec_r(Y C) = kron(Y, I_xv) vec_r(C), vec_r(C X) = kron(I_yv, X^T) vec_r(C)
-                block[:, offs[second] : offs[second + 1]] += sgn * kron_eye_right(y.mats[first], xv)
-                block[:, offs[first] : offs[first + 1]] += sgn * kron_eye_left(yv, x.mats[second].T)
-        rows.append(block)
-    cond = np.concatenate(rows, axis=0) % fld.p if rows else fld.zeros(0, ncols)
-    return cond, shapes, offs
+                # row (i, j) of Y C is Σ_l Y[i, l] C[l, j], of C X is
+                # Σ_m C[i, m] X[m, j]: the blocks as (i, j, row of C, column of C)
+                yc = y_mats[first][..., :, None, :, None] * _eye(xv)[:, None, :]
+                cx = _eye(yv)[:, None, :, None] * x_mats[second].swapaxes(-1, -2)[..., None, :, None, :]
+                c0, c1 = offs[second], offs[second + 1]
+                block[..., c0:c1] += sgn * yc.reshape(yc.shape[:-4] + (r1 - r0, c1 - c0))
+                c0, c1 = offs[first], offs[first + 1]
+                block[..., c0:c1] += sgn * cx.reshape(cx.shape[:-4] + (r1 - r0, c1 - c0))
+        r0 = r1
+    return cond % fld.p, shapes, offs
 
 
-def pair_dims(x: Representation, y: Representation) -> tuple[int, int]:
-    """(dim Hom(x, y), dim Ext^1(x, y)) from two ranks and no kernel.
+# padded cells of one stacked rank in pair_tables: stacks of this size keep
+# the elimination's temporaries small; a larger matrix is ranked alone
+STACK_CELLS = 8192
+
+
+def _stacked_ranks(fld, mats) -> np.ndarray:
+    """Rank of each 2-D matrix in mats, from PrimeField.ranks on stacks of
+    matrices sorted by shape and zero-padded to a common shape of at most
+    STACK_CELLS cells in all.  Zero rows and columns leave a rank as it is."""
+    out = np.zeros(len(mats), dtype=np.int64)
+    order = sorted(range(len(mats)), key=lambda i: mats[i].shape)
+    start = 0
+    while start < len(order):
+        end, (r, c) = start + 1, mats[order[start]].shape
+        while end < len(order):
+            nr, nc = (max(u, v) for u, v in zip((r, c), mats[order[end]].shape))
+            if (end - start + 1) * nr * nc > STACK_CELLS:
+                break
+            end, r, c = end + 1, nr, nc
+        stack = np.zeros((end - start, r, c), dtype=np.int64)
+        for b, i in enumerate(order[start:end]):
+            m = mats[i]
+            stack[b, : m.shape[0], : m.shape[1]] = m
+        out[order[start:end]] = fld.ranks(stack)
+        start = end
+    return out
+
+
+def pair_tables(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Tables (hom, ext) of dim Hom(x, y) and dim Ext^1(x, y) over x in xs
+    and y in ys, int64 arrays of shape (len xs, len ys), from two ranks per
+    pair and no kernel.
 
     With r the rank of the Hom system, dim Hom = Σ_i x_i y_i - r.  The
     coboundaries are the image of that system (negated), so they have
     dimension r, and dim Ext^1 = dim Z^1 - r, where dim Z^1 is the corank
-    of the cocycle condition."""
-    fld = x.field
-    system = _hom_system(x, y)
-    r = fld.rank(system)
-    cond, _, _ = _cocycle_condition(x, y)
-    return system.shape[1] - r, cond.shape[1] - fld.rank(cond) - r
+    of the cocycle condition.  The modules are grouped by dimension vector;
+    each pair of groups builds both systems in one broadcast call, and all
+    the ranks come from _stacked_ranks."""
+    xs, ys = list(xs), list(ys)
+    hom = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    ext = np.zeros_like(hom)
+    if not xs or not ys:
+        return hom, ext
+    fld, dq = xs[0].field, xs[0].dq
+    if any(m.dq != dq for m in xs + ys):
+        raise InputError("representations live on different double quivers")
+
+    def groups(mods, axis):
+        """(dims, ids, per-arrow matrices stacked on the batch axis) per
+        dimension vector, in order of first appearance"""
+        ids: dict[tuple, list[int]] = {}
+        for i, m in enumerate(mods):
+            ids.setdefault(m.dims, []).append(i)
+        out = []
+        for dims, got in ids.items():
+            mats = [np.expand_dims(np.stack([mods[i].mats[k] for i in got]), axis) for k in range(len(dq.arrows))]
+            out.append((dims, got, mats))
+        return out
+
+    mats, blocks = [], []
+    y_groups = groups(ys, 0)
+    for x_dims, ix, x_mats in groups(xs, 1):
+        for y_dims, iy, y_mats in y_groups:
+            actions = [(a.source - 1, a.target - 1, x_mats[k], y_mats[k]) for k, a in enumerate(dq.arrows)]
+            system = intertwiner_system(fld, x_dims, y_dims, actions)
+            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats)[0]
+            mats += list(system.reshape(len(ix) * len(iy), *system.shape[2:]))
+            mats += list(cond.reshape(len(ix) * len(iy), *cond.shape[2:]))
+            blocks.append((np.ix_(ix, iy), system.shape[-1], cond.shape[-1]))
+    ranks = _stacked_ranks(fld, mats)
+    start = 0
+    for cell, h_cols, z_cols in blocks:
+        n = 2 * cell[0].size * cell[1].size
+        r_h, r_c = ranks[start : start + n].reshape(2, cell[0].size, cell[1].size)
+        hom[cell] = h_cols - r_h
+        ext[cell] = z_cols - r_c - r_h
+        start += n
+    return hom, ext
 
 
 def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
     """Extension space of x by y, with explicit class representatives."""
+    if x.dq != y.dq:
+        raise InputError("representations live on different double quivers")
     fld = x.field
     dq = x.dq
-    cond, shapes, offs = _cocycle_condition(x, y)
+    cond, shapes, offs = _cocycle_condition(fld, dq, x.dims, y.dims, x.mats, y.mats)
     z_basis = fld.kernel_basis(cond)
 
     # reduce cocycles modulo coboundaries, keeping originals as representatives

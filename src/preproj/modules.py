@@ -10,11 +10,12 @@ arrow action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError, NonSplitResidueError, StructureError
-from .linalg import PrimeField, kron_eye_left, kron_eye_right
+from .linalg import PrimeField
 from .quivers import DoubleQuiver, PreprojectiveBasis
 
 
@@ -199,25 +200,42 @@ def _map_offsets(x_dims, y_dims) -> list[int]:
     return offs
 
 
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, shared and read-only."""
+    out = np.eye(n, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def intertwiner_system(fld: PrimeField, x_dims, y_dims, actions) -> np.ndarray:
     """Matrix of f -> (f_t X_a - Y_a f_s)_a, whose kernel is Hom(x, y).
 
     The unknowns are the row-major vectors of the vertex maps
     f_i: k^x_i -> k^y_i, stacked in vertex order.  actions lists
     (s, t, X_a, Y_a) with 0-based vertices s, t; the row blocks follow its
-    order, an empty block for each action with y_t * x_s = 0.
+    order, an empty block for each action with y_t * x_s = 0.  The X_a and
+    Y_a may carry leading batch axes, which broadcast: X_a stacked as
+    (kx, 1, x_t, x_s) against Y_a as (1, ky, y_t, y_s) gives the systems of
+    all kx * ky pairs, of shape (kx, ky, rows, columns).  2-D actions give
+    one 2-D system.
     """
     offs = _map_offsets(x_dims, y_dims)
+    batch = np.broadcast_shapes(*(m.shape[:-2] for _, _, xa, ya in actions for m in (xa, ya)))
     nrows = sum(y_dims[t] * x_dims[s] for s, t, _, _ in actions)
-    a = np.zeros((nrows, offs[-1]), dtype=np.int64)
+    a = np.zeros(batch + (nrows, offs[-1]), dtype=np.int64)
     r0 = 0
     for s, t, xa, ya in actions:
-        r1 = r0 + y_dims[t] * x_dims[s]
+        yt, xs = y_dims[t], x_dims[s]
+        r1 = r0 + yt * xs
         if r1 == r0:
             continue
-        # vec_r(f_t X_a) = kron(I, X_a^T) vec_r(f_t), vec_r(Y_a f_s) = kron(Y_a, I) vec_r(f_s)
-        a[r0:r1, offs[t] : offs[t + 1]] = kron_eye_left(y_dims[t], xa.T)
-        a[r0:r1, offs[s] : offs[s + 1]] -= kron_eye_right(ya, x_dims[s])
+        # row (i, j) of f_t X_a is Σ_k f_t[i, k] X_a[k, j], of Y_a f_s is
+        # Σ_l Y_a[i, l] f_s[l, j]: the blocks as (i, j, row of f, column of f)
+        ft = _eye(yt)[:, None, :, None] * xa.swapaxes(-1, -2)[..., None, :, None, :]
+        fs = ya[..., :, None, :, None] * _eye(xs)[:, None, :]
+        a[..., r0:r1, offs[t] : offs[t + 1]] = ft.reshape(ft.shape[:-4] + (r1 - r0, offs[t + 1] - offs[t]))
+        a[..., r0:r1, offs[s] : offs[s + 1]] -= fs.reshape(fs.shape[:-4] + (r1 - r0, offs[s + 1] - offs[s]))
         r0 = r1
     return a % fld.p
 

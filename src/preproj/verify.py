@@ -103,6 +103,7 @@ class _ConnectingMatrices:
         self.atlas = atlas
         self.spaces: dict[tuple[int, int], object] = {}
         self.blocks: dict[tuple[int, int, int], np.ndarray] = {}
+        self.dims: dict[tuple, int] = {}
 
     def block(self, x: int, y: int, n: int) -> np.ndarray:
         got = self.blocks.get((x, y, n))
@@ -117,13 +118,19 @@ class _ConnectingMatrices:
 
     def exact_dim(self, x: int, y: int, summands) -> int:
         """Dimension of the classes exact under Hom(-, T); a summand n with
-        Ext^1(x, n) = 0 or Hom(y, n) = 0 adds no condition."""
+        Ext^1(x, n) = 0 or Hom(y, n) = 0 adds no condition.  Memoised by
+        (x, y, the summands that add one), on which alone it depends."""
         ext, hom = self.atlas.ext_table, self.atlas.hom_table
         d = int(ext[x, y])
-        blocks = [self.block(x, y, n) for n in summands if d and ext[x, n] and hom[y, n]]
-        if not blocks:
+        adding = tuple(n for n in summands if d and ext[x, n] and hom[y, n])
+        if not adding:
             return d
-        return d - self.atlas.field.rank(np.concatenate(blocks))
+        key = (x, y, *adding)  # flat: the memo holds ~117,000 keys on A4
+        got = self.dims.get(key)
+        if got is None:
+            blocks = [self.block(x, y, n) for n in adding]
+            got = self.dims[key] = d - self.atlas.field.rank(np.concatenate(blocks))
+        return got
 
 
 T_SUITES = ("lemma37", "lemma22", "theorem1")
@@ -156,7 +163,7 @@ def run_t_suites(
                     failures["lemma37"].append({"pair": [x, y], "t_index": ti, "verdict": "NONE"})
         if "lemma22" not in names and "theorem1" not in names:
             continue
-        calc = ExtCalculatorB.for_rigid(atlas, t, seed)
+        calc = ExtCalculatorB.for_rigid(atlas, t)
         if "lemma22" in names:
             for x in range(atlas.size):
                 for y in range(atlas.size):
@@ -168,7 +175,7 @@ def run_t_suites(
                             {"t_index": ti, "pair": [x, y], "ext_B": lhs, "relative": rhs}
                         )
         if "theorem1" in names:
-            rep = verify_graph_correspondence(atlas, rigids, graph, ti, seed=seed, calc=calc)
+            rep = verify_graph_correspondence(atlas, rigids, graph, ti, calc=calc)
             nb = next(j if i == ti else i for i, j in graph.edges if ti in (i, j))
             rep["coresolution"] = coresolution_check(atlas, t, rigids[nb], seed=seed)
             reports.append(rep)

@@ -270,7 +270,7 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
     # terms on A4; the certificate builds one almost split sequence per
     # non-projective module.  The passes and the certificate build 521
     # extension spaces; the 1,116 pairs no pass visited get Ext from
-    # pair_dims, without cocycles
+    # pair_tables, without cocycles
     calls = {"build_extension": 0, "ext1_cocycle": 0}
     for name in calls:
         real = getattr(atlas_mod, name)
@@ -288,9 +288,9 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
 
 
 def test_closure_ext_is_checked_against_ranks(monkeypatch):
-    # a visited pair whose recorded Ext disagrees with pair_dims is refused
-    real = atlas_mod.pair_dims
-    monkeypatch.setattr(atlas_mod, "pair_dims", lambda x, y: (real(x, y)[0], 99))
+    # a visited pair whose recorded Ext disagrees with pair_tables is refused
+    real = atlas_mod.pair_tables
+    monkeypatch.setattr(atlas_mod, "pair_tables", lambda xs, ys: (real(xs, ys)[0], np.full((len(xs), len(ys)), 99)))
     with pytest.raises(IntegrityError):
         enumerate_indecomposables("A2", PrimeField(32003))
 

@@ -715,6 +715,38 @@ def test_t_suites_read_the_exchange_edges_from_the_graph(atlas_a3, rigids_a3, mo
     assert calls == []
 
 
+def test_t_suites_rank_each_exactness_key_once(atlas_a3, rigids_a3, monkeypatch):
+    # exact_dim depends only on (x, y, the summands of T that add a
+    # condition), so the pass over all 14 A3 T ranks each such key once:
+    # 122 ranks, where ranking at every call made 332
+    import sys
+
+    from preproj.linalg import PrimeField
+    from preproj.verify import T_SUITES, _ConnectingMatrices, run_t_suites
+
+    keys, ranked = set(), []
+    real_rank, real_exact_dim = PrimeField.rank, _ConnectingMatrices.exact_dim
+
+    def rank(self, m):
+        if sys._getframe(1).f_code.co_name == "exact_dim":
+            ranked.append(m.shape)
+        return real_rank(self, m)
+
+    def exact_dim(self, x, y, summands):
+        ext, hom = atlas_a3.ext_table, atlas_a3.hom_table
+        adding = tuple(n for n in summands if ext[x, y] and ext[x, n] and hom[y, n])
+        if adding:
+            keys.add((x, y, adding))
+        return real_exact_dim(self, x, y, summands)
+
+    monkeypatch.setattr(PrimeField, "rank", rank)
+    monkeypatch.setattr(_ConnectingMatrices, "exact_dim", exact_dim)
+    rigids, graph = rigids_a3
+    reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
+    assert all(rep["passed"] for rep in reports.values())
+    assert len(ranked) == len(keys) == 122
+
+
 def _assert_associative(alg):
     """(e1 e2) e3 = e1 (e2 e3) for every composable triple of basis elements,
     from the multiplication table alone.  tab[(m, k, l)][e1, e2] holds the

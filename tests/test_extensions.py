@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from preproj.atlas import enumerate_indecomposables
 from preproj.errors import InputError
 from preproj.extensions import (
     Verdict,
@@ -12,19 +13,23 @@ from preproj.extensions import (
     factors_through,
     hom_exact_direction,
     is_hom_exact,
+    _cocycle_condition,
     is_split,
-    pair_dims,
+    pair_tables,
     pullback,
     pullback_matrix,
     pushout,
 )
+from preproj.linalg import PrimeField
 from preproj.modules import (
     ModuleMap,
+    _hom_system,
     decompose,
     direct_sum,
     hom_basis,
     hom_dim,
     identity_map,
+    intertwiner_system,
     is_isomorphic,
     zero_rep,
 )
@@ -59,15 +64,68 @@ def test_cocycle_agrees_with_formula_everywhere(atlas_a3):
             assert ext1_cocycle(x, y).dim == ext1_dim_formula(x, y)
 
 
-def test_pair_dims_match_hom_basis_and_cocycles(atlas_a3, atlas_a4):
+def _per_pair_tables(xs, ys):
+    """(hom, ext) tables from hom_basis and ext1_cocycle, pair by pair."""
+    hom = np.array([[hom_basis(x, y).dim for y in ys] for x in xs], dtype=np.int64).reshape(len(xs), len(ys))
+    ext = np.array([[ext1_cocycle(x, y).dim for y in ys] for x in xs], dtype=np.int64).reshape(hom.shape)
+    return hom, ext
+
+
+def test_pair_tables_match_hom_basis_and_cocycles(atlas_a3, atlas_a4):
     a3 = atlas_a3.modules
     extra = [zero_rep(atlas_a3.dq, atlas_a3.field), direct_sum(atlas_a3.dq, atlas_a3.field, a3[2:5])]
-    for x in a3 + extra:
-        for y in a3 + extra:
-            assert pair_dims(x, y) == (hom_basis(x, y).dim, ext1_cocycle(x, y).dim)
+    for xs, ys in [(a3 + extra, a3 + extra), (a3[:5], extra + a3[7:]), ([], a3), (extra, [])]:
+        hom, ext = pair_tables(xs, ys)
+        assert hom.dtype == ext.dtype == np.int64
+        want = _per_pair_tables(xs, ys)
+        assert np.array_equal(hom, want[0]) and np.array_equal(ext, want[1])
+    # the pairs (0, 39), (39, 0), (17, 23), (23, 17), (30, 30) and (12, 35)
+    # of A4, and every other pair of the two lists
     a4 = atlas_a4.modules
-    for i, j in [(0, 39), (39, 0), (17, 23), (23, 17), (30, 30), (12, 35)]:
-        assert pair_dims(a4[i], a4[j]) == (int(atlas_a4.hom_table[i, j]), int(atlas_a4.ext_table[i, j]))
+    xs = [a4[i] for i in (0, 39, 17, 23, 30, 12)]
+    ys = [a4[j] for j in (39, 0, 23, 17, 30, 35, 2)]
+    hom, ext = pair_tables(xs, ys)
+    want = _per_pair_tables(xs, ys)
+    assert np.array_equal(hom, want[0]) and np.array_equal(ext, want[1])
+
+
+def test_pair_tables_match_the_a4_atlas_at_p11():
+    atlas = enumerate_indecomposables("A4", PrimeField(11))
+    mods = atlas.modules
+    hom, ext = pair_tables(mods, mods)
+    assert np.array_equal(hom, atlas.hom_table) and np.array_equal(ext, atlas.ext_table)
+    assert hom.tolist() == [[hom_dim(x, y) for y in mods] for x in mods]
+    assert ext.tolist() == [[ext1_cocycle(x, y).dim for y in mods] for x in mods]
+
+
+def test_stacked_systems_match_single_pair_builds(atlas_a4):
+    # modules of one dimension vector stacked as (kx, 1, ...) against
+    # (1, ky, ...): both builders give, entry for entry, the stack of their
+    # single-pair systems; a 2-D y against a stacked x broadcasts too
+    fld, dq = atlas_a4.field, atlas_a4.dq
+    groups = {}
+    for m in atlas_a4.modules:
+        groups.setdefault(m.dims, []).append(m)
+    assert max(len(g) for g in groups.values()) > 1
+    arrows = range(len(dq.arrows))
+    for x_dims, gx in groups.items():
+        x_mats = [np.stack([x.mats[k] for x in gx])[:, None] for k in arrows]
+        for y_dims, gy in groups.items():
+            y_mats = [np.stack([y.mats[k] for y in gy])[None] for k in arrows]
+            actions = [(a.source - 1, a.target - 1, x_mats[k], y_mats[k]) for k, a in enumerate(dq.arrows)]
+            system = intertwiner_system(fld, x_dims, y_dims, actions)
+            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats)[0]
+            assert system.shape[:2] == cond.shape[:2] == (len(gx), len(gy))
+            for i, x in enumerate(gx):
+                for j, y in enumerate(gy):
+                    assert np.array_equal(system[i, j], _hom_system(x, y))
+                    assert np.array_equal(cond[i, j], _cocycle_condition(fld, dq, x.dims, y.dims, x.mats, y.mats)[0])
+            y = gy[0]
+            flat_x = [m[:, 0] for m in x_mats]
+            cond = _cocycle_condition(fld, dq, x_dims, y_dims, flat_x, y.mats)[0]
+            assert cond.shape[0] == len(gx)
+            for i, x in enumerate(gx):
+                assert np.array_equal(cond[i], _cocycle_condition(fld, dq, x.dims, y.dims, x.mats, y.mats)[0])
 
 
 def test_ext_vanishes_into_projectives(atlas_a3):

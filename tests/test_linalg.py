@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from preproj.errors import FieldSizeError, InputError
-from preproj.linalg import PrimeField, kron_eye_left, kron_eye_right
+from preproj.linalg import PrimeField
 from preproj.modules import Representation, _split_spaces
 from preproj.quivers import double, dynkin_a
 
@@ -290,18 +290,56 @@ def test_ranks_agree_across_primes():
     assert PrimeField(101).rank(np.array(m)) == PrimeField(32003).rank(np.array(m)) == 2
 
 
-def test_kron_helpers_match_np_kron():
-    rng = np.random.default_rng(11)
-    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
-    shapes += [tuple(int(v) for v in rng.integers(0, 6, size=3)) for _ in range(20)]
-    for r, c, n in shapes:
-        a = rng.integers(0, 32003, size=(r, c))
-        eye = np.eye(n, dtype=np.int64)
-        got_right = kron_eye_right(a, n)
-        got_left = kron_eye_left(n, a)
-        assert got_right.shape == (r * n, c * n) and got_left.shape == (n * r, n * c)
-        assert np.array_equal(got_right, np.kron(a, eye))
-        assert np.array_equal(got_left, np.kron(eye, a))
+@pytest.mark.parametrize("p", [3, 101, 32003])
+def test_ranks_match_rank_on_random_stacks(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 7)
+    for trial in range(60):
+        b, rows, cols = (int(v) for v in rng.integers(0, 7, size=3))
+        if trial % 10 == 0:
+            # an empty axis in turn: B, then R, then C
+            b, rows, cols = [0 if k == trial // 10 % 3 else v for k, v in enumerate((b, rows, cols))]
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        stack = np.einsum(
+            "bij,bjk->bik",
+            rng.integers(0, p, size=(b, rows, rank)),
+            rng.integers(0, p, size=(b, rank, cols)),
+        ) % p
+        if b:
+            stack[0] = 0  # an all-zero matrix
+        if b > 1 and rows > 1:
+            stack[1, rows - 1] = stack[1, 0]  # a repeated row
+        if b > 3 and rows > 1 and cols > 1:
+            # a block of another matrix, zero-padded to the stack's shape
+            stack[2] = 0
+            stack[2, :-1, :-1] = stack[3, :-1, :-1]
+        before = stack.copy()
+        got = fld.ranks(stack)
+        assert got.dtype == np.int64 and got.shape == (b,)
+        assert got.tolist() == [fld.rank(m) for m in stack]
+        assert np.array_equal(stack, before)  # the input is left alone
+
+
+def test_ranks_of_padded_copies_and_empty_stacks():
+    fld = PrimeField(101)
+    m = fld.mat([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
+    padded = np.zeros((4, 5), dtype=np.int64)
+    padded[:3, :3] = m
+    stack = np.stack([padded, np.zeros((4, 5), dtype=np.int64), padded[::-1]])
+    assert fld.ranks(stack).tolist() == [2, 0, 2]
+    for shape in [(0, 3, 3), (2, 0, 3), (2, 3, 0)]:
+        assert fld.ranks(np.zeros(shape, dtype=np.int64)).tolist() == [0] * shape[0]
+
+
+def test_ranks_refuse_int64_overflow():
+    # (p - 1)**2 > 2**63 - 1 at p = 4294967311, a prime
+    big = PrimeField(4294967311)
+    with pytest.raises(FieldSizeError):
+        big.ranks(np.ones((1, 2, 2), dtype=np.int64))
+    # at 2**31 - 1 every product still fits: rank of [[1, -1], [-1, 1]] is 1
+    fld = PrimeField(2**31 - 1)
+    m = fld.mat([[[1, -1], [-1, 1]], [[fld.p - 1, 2], [3, fld.p - 1]]])
+    assert fld.ranks(m).tolist() == [1, 2] == [fld.rank(a) for a in m]
 
 
 def test_mul_refuses_int64_overflow():
