@@ -8,11 +8,9 @@ from .endo import BoundAlgebra, BModule, enumerate_tilting, verify_graph_corresp
 from .extensions import (
     ExtSpace,
     ShortExactSequence,
-    Verdict,
     build_extension,
     ext1_cocycle,
     ext1_dim_formula,
-    hom_exact_direction,
     is_hom_exact,
     is_split,
     pullback,
@@ -44,7 +42,6 @@ from .quivers import (
 from .rigidgraph import (
     MutationGraph,
     RigidModule,
-    compatibility_graph,
     enumerate_maximal_rigid,
     export_graph,
     is_connected,
@@ -54,12 +51,12 @@ from .rigidgraph import (
 __all__ = [
     "Atlas", "enumerate_indecomposables", "Config", "build_config", "BoundAlgebra",
     "BModule", "enumerate_tilting", "verify_graph_correspondence", "ExtSpace",
-    "ShortExactSequence", "Verdict", "build_extension", "ext1_cocycle",
-    "ext1_dim_formula", "hom_exact_direction", "is_hom_exact", "is_split", "pullback",
+    "ShortExactSequence", "build_extension", "ext1_cocycle",
+    "ext1_dim_formula", "is_hom_exact", "is_split", "pullback",
     "pushout", "PrimeField", "Representation", "check_relations", "decompose",
     "direct_sum", "hom_basis", "is_isomorphic", "projective_module", "radical",
     "simple", "syzygy", "top", "DoubleQuiver", "PreprojectiveBasis", "Quiver", "double",
     "dynkin_a", "preset_quiver", "symmetric_form", "MutationGraph", "RigidModule",
-    "compatibility_graph", "enumerate_maximal_rigid", "export_graph", "is_connected",
+    "enumerate_maximal_rigid", "export_graph", "is_connected",
     "mutation_graph",
 ]

@@ -29,7 +29,6 @@ from .modules import (
     cosyzygy,
     decompose,
     hom_basis,
-    hom_dim,
     is_isomorphic,
     projective_module,
     radical,
@@ -49,15 +48,6 @@ from .quivers import (
 ATLAS_FORMAT_VERSION = 1
 
 EXPECTED_COUNTS = {"A2": 4, "A3": 12, "A4": 40}
-
-
-@dataclass
-class Fingerprint:
-    dims: tuple
-    hom_row: tuple
-
-    def key(self):
-        return (self.dims, self.hom_row)
 
 
 @dataclass
@@ -95,12 +85,6 @@ class Atlas:
     def projective_ids(self) -> tuple[int, ...]:
         return tuple(self.id_by_alias(f"P{v}") for v in self.dq.vertices)
 
-    def fingerprint(self, m: Representation) -> Fingerprint:
-        return Fingerprint(
-            dims=m.dims,
-            hom_row=tuple(hom_dim(m, x) for x in self.modules),
-        )
-
     # -- the category of the atlas modules --------------------------------
     #
     # Every End(T) is a full subcategory of the atlas modules with their Hom
@@ -128,13 +112,10 @@ class Atlas:
     def _local_basis(self, m: Representation, found: list) -> list:
         fld = self.field
         ident = tuple(fld.eye(d) for d in m.dims)
-        vecs = [_flat(ident)]
-        chosen = []
-        for b in found:
-            stacked = np.stack(vecs + [_flat(b)], axis=1)
-            if fld.rank(stacked) == len(vecs) + 1:
-                vecs.append(_flat(b))
-                chosen.append(b)
+        # column c of [identity | found...] is a pivot iff it is outside the
+        # span of the columns before it
+        _, pivots = fld.rref(np.stack([_flat(b) for b in [ident, *found]], axis=1))
+        chosen = [found[c - 1] for c in pivots if c]
         v0 = next(i for i, d in enumerate(m.dims) if d > 0)
         out = [ident]
         for b in chosen:
@@ -175,17 +156,6 @@ class Atlas:
             out[:] = sol.reshape(len(targets), len(firsts), len(seconds)).transpose(1, 0, 2)
         self._comps[(i, j, k)] = out
         return out
-
-    def locate(self, m: Representation) -> int | None:
-        fp = self.fingerprint(m).key()
-        for mid, x in enumerate(self.modules):
-            if (x.dims, tuple(int(v) for v in self.hom_table[mid])) == fp:
-                if is_isomorphic(x, m, tries=0):
-                    return mid
-                raise IntegrityError(
-                    f"fingerprint of module {mid} matched but no isomorphism exists"
-                )
-        return None
 
     # -- persistence ----------------------------------------------------
 
@@ -362,12 +332,7 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, seed: int = 0) -> s
     return None
 
 
-def enumerate_indecomposables(
-    qtype: str,
-    field: PrimeField,
-    seed: int = 0,
-    ext_samples: int = 8,
-) -> Atlas:
+def enumerate_indecomposables(qtype: str, field: PrimeField, seed: int = 0) -> Atlas:
     """Run the closure of the module docstring, then tabulate Hom and Ext.
 
     Each pass records dim Ext^1 for every ordered pair of the modules known
@@ -424,7 +389,7 @@ def enumerate_indecomposables(
                     continue
                 space = ext1_cocycle(mods[i], mods[j])
                 if space.dim:
-                    classes = _scalar_classes(field, space.dim, seed, ext_samples)
+                    classes = _scalar_classes(field, space.dim, seed)
                     for coeffs in classes:
                         seq = build_extension(space, coeffs)
                         if absorb(seq.mid):

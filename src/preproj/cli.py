@@ -12,7 +12,7 @@ import sys
 from .atlas import ATLAS_FORMAT_VERSION, Atlas, enumerate_indecomposables
 from .config import Config, build_config
 from .endo import ExtCalculatorB, enumerate_tilting
-from .errors import EnumerationError, FormatError, InputError, PreprojError
+from .errors import PreprojError
 from .linalg import PrimeField
 from .rigidgraph import (
     RigidModule,
@@ -48,7 +48,7 @@ def get_atlas(cfg: Config, qtype: str, p: int | None = None) -> Atlas:
     return atlas
 
 
-def _graph_for(cfg: Config, atlas: Atlas):
+def _graph_for(atlas: Atlas):
     rigids = enumerate_maximal_rigid(atlas)
     return rigids, mutation_graph(rigids, atlas.dq.nv)
 
@@ -73,12 +73,7 @@ def _config_from(args) -> Config:
 
 
 def cmd_atlas(args) -> int:
-    cfg = _config_from(args)
-    try:
-        atlas = get_atlas(cfg, args.type)
-    except EnumerationError as exc:
-        print(f"enumeration failed: {exc}", file=sys.stderr)
-        return 2
+    atlas = get_atlas(_config_from(args), args.type)
     if args.out:
         atlas.save(args.out)
     print(f"{atlas.size} indecomposables")
@@ -89,7 +84,7 @@ def cmd_atlas(args) -> int:
 def cmd_graph(args) -> int:
     cfg = _config_from(args)
     atlas = get_atlas(cfg, args.type)
-    rigids, graph = _graph_for(cfg, atlas)
+    rigids, graph = _graph_for(atlas)
     if args.kind == "mutation":
         out_graph = graph
         degree = graph.r - graph.n
@@ -103,10 +98,7 @@ def cmd_graph(args) -> int:
         t_index = resolve_rigid_label(atlas, rigids, args.rigid)
         calc = ExtCalculatorB.for_rigid(atlas, rigids[t_index])
         tilts = enumerate_tilting(calc.algebra, calc.candidates, calc)
-        vertices = [
-            RigidModule(summands=tuple(s), contains_projectives=True) for s in tilts
-        ]
-        out_graph = mutation_graph(vertices, atlas.dq.nv)
+        out_graph = mutation_graph([RigidModule(summands=s) for s in tilts], atlas.dq.nv)
         print(f"{out_graph.size} vertices, {_edges_phrase(out_graph)}")
     out_path = args.out
     if out_path is None:
@@ -126,11 +118,11 @@ def cmd_verify(args) -> int:
     qtype = "A4" if args.suite == "remark-a4" else args.type
     atlas = get_atlas(cfg, qtype)
     if {"lemma37", "lemma22", "theorem1", "connected"}.intersection(names):
-        rigids, graph = _graph_for(cfg, atlas)
+        rigids, graph = _graph_for(atlas)
     t_names = [n for n in names if n in suites.T_SUITES]
     t_reports = {}
     if t_names:  # every T-suite in one pass over all T
-        t_reports = suites.run_t_suites(t_names, atlas, rigids, graph, range(len(rigids)), cfg.seed)
+        t_reports = suites.run_t_suites(t_names, atlas, rigids, graph, range(len(rigids)))
     run = {
         "lemma21": lambda: suites.suite_lemma21(atlas, get_atlas(cfg, qtype, cfg.cross_check_char)),
         "extbounds": lambda: suites.suite_extbounds(atlas),
@@ -182,9 +174,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PreprojError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ from .linalg import _is_prime
 
 # Inner dimension up to which products over F_p must stay exact in int64.
 # The largest `verify --suite all --type A4` reaches over all 672 T is 205,
-# in theorem1's coresolution_check (seed 0); the connecting matrices of
-# lemma37 and lemma22 stay at 9 and Ext over End(T) at 10.
+# in theorem1's coresolution_check; the connecting matrices of lemma37 and
+# lemma22 stay at 9 and Ext over End(T) at 10.
 EXACT_INNER_DIM = 4096
 
 

@@ -16,7 +16,10 @@ Hom and Ext over B from a module M with pd M <= 1 (that is, dim ΩM equals
 the dimension of the projective cover of the top of ΩM) come from its
 minimal projective presentation, read from the kernel of its cover map in
 the cover's coordinates, with no cover or syzygy module built: one rank of
-one small matrix per pair of modules (ExtCalculatorB).
+one small matrix per pair of modules (ExtCalculatorB).  The tilting sets
+are the maximal cliques of Ext^1_B (rigidgraph.maximal_cliques), and the
+coresolution check reads the summands of its kernel off hom_table with one
+exact solve over F_p.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import numpy as np
 from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
 from .linalg import PrimeField
-from .modules import ModuleMap
-from .rigidgraph import RigidModule, _bron_kerbosch
+from .modules import ModuleMap, direct_sum
+from .rigidgraph import RigidModule, maximal_cliques
 
 
 @dataclass(frozen=True)
@@ -398,31 +401,19 @@ class ExtCalculatorB:
 
 def enumerate_tilting(algebra: BoundAlgebra, candidates: dict[int, BModule], calc: ExtCalculatorB | None = None):
     """All size-r subsets of candidates that are Ext-orthogonal over B with
-    projective dimension at most one; keys of the candidate dict are used
-    as vertex names.
+    projective dimension at most one: the maximal cliques of Ext^1_B, with
+    the keys of the candidate dict as vertex names, each of size r.
 
     Candidates failing the projective dimension bound raise InputError.
     """
     if calc is None:
         calc = ExtCalculatorB(algebra, candidates)
-    verts = [key for key in sorted(candidates) if calc.ext1(key, key) == 0]
-    adj = {v: set() for v in verts}
-    for a in verts:
-        for b in verts:
-            if a < b and calc.ext1(a, b) == 0 and calc.ext1(b, a) == 0:
-                adj[a].add(b)
-                adj[b].add(a)
-    cliques: list[list[int]] = []
-    _bron_kerbosch(adj, set(), set(verts), set(), cliques)
-    sizes = {len(c) for c in cliques}
-    if len(sizes) != 1:
-        raise StructureError(f"tilting cliques of unequal sizes {sorted(sizes)}")
-    size = sizes.pop()
-    if size != algebra.r:
+    cliques = maximal_cliques(candidates, calc.ext1)
+    if len(cliques[0]) != algebra.r:
         raise StructureError(
-            f"tilting sets have {size} summands, expected {algebra.r}"
+            f"tilting sets have {len(cliques[0])} summands, expected {algebra.r}"
         )
-    return sorted(tuple(c) for c in cliques)
+    return cliques
 
 
 def verify_graph_correspondence(
@@ -490,22 +481,22 @@ def verify_graph_correspondence(
 
 def _multiplicities(atlas: Atlas, to_m: np.ndarray, m_dims) -> list | None:
     """[(id, multiplicity), ...] of the atlas modules in a module M with
-    dim Hom(X, M) = to_m[X] and dimension vector m_dims: the solution of
-    hom_table v = to_m, or None unless it is a non-negative integer vector
-    that satisfies both exactly."""
+    dim Hom(X, M) = to_m[X] and dimension vector m_dims: the solution v of
+    hom_table v = to_m over F_p, or None unless it satisfies both over the
+    integers.  Its entries are residues in [0, p), so v >= 0, and an
+    integer solution of the invertible system is the only one."""
     hom = atlas.hom_table
-    try:
-        v = np.linalg.solve(hom.astype(np.float64), to_m.astype(np.float64))
-    except np.linalg.LinAlgError:
+    v = atlas.field.solve(hom, to_m)
+    if v is None:
         return None
-    v = np.rint(v).astype(np.int64)
+    v = v[:, 0]
     dims = np.array([m.dims for m in atlas.modules], dtype=np.int64)
-    if np.any(v < 0) or not np.array_equal(hom @ v, to_m) or not np.array_equal(v @ dims, m_dims):
+    if not np.array_equal(hom @ v, to_m) or not np.array_equal(v @ dims, m_dims):
         return None
     return [(mid, int(c)) for mid, c in enumerate(v) if c]
 
 
-def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule, seed: int = 0) -> dict:
+def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> dict:
     """Exhibit the two-term coresolution of B = End(T) by the tilting set
     coming from T': over the module category this is the kernel sequence
     0 -> K -> T'' -> T -> 0 of the universal map (add T')-approximation
@@ -522,14 +513,12 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule, seed:
     multiplicities v of the atlas modules in K then solve hom_table v = that
     column over all X.  hom_table is the Cartan matrix of the Auslander
     algebra, which has finite global dimension, so it is invertible and v
-    is unique; it is solved in floating point and checked exactly over the
-    integers and against dim K.  If that check fails, K is built and
-    decomposed instead.  Exactness under Hom(-, T) is the count
+    is unique; it is solved over F_p (_multiplicities) and checked exactly
+    over the integers and against dim K, and IntegrityError is raised if
+    either fails.  Exactness under Hom(-, T) is the count
     dim Hom(K, T) + dim Hom(T, T) = dim Hom(T'', T), each term a sum of
     hom_table entries over the summands.
     """
-    from .modules import decompose, direct_sum, sub_representation
-
     fld, dq, mods = atlas.field, atlas.dq, atlas.modules
     t_ids = list(t.summands)
     copies = [  # (i, j, e): T'_i mapped by hom_basis(i, T_j)[e]
@@ -565,14 +554,8 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule, seed:
     k_dims = np.array(approx_src.dims) - np.array(t_mod.dims)
     kernel_ids = _multiplicities(atlas, to_k, k_dims)
     if kernel_ids is None:
-        kernel, _ = sub_representation(approx_src, [fld.kernel_basis(m) for m in mats])
-        kernel_ids = sorted(
-            ((atlas.locate(piece), c) for piece, c in decompose(kernel, seed=seed)),
-            key=lambda pair: -1 if pair[0] is None else pair[0],
-        )
-    in_add = all(
-        mid is not None and mid in set(t_prime.summands) for mid, _ in kernel_ids
-    )
+        raise IntegrityError("the kernel's Hom column has no multiplicities over the atlas")
+    in_add = {mid for mid, _ in kernel_ids} <= set(t_prime.summands)
     to_t = hom[:, t_ids].sum(axis=1)  # dim Hom(X, T) per atlas X
     dims_ok = in_add and (
         sum(c * int(to_t[mid]) for mid, c in kernel_ids) + int(to_t[t_ids].sum())

@@ -27,7 +27,7 @@ class NonSplitResidueError(StructureError):
 
 
 class IntegrityError(PreprojError):
-    """Internal consistency check failed (multiplication table, locate mismatch)."""
+    """Internal consistency check failed (multiplication table, coresolution kernel)."""
 
 
 class FormatError(PreprojError):

@@ -16,7 +16,6 @@ of one matrix, `connecting_matrix` stacked over the summands N of T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -524,50 +523,26 @@ def exact_classes(space: ExtSpace, t_summands) -> np.ndarray:
     return fld.kernel_basis(np.concatenate(blocks, axis=0))
 
 
-class Verdict(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-    BOTH = "both"
-    NONE = "none"
+# seeded random classes the atlas closure samples per extension space, on
+# top of the basis classes; the atlas bytes depend on this value
+EXT_SAMPLES = 8
 
 
-def _scalar_classes(fld, dim: int, seed: int, samples: int):
-    """Nonzero class representatives up to scalar, first coordinate normalized."""
+def _scalar_classes(fld, dim: int, seed: int):
+    """Nonzero class representatives up to scalar, first coordinate
+    normalized: the basis classes (and their sum when dim = 2) and
+    EXT_SAMPLES seeded random classes."""
     if dim == 1:
         return [(1,)]
     if dim == 2:
         rng = np.random.default_rng([seed, 0xE87])
         out = [(1, 0), (0, 1), (1, 1)]
-        for _ in range(samples):
+        for _ in range(EXT_SAMPLES):
             out.append((1, int(rng.integers(1, fld.p))))
         return list(dict.fromkeys(out))
     rng = np.random.default_rng([seed, 0xE88])
     out = [tuple(int(v == k) for v in range(dim)) for k in range(dim)]
-    for _ in range(samples):
+    for _ in range(EXT_SAMPLES):
         vec = [1] + [int(rng.integers(0, fld.p)) for _ in range(dim - 1)]
         out.append(tuple(vec))
     return list(dict.fromkeys(out))
-
-
-def hom_exact_direction(x: Representation, y: Representation, t_summands):
-    """Find, in both extension orientations of a pair, the non-split
-    sequences that stay exact under Hom(-, T).
-
-    FORWARD means some sequence 0 -> y -> E -> x -> 0 works, BACKWARD some
-    sequence 0 -> x -> M -> y -> 0; a witness sequence, built from a kernel
-    vector, is returned alongside.  Requires a nonzero extension space
-    between x and y.
-    """
-    t_summands = list(t_summands)
-    fwd_space = ext1_cocycle(x, y)
-    if fwd_space.dim == 0:
-        raise InputError("pair has no nonzero extensions")
-    bwd_space = ext1_cocycle(y, x)
-    fwd = exact_classes(fwd_space, t_summands)
-    bwd = exact_classes(bwd_space, t_summands)
-    if fwd.shape[1]:
-        verdict = Verdict.BOTH if bwd.shape[1] else Verdict.FORWARD
-        return verdict, build_extension(fwd_space, fwd[:, 0])
-    if bwd.shape[1]:
-        return Verdict.BACKWARD, build_extension(bwd_space, bwd[:, 0])
-    return Verdict.NONE, None

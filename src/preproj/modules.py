@@ -569,16 +569,21 @@ def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
     return out
 
 
-def decompose(rep: Representation, seed: int = 0, tries: int = 64):
+# seeded random endomorphisms decompose tries on a factor that no Hom basis
+# element splits and that is not certified indecomposable
+SPLIT_TRIES = 64
+
+
+def decompose(rep: Representation, seed: int = 0):
     """Krull-Schmidt decomposition into (indecomposable, multiplicity) pairs.
 
     Splitting elements of End(rep) are searched among the Hom basis and
-    then seeded random combinations; a factor is certified indecomposable
+    then SPLIT_TRIES seeded random combinations; a factor is certified indecomposable
     by End/rad being 1-dimensional (trace-form radical).
     """
     if rep.total_dim == 0:
         return []
-    pieces = _decompose_rec(rep, seed, tries)
+    pieces = _decompose_rec(rep, seed)
     out: list[tuple[Representation, int]] = []
     # the pieces are certified indecomposable, so the basis scan decides
     for piece in pieces:
@@ -591,7 +596,7 @@ def decompose(rep: Representation, seed: int = 0, tries: int = 64):
     return out
 
 
-def _decompose_rec(rep: Representation, seed: int, tries: int) -> list[Representation]:
+def _decompose_rec(rep: Representation, seed: int) -> list[Representation]:
     ends = hom_basis(rep, rep)
     rep._end_dim = ends.dim  # spares is_isomorphic and the atlas closure a rank
     if ends.dim == 1:
@@ -604,7 +609,7 @@ def _decompose_rec(rep: Representation, seed: int, tries: int) -> list[Represent
         found = []
         for bases in spaces:
             sub, _ = sub_representation(rep, bases)
-            found.extend(_decompose_rec(sub, seed, tries))
+            found.extend(_decompose_rec(sub, seed))
         return found
 
     for b in ends.basis:
@@ -617,7 +622,7 @@ def _decompose_rec(rep: Representation, seed: int, tries: int) -> list[Represent
     if ends.dim - rad_coords.shape[1] == 1:
         return [rep]
     rng = np.random.default_rng([seed, 0x0D3C])
-    for _ in range(tries):
+    for _ in range(SPLIT_TRIES):
         coeffs = rng.integers(0, fld.p, size=ends.dim)
         got = split_by(ends.element(coeffs).mats)
         if got is not None:

@@ -1,5 +1,5 @@
-"""Rigid summand combinatorics: compatibility graph, maximal rigid modules
-as maximal cliques, the one-summand-exchange graph, and exports."""
+"""Rigid summand combinatorics: maximal rigid modules as maximal cliques,
+the one-summand-exchange graph, and exports."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ GRAPH_FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class RigidModule:
     summands: tuple[int, ...]  # sorted atlas ids
-    contains_projectives: bool
 
     def __post_init__(self):
         if tuple(sorted(self.summands)) != self.summands:
@@ -45,21 +44,6 @@ class MutationGraph:
         return all(d == k for d in self.degrees())
 
 
-def compatibility_graph(atlas: Atlas):
-    """Vertices: rigid indecomposables; edge iff the pair has no extensions.
-
-    Returns (vertex ids, adjacency sets keyed by atlas id).
-    """
-    ext = atlas.ext_table
-    vertices = [i for i in range(atlas.size) if ext[i, i] == 0]
-    adj = {i: set() for i in vertices}
-    for i in vertices:
-        for j in vertices:
-            if i != j and ext[i, j] == 0 and ext[j, i] == 0:
-                adj[i].add(j)
-    return vertices, adj
-
-
 def _bron_kerbosch(adj, r, p, x, out):
     if not p and not x:
         out.append(sorted(r))
@@ -71,25 +55,35 @@ def _bron_kerbosch(adj, r, p, x, out):
         x.add(v)
 
 
-def enumerate_maximal_rigid(atlas: Atlas) -> list[RigidModule]:
-    """All maximal cliques of the compatibility graph, with the runtime
-    checks that each contains every projective and that all sizes agree."""
-    vertices, adj = compatibility_graph(atlas)
-    cliques: list[list[int]] = []
-    _bron_kerbosch(adj, set(), set(vertices), set(), cliques)
-    if not cliques:
-        raise StructureError("no maximal cliques found")
+def maximal_cliques(keys, ext) -> list[tuple]:
+    """Maximal sets of keys without extensions among them, as sorted tuples
+    in sorted order.  The vertices are the keys k with ext(k, k) = 0, and
+    a < b are adjacent iff ext(a, b) = ext(b, a) = 0: each unordered pair is
+    asked once, ext(b, a) only when ext(a, b) vanishes.  StructureError
+    unless all cliques have one size."""
+    verts = [k for k in sorted(keys) if ext(k, k) == 0]
+    adj = {v: set() for v in verts}
+    for a, b in combinations(verts, 2):
+        if ext(a, b) == 0 and ext(b, a) == 0:
+            adj[a].add(b)
+            adj[b].add(a)
+    cliques: list[list] = []
+    _bron_kerbosch(adj, set(), set(verts), set(), cliques)
     sizes = {len(c) for c in cliques}
     if len(sizes) != 1:
         raise StructureError(f"maximal cliques of unequal sizes {sorted(sizes)}")
+    return sorted(tuple(c) for c in cliques)
+
+
+def enumerate_maximal_rigid(atlas: Atlas) -> list[RigidModule]:
+    """The maximal cliques of rigid indecomposables without extensions
+    between them, checked to contain every projective."""
+    ext = atlas.ext_table
+    cliques = maximal_cliques(range(atlas.size), lambda i, j: ext[i, j])
     projs = set(atlas.projective_ids)
-    out = []
-    for c in sorted(cliques):
-        cset = set(c)
-        if not projs <= cset:
-            raise StructureError("a maximal clique misses a projective summand")
-        out.append(RigidModule(summands=tuple(c), contains_projectives=True))
-    return out
+    if not all(projs <= set(c) for c in cliques):
+        raise StructureError("a maximal clique misses a projective summand")
+    return [RigidModule(summands=c) for c in cliques]
 
 
 def exchange_pairs(sets) -> list[tuple[int, int]]:
@@ -231,9 +225,6 @@ def load_graph_json(path) -> MutationGraph:
         raise FormatError(f"not a graph file: {exc}") from exc
     if payload.get("format_version") != GRAPH_FORMAT_VERSION:
         raise FormatError("unsupported graph format_version")
-    vertices = [
-        RigidModule(summands=tuple(v["summands"]), contains_projectives=True)
-        for v in payload["vertices"]
-    ]
+    vertices = [RigidModule(summands=tuple(v["summands"])) for v in payload["vertices"]]
     edges = [tuple(e) for e in payload["edges"]]
     return MutationGraph(vertices=vertices, edges=edges, r=payload["r"], n=payload["n"])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .atlas import Atlas, compare_atlases
-from .config import Config
 from .endo import ExtCalculatorB, coresolution_check, verify_graph_correspondence
 from .errors import InputError
 from .extensions import build_extension, connecting_matrix, ext1_cocycle, is_hom_exact
@@ -136,9 +135,7 @@ class _ConnectingMatrices:
 T_SUITES = ("lemma37", "lemma22", "theorem1")
 
 
-def run_t_suites(
-    names, atlas: Atlas, rigids, graph: MutationGraph | None, t_indices, seed: int = 0
-) -> dict:
+def run_t_suites(names, atlas: Atlas, rigids, graph: MutationGraph | None, t_indices) -> dict:
     """Reports of the named suites of T_SUITES, keyed by name, from one pass
     with T on the outside.  Each T builds End(T) at most once, when lemma22
     or theorem1 is named, and drops it before the next T.  One set of
@@ -177,7 +174,7 @@ def run_t_suites(
         if "theorem1" in names:
             rep = verify_graph_correspondence(atlas, rigids, graph, ti, calc=calc)
             nb = next(j if i == ti else i for i, j in graph.edges if ti in (i, j))
-            rep["coresolution"] = coresolution_check(atlas, t, rigids[nb], seed=seed)
+            rep["coresolution"] = coresolution_check(atlas, t, rigids[nb])
             reports.append(rep)
             if not (rep["bijection"] and rep["edges_preserved"] and rep["coresolution"]["ok"]):
                 failures["theorem1"].append(rep)
@@ -201,13 +198,13 @@ def suite_lemma37(atlas: Atlas, rigids, t_indices) -> dict:
     return run_t_suites(("lemma37",), atlas, rigids, None, t_indices)["lemma37"]
 
 
-def suite_lemma22(atlas: Atlas, rigids, t_indices, cfg: Config) -> dict:
+def suite_lemma22(atlas: Atlas, rigids, t_indices) -> dict:
     """dim Ext^1_B(Hom(x, T), Hom(y, T)) over B = End(T) equals the dimension
     of the classes of 0 -> x -> E -> y -> 0 exact under Hom(-, T)."""
-    return run_t_suites(("lemma22",), atlas, rigids, None, t_indices, cfg.seed)["lemma22"]
+    return run_t_suites(("lemma22",), atlas, rigids, None, t_indices)["lemma22"]
 
 
-def suite_theorem1(atlas: Atlas, rigids, graph: MutationGraph, t_indices, cfg: Config) -> dict:
+def suite_theorem1(atlas: Atlas, rigids, graph: MutationGraph, t_indices) -> dict:
     """verify_graph_correspondence at each T, and coresolution_check of T
     against its first neighbour in graph.edges.
 
@@ -216,7 +213,7 @@ def suite_theorem1(atlas: Atlas, rigids, graph: MutationGraph, t_indices, cfg: C
     Theorem 1 needs no more.  The bijection onto the tilting sets and the
     exchange check already decide the graph isomorphism at each T; the
     coresolution is a spot check of the proof's construction."""
-    return run_t_suites(("theorem1",), atlas, rigids, graph, t_indices, cfg.seed)["theorem1"]
+    return run_t_suites(("theorem1",), atlas, rigids, graph, t_indices)["theorem1"]
 
 
 # -- connected / graph shape -------------------------------------------------

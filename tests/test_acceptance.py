@@ -9,7 +9,6 @@ from contextlib import contextmanager
 from math import comb
 
 from preproj.cli import main as cli_main
-from preproj.config import Config
 from preproj.rigidgraph import A3_RIGID_LABELS, export_graph, is_connected
 from preproj.verify import (
     suite_extbounds,
@@ -92,10 +91,9 @@ def test_criterion_05_mutation_graphs():
 
 def test_criterion_06_graph_correspondence():
     with criterion(6, "mutation-to-tilting graph correspondence for all T"):
-        cfg = Config()
         t0 = time.perf_counter()
         atlas, (rigids, graph) = shared_atlas("A3"), shared_rigids("A3")
-        rep = suite_theorem1(atlas, rigids, graph, range(14), cfg)
+        rep = suite_theorem1(atlas, rigids, graph, range(14))
         a3_elapsed = time.perf_counter() - t0
         assert rep["passed"], rep["failures"]
         assert all(
@@ -104,11 +102,11 @@ def test_criterion_06_graph_correspondence():
         assert a3_elapsed < 180.0
 
         atlas2, (rigids2, graph2) = shared_atlas("A2"), shared_rigids("A2")
-        rep2 = suite_theorem1(atlas2, rigids2, graph2, range(2), cfg)
+        rep2 = suite_theorem1(atlas2, rigids2, graph2, range(2))
         assert rep2["passed"], rep2["failures"]
 
         atlas4, (rigids4, graph4) = shared_atlas("A4"), shared_rigids("A4")
-        rep4 = suite_theorem1(atlas4, rigids4, graph4, A4_NAMED, cfg)
+        rep4 = suite_theorem1(atlas4, rigids4, graph4, A4_NAMED)
         assert rep4["passed"], rep4["failures"]
 
 
@@ -132,16 +130,15 @@ def test_criterion_08_a4_counterexample_data():
 
 def test_criterion_09_relative_ext_match():
     with criterion(9, "Ext over End(T) equals the count of exact classes, all pairs, all 14 T"):
-        cfg = Config()
         atlas, (rigids, _) = shared_atlas("A3"), shared_rigids("A3")
-        rep = suite_lemma22(atlas, rigids, range(14), cfg)
+        rep = suite_lemma22(atlas, rigids, range(14))
         assert rep["passed"], rep["failures"]
         assert rep["checks"] == 14 * 12 * 12
 
 
 def test_exact_classes_on_named_a4_vertices():
     atlas, (rigids, _) = shared_atlas("A4"), shared_rigids("A4")
-    rep22 = suite_lemma22(atlas, rigids, A4_NAMED, Config())
+    rep22 = suite_lemma22(atlas, rigids, A4_NAMED)
     assert rep22["passed"], rep22["failures"]
     assert rep22["checks"] == len(A4_NAMED) * 40 * 40
     rep37 = suite_lemma37(atlas, rigids, A4_NAMED)

@@ -13,7 +13,7 @@ from preproj.endo import (
     top_dims_b,
     verify_graph_correspondence,
 )
-from preproj.errors import InputError, StructureError
+from preproj.errors import InputError, IntegrityError, StructureError
 from preproj.modules import hom_basis, intertwiner_system, kernel_maps, zero_rep
 from tests.test_acceptance import A4_NAMED
 from preproj.rigidgraph import exchange_pairs
@@ -639,17 +639,15 @@ def _kernel_of_approximation(atlas, t, t_prime):
     return sub_representation(approx, [fld.kernel_basis(m) for m in mats])[0]
 
 
-def test_coresolution_multiplicities_match_the_kernel_a3(setup_a3, monkeypatch):
+def test_coresolution_multiplicities_match_the_kernel_a3(setup_a3):
     # on every edge, in both directions, the Hom column the check derives by
     # left exactness is the Hom column of the kernel itself, and so are
     # the dimension vector and Hom column of the summands it reports
-    from preproj import endo
     from preproj.modules import hom_dim
 
     atlas, rigids, graph, _ = setup_a3
     hom = atlas.hom_table
     dims = np.array([m.dims for m in atlas.modules])
-    outs = {}
     for i, j in graph.edges:
         for a, b in ((i, j), (j, i)):
             out = coresolution_check(atlas, rigids[a], rigids[b])
@@ -659,13 +657,36 @@ def test_coresolution_multiplicities_match_the_kernel_a3(setup_a3, monkeypatch):
                 v[mid] = mult
             assert np.array_equal(hom @ v, [hom_dim(x, kernel) for x in atlas.modules]), (a, b)
             assert tuple(v @ dims) == kernel.dims
-            outs[(a, b)] = out
-    # against decompose(K), the fallback, on the first edge both ways (one
-    # decomposition takes about a second, so not on all 42)
+
+
+def test_coresolution_without_multiplicities_raises(setup_a3, monkeypatch):
+    # the multiplicities are the only way the check identifies the kernel
+    from preproj import endo
+
+    atlas, rigids, graph, _ = setup_a3
     monkeypatch.setattr(endo, "_multiplicities", lambda *args: None)
     i, j = graph.edges[0]
-    for a, b in ((i, j), (j, i)):
-        assert coresolution_check(atlas, rigids[a], rigids[b]) == outs[(a, b)], (a, b)
+    with pytest.raises(IntegrityError):
+        coresolution_check(atlas, rigids[i], rigids[j])
+
+
+def test_enumerate_tilting_asks_ext1_no_more_than_before(atlas_a3, rigids_a3, monkeypatch):
+    # over all 14 A3 T, the clique builder asks ExtCalculatorB.ext1 once per
+    # vertex and once per unordered pair, the reverse only when the first
+    # direction vanishes: 1,914 calls in all
+    real = ExtCalculatorB.ext1
+    calls = []
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    rigids, _ = rigids_a3
+    calcs = [ExtCalculatorB.for_rigid(atlas_a3, t) for t in rigids]
+    monkeypatch.setattr(ExtCalculatorB, "ext1", counting)
+    for calc in calcs:
+        assert len(enumerate_tilting(calc.algebra, calc.candidates, calc)) == 14
+    assert len(calls) <= 1914
 
 
 def test_t_suites_take_hom_bases_from_the_atlas_once(atlas_a3, rigids_a3, monkeypatch):

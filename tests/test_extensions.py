@@ -1,17 +1,13 @@
 import numpy as np
-import pytest
 
 from preproj.atlas import enumerate_indecomposables
-from preproj.errors import InputError
 from preproj.extensions import (
-    Verdict,
     build_extension,
     ext1_cocycle,
     ext1_dim_formula,
     exact_classes,
     factors_along,
     factors_through,
-    hom_exact_direction,
     is_hom_exact,
     _cocycle_condition,
     is_split,
@@ -33,7 +29,6 @@ from preproj.modules import (
     is_isomorphic,
     zero_rep,
 )
-from preproj.rigidgraph import A3_RIGID_LABELS
 
 
 def alias_rep(atlas, name):
@@ -142,7 +137,7 @@ def test_build_extension_and_split(atlas_a3):
     seq = build_extension(space, (1,))
     assert seq.mid.dims == (1, 1, 0)
     assert not is_split(seq)
-    assert atlas_a3.locate(seq.mid) == atlas_a3.id_by_alias("1over2")
+    assert is_isomorphic(seq.mid, alias_rep(atlas_a3, "1over2"), tries=0)
     assert is_split(build_extension(space, (0,)))
 
 
@@ -236,24 +231,6 @@ def test_hom_exact_trivial_cases(atlas_a3):
         assert is_hom_exact(split_seq, m)
 
 
-def test_hom_exact_direction_requires_extensions(atlas_a3):
-    s1 = alias_rep(atlas_a3, "S1")
-    s3 = alias_rep(atlas_a3, "S3")
-    with pytest.raises(InputError):
-        hom_exact_direction(s1, s3, [s1])
-
-
-def test_hom_exact_direction_witness(atlas_a3):
-    s1 = alias_rep(atlas_a3, "S1")
-    s2 = alias_rep(atlas_a3, "S2")
-    summands = [alias_rep(atlas_a3, a) for a in sorted(A3_RIGID_LABELS["R1"])]
-    summands += [alias_rep(atlas_a3, f"P{v}") for v in atlas_a3.dq.vertices]
-    verdict, witness = hom_exact_direction(s1, s2, summands)
-    assert verdict != Verdict.NONE
-    assert witness is not None and not is_split(witness)
-    assert all(is_hom_exact(witness, n) for n in summands)
-
-
 def test_exact_classes_match_middle_terms(atlas_a3, atlas_a4, rigids_a4):
     # A3: projectives are injective, so every sequence stays exact; under
     # S2 the connecting map sends the identity to the class itself
@@ -292,7 +269,7 @@ def test_middle_term_decomposes_to_expected_pieces(atlas_a3):
     space = ext1_cocycle(x, y)
     assert space.dim == 1
     seq = build_extension(space, (1,))
-    assert atlas_a3.locate(seq.mid) == atlas_a3.id_by_alias("P2")
+    assert is_isomorphic(seq.mid, alias_rep(atlas_a3, "P2"), tries=0)
 
 
 def test_ext_bound_spot(atlas_a3, atlas_a4):

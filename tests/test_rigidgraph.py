@@ -7,11 +7,12 @@ import pytest
 from preproj.errors import InputError
 from preproj.rigidgraph import (
     A3_RIGID_LABELS,
-    compatibility_graph,
+    enumerate_maximal_rigid,
     exchange_pairs,
     export_graph,
     is_connected,
     load_graph_json,
+    maximal_cliques,
     mutation_graph,
     resolve_rigid_label,
 )
@@ -31,11 +32,24 @@ def label_summands(atlas, label):
     return frozenset({atlas.id_by_alias(a) for a in A3_RIGID_LABELS[label]} | projs)
 
 
-def test_compatibility_graph_a3(atlas_a3):
-    vertices, adj = compatibility_graph(atlas_a3)
-    assert vertices == list(range(12))  # every indecomposable is rigid
-    for v in atlas_a3.projective_ids:
-        assert adj[v] == set(range(12)) - {v}
+def test_maximal_cliques_a3(atlas_a3):
+    # every indecomposable is rigid and the projectives extend with nothing,
+    # so each clique holds them; each unordered pair is asked once, its
+    # reverse only when the first direction vanishes
+    ext = atlas_a3.ext_table
+    asked = []
+
+    def counting(i, j):
+        asked.append((i, j))
+        return ext[i, j]
+
+    cliques = maximal_cliques(range(12), counting)
+    assert cliques == [t.summands for t in enumerate_maximal_rigid(atlas_a3)]
+    assert all(set(atlas_a3.projective_ids) <= set(c) for c in cliques)
+    pairs = list(itertools.combinations(range(12), 2))
+    want = [(k, k) for k in range(12)]
+    want += [(i, j) for i, j in pairs] + [(j, i) for i, j in pairs if ext[i, j] == 0]
+    assert sorted(asked) == sorted(want)
 
 
 def test_counts(rigids_a2, rigids_a3, rigids_a4):
