@@ -19,12 +19,13 @@ the cover's coordinates, with no cover or syzygy module built: one rank of
 one small matrix per pair of modules (ExtCalculatorB).  The tilting sets
 are the maximal cliques of Ext^1_B (rigidgraph.maximal_cliques), and the
 coresolution check reads the summands of its kernel off hom_table with one
-exact solve over F_p.
+solve over a fixed large prime field, checked over the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -479,14 +480,25 @@ def verify_graph_correspondence(
     }
 
 
+@cache
+def _multiplicity_field() -> PrimeField:
+    """F_P for P = 2**31 - 1 (see _multiplicities), built on first use: its
+    primality check takes milliseconds."""
+    return PrimeField(2**31 - 1)
+
+
 def _multiplicities(atlas: Atlas, to_m: np.ndarray, m_dims) -> list | None:
     """[(id, multiplicity), ...] of the atlas modules in a module M with
     dim Hom(X, M) = to_m[X] and dimension vector m_dims: the solution v of
-    hom_table v = to_m over F_p, or None unless it satisfies both over the
-    integers.  Its entries are residues in [0, p), so v >= 0, and an
-    integer solution of the invertible system is the only one."""
+    hom_table v = to_m over F_P for the fixed prime P = 2**31 - 1 (not the
+    atlas's p), or None unless it satisfies both over the integers.  Its
+    entries are residues in [0, P), so v >= 0.  hom_table has determinant
+    +-1 (coresolution_check), so it is invertible mod every prime and an
+    integer solution is the only one.  A multiplicity c of M is at most
+    dim M, far below P, so its residue is c itself at every atlas p; over
+    the atlas's F_p a multiplicity c >= p would come out as c mod p."""
     hom = atlas.hom_table
-    v = atlas.field.solve(hom, to_m)
+    v = _multiplicity_field().solve(hom, to_m)
     if v is None:
         return None
     v = v[:, 0]
@@ -512,10 +524,11 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> di
     T_j) is post-composition, atlas.compose(X, T'_i, T_j)[e].  The
     multiplicities v of the atlas modules in K then solve hom_table v = that
     column over all X.  hom_table is the Cartan matrix of the Auslander
-    algebra, which has finite global dimension, so it is invertible and v
-    is unique; it is solved over F_p (_multiplicities) and checked exactly
-    over the integers and against dim K, and IntegrityError is raised if
-    either fails.  Exactness under Hom(-, T) is the count
+    algebra, which has finite global dimension, so its determinant is +-1
+    and v is unique; it is solved over one fixed large prime field,
+    whatever the atlas's p (_multiplicities), and checked exactly over the
+    integers and against dim K, and IntegrityError is raised if either
+    fails.  Exactness under Hom(-, T) is the count
     dim Hom(K, T) + dim Hom(T, T) = dim Hom(T'', T), each term a sum of
     hom_table entries over the summands.
     """

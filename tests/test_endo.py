@@ -639,24 +639,33 @@ def _kernel_of_approximation(atlas, t, t_prime):
     return sub_representation(approx, [fld.kernel_basis(m) for m in mats])[0]
 
 
-def test_coresolution_multiplicities_match_the_kernel_a3(setup_a3):
-    # on every edge, in both directions, the Hom column the check derives by
-    # left exactness is the Hom column of the kernel itself, and so are
-    # the dimension vector and Hom column of the summands it reports
+def _check_kernel_multiplicities(atlas, rigids, edges):
+    """On each edge, in both directions, the Hom column the check derives
+    by left exactness is the Hom column of the kernel itself, and so are
+    the dimension vector and Hom column of the summands it reports.
+    Returns the largest multiplicity reported."""
     from preproj.modules import hom_dim
 
-    atlas, rigids, graph, _ = setup_a3
     hom = atlas.hom_table
     dims = np.array([m.dims for m in atlas.modules])
-    for i, j in graph.edges:
+    top = 0
+    for i, j in edges:
         for a, b in ((i, j), (j, i)):
             out = coresolution_check(atlas, rigids[a], rigids[b])
+            assert out["ok"], (a, b)
             kernel = _kernel_of_approximation(atlas, rigids[a], rigids[b])
             v = np.zeros(atlas.size, dtype=np.int64)
             for mid, mult in out["kernel_summands"]:
                 v[mid] = mult
             assert np.array_equal(hom @ v, [hom_dim(x, kernel) for x in atlas.modules]), (a, b)
             assert tuple(v @ dims) == kernel.dims
+            top = max(top, int(v.max()))
+    return top
+
+
+def test_coresolution_multiplicities_match_the_kernel_a3(setup_a3):
+    atlas, rigids, graph, _ = setup_a3
+    _check_kernel_multiplicities(atlas, rigids, graph.edges)
 
 
 def test_coresolution_without_multiplicities_raises(setup_a3, monkeypatch):
@@ -668,6 +677,16 @@ def test_coresolution_without_multiplicities_raises(setup_a3, monkeypatch):
     i, j = graph.edges[0]
     with pytest.raises(IntegrityError):
         coresolution_check(atlas, rigids[i], rigids[j])
+
+
+@pytest.mark.parametrize("qtype, p, n_edges", [("A3", 5, None), ("A4", 11, 4)])
+def test_coresolution_finds_multiplicities_of_p_and_above(qtype, p, n_edges):
+    # kernels with summands of multiplicity >= p, which a solve over the
+    # atlas's F_p would return mod p: the check identifies them exactly
+    from tests.conftest import shared_atlas, shared_rigids
+
+    rigids, graph = shared_rigids(qtype, p)
+    assert _check_kernel_multiplicities(shared_atlas(qtype, p), rigids, graph.edges[:n_edges]) >= p
 
 
 def test_enumerate_tilting_asks_ext1_no_more_than_before(atlas_a3, rigids_a3, monkeypatch):
