@@ -10,11 +10,7 @@ from .extensions import (
     ShortExactSequence,
     build_extension,
     ext1_cocycle,
-    ext1_dim_formula,
     is_hom_exact,
-    is_split,
-    pullback,
-    pushout,
 )
 from .linalg import PrimeField
 from .modules import (
@@ -51,9 +47,7 @@ from .rigidgraph import (
 __all__ = [
     "Atlas", "enumerate_indecomposables", "Config", "build_config", "BoundAlgebra",
     "BModule", "enumerate_tilting", "verify_graph_correspondence", "ExtSpace",
-    "ShortExactSequence", "build_extension", "ext1_cocycle",
-    "ext1_dim_formula", "is_hom_exact", "is_split", "pullback",
-    "pushout", "PrimeField", "Representation", "check_relations", "decompose",
+    "ShortExactSequence", "build_extension", "ext1_cocycle", "is_hom_exact", "PrimeField", "Representation", "check_relations", "decompose",
     "direct_sum", "hom_basis", "is_isomorphic", "projective_module", "radical",
     "simple", "syzygy", "top", "DoubleQuiver", "PreprojectiveBasis", "Quiver", "double",
     "dynkin_a", "preset_quiver", "symmetric_form", "MutationGraph", "RigidModule",

@@ -78,9 +78,6 @@ class Atlas:
                 return mid
         raise InputError(f"no module with alias {name!r}")
 
-    def module_by_alias(self, name: str) -> Representation:
-        return self.modules[self.id_by_alias(name)]
-
     @property
     def projective_ids(self) -> tuple[int, ...]:
         return tuple(self.id_by_alias(f"P{v}") for v in self.dq.vertices)
@@ -251,11 +248,12 @@ def _iso_key(m: Representation) -> tuple:
     return (m.dims, m.end_dim, tuple(m.field.rank(a) for a in m.mats))
 
 
-def _locate(mods: list, quick: dict, c: Representation, seed: int) -> int | None:
+def _locate(mods: list, quick: dict, c: Representation) -> int | None:
     """Id of the module of mods isomorphic to c, or None.  quick maps each
-    _iso_key to the ids carrying it; only those are compared."""
+    _iso_key to the ids carrying it; only those are compared, and the
+    modules of mods are indecomposable, so is_isomorphic decides."""
     for mid in quick.get(_iso_key(c), ()):
-        if is_isomorphic(mods[mid], c, seed=seed, tries=0):
+        if is_isomorphic(mods[mid], c):
             return mid
     return None
 
@@ -304,7 +302,7 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, seed: int = 0) -> s
     for mid, m in enumerate(mods):
         tau_m = cosyzygy(m, basis)
         if tau_m.total_dim:
-            tid = _locate(mods, quick, tau_m, seed)
+            tid = _locate(mods, quick, tau_m)
             if tid is None:
                 return f"tau of module {mid} is missing"
             tau[mid] = tid
@@ -315,7 +313,7 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, seed: int = 0) -> s
         else:
             middle = radical(m)[0]
         for piece, _ in decompose(middle, seed=seed):
-            pid = _locate(mods, quick, piece, seed)
+            pid = _locate(mods, quick, piece)
             if pid is None:
                 return f"a predecessor of module {mid} is missing"
             links[mid].add(pid)
@@ -351,7 +349,7 @@ def enumerate_indecomposables(qtype: str, field: PrimeField, seed: int = 0) -> A
 
     def place(c: Representation) -> bool:
         """Add c unless an isomorphic module is known; True if added."""
-        if _locate(mods, quick, c, seed) is not None:
+        if _locate(mods, quick, c) is not None:
             return False
         quick.setdefault(_iso_key(c), []).append(len(mods))
         mods.append(c)
@@ -461,7 +459,7 @@ def assign_aliases(atlas: Atlas) -> dict[int, str]:
             continue
         pv = [
             v for v in dq.vertices
-            if m.dims == projs[v].dims and is_isomorphic(m, projs[v], tries=0)
+            if m.dims == projs[v].dims and is_isomorphic(m, projs[v])
         ]
         if pv:
             put(mid, f"P{pv[0]}")

@@ -97,7 +97,7 @@ def cmd_graph(args) -> int:
             return 2
         t_index = resolve_rigid_label(atlas, rigids, args.rigid)
         calc = ExtCalculatorB.for_rigid(atlas, rigids[t_index])
-        tilts = enumerate_tilting(calc.algebra, calc.candidates, calc)
+        tilts = enumerate_tilting(calc)
         out_graph = mutation_graph([RigidModule(summands=s) for s in tilts], atlas.dq.nv)
         print(f"{out_graph.size} vertices, {_edges_phrase(out_graph)}")
     out_path = args.out

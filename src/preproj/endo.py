@@ -33,7 +33,6 @@ import numpy as np
 from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
 from .linalg import PrimeField
-from .modules import ModuleMap, direct_sum
 from .rigidgraph import RigidModule, maximal_cliques
 
 
@@ -92,14 +91,6 @@ class BoundAlgebra:
                         for e2, i2 in enumerate(seconds):
                             self.mult[(i1, i2)] = consts[e1, :, e2]
 
-    def product_coords(self, i1: int, i2: int) -> tuple[tuple[int, int], np.ndarray]:
-        """Coefficients of elements[i1] o elements[i2] over its block basis."""
-        e1, e2 = self.elements[i1], self.elements[i2]
-        block = (e2.src, e1.tgt)
-        if e1.src != e2.tgt:
-            return block, np.zeros(len(self.block_elems[block]), dtype=np.int64)
-        return block, self.mult[(i1, i2)]
-
     def _check_structure(self):
         """The identity laws, exactly.  Associativity needs no runtime
         check: the constants are slices of Atlas.compose, each from an
@@ -146,10 +137,6 @@ class BoundAlgebra:
         mod = BModule(self, comp_dims, blocks)
         self._proj_cache[k] = mod
         return mod
-
-    def simple(self, k: int) -> "BModule":
-        comp_dims = tuple(1 if j == k else 0 for j in range(self.r))
-        return BModule(self, comp_dims, {})
 
     def hom_image(self, mid: int) -> "BModule":
         """Image of atlas module mid under Hom(-, T): component j is
@@ -198,15 +185,6 @@ class BModule:
         if idx == self.algebra.identity_of.get(e.src, -1) and e.src == e.tgt:
             return fld.eye(self.comp_dims[e.src])
         return fld.zeros(self.comp_dims[e.tgt], self.comp_dims[e.src])
-
-    def dense_action(self, idx: int) -> np.ndarray:
-        """Action on the full underlying space, for contract checks."""
-        fld = self.algebra.field
-        offs = np.concatenate([[0], np.cumsum(self.comp_dims)])
-        out = fld.zeros(self.dim, self.dim)
-        e = self.algebra.elements[idx]
-        out[offs[e.tgt] : offs[e.tgt + 1], offs[e.src] : offs[e.src + 1]] = self.action_block(idx)
-        return out
 
 
 def _radical_image(m: BModule, k: int) -> np.ndarray:
@@ -370,9 +348,6 @@ class ExtCalculatorB:
         self._pres[key] = pres
         return pres
 
-    def pd_le1(self, key: int) -> bool:
-        return self._presentation(key) is not None
-
     def _fill(self, a: int, b: int):
         pres = self._presentation(a)
         if pres is None:
@@ -400,26 +375,22 @@ class ExtCalculatorB:
 # -- tilting sets and the graph correspondence ------------------------------
 
 
-def enumerate_tilting(algebra: BoundAlgebra, candidates: dict[int, BModule], calc: ExtCalculatorB | None = None):
-    """All size-r subsets of candidates that are Ext-orthogonal over B with
-    projective dimension at most one: the maximal cliques of Ext^1_B, with
-    the keys of the candidate dict as vertex names, each of size r.
+def enumerate_tilting(calc: ExtCalculatorB):
+    """All size-r subsets of calc.candidates that are Ext-orthogonal over
+    B = calc.algebra with projective dimension at most one: the maximal
+    cliques of Ext^1_B, with the keys of the candidate dict as vertex
+    names, each of size r.
 
     Candidates failing the projective dimension bound raise InputError.
     """
-    if calc is None:
-        calc = ExtCalculatorB(algebra, candidates)
-    cliques = maximal_cliques(candidates, calc.ext1)
-    if len(cliques[0]) != algebra.r:
-        raise StructureError(
-            f"tilting sets have {len(cliques[0])} summands, expected {algebra.r}"
-        )
+    r = calc.algebra.r
+    cliques = maximal_cliques(calc.candidates, calc.ext1)
+    if len(cliques[0]) != r:
+        raise StructureError(f"tilting sets have {len(cliques[0])} summands, expected {r}")
     return cliques
 
 
-def verify_graph_correspondence(
-    atlas: Atlas, rigids, graph, t_index: int, calc: ExtCalculatorB | None = None
-) -> dict:
+def verify_graph_correspondence(atlas: Atlas, rigids, graph, t_index: int, calc: ExtCalculatorB) -> dict:
     """Check that mapping a maximal rigid module through Hom(-, T) gives a
     bijection onto the tilting sets of End(T), for T = rigids[t_index], and
     that every edge of the mutation graph is an exchange of tilting
@@ -427,11 +398,9 @@ def verify_graph_correspondence(
     direction.  With the bijection, these edges are exactly the
     one-summand exchanges between tilting sets.
 
-    calc, if given, is ExtCalculatorB.for_rigid(atlas, rigids[t_index])
-    with whatever it has cached; by default one is built here."""
+    calc is ExtCalculatorB.for_rigid(atlas, rigids[t_index]), with
+    whatever it has cached."""
     t = rigids[t_index]
-    if calc is None:
-        calc = ExtCalculatorB.for_rigid(atlas, t)
     mismatches = []
     # images must stay distinguishable and keep their endomorphism dimension
     # (object injectivity / faithfulness of the contravariant functor)
@@ -446,7 +415,7 @@ def verify_graph_correspondence(
             if calc.hom_dim(mid, other) == end:
                 mismatches.append(f"images of modules {other} and {mid} are indistinguishable")
         fps[fp] = mid
-    tilts = enumerate_tilting(calc.algebra, calc.candidates, calc)
+    tilts = enumerate_tilting(calc)
     lam = sorted(tuple(v.summands) for v in rigids)
     bijection = tilts == lam
     if not bijection:
@@ -516,9 +485,12 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> di
     self-extensions.
 
     T'' has one copy of T'_i per basis map atlas.hom_basis(T'_i, T_j), and
-    f is checked to be a surjective intertwiner.  K is identified by its
-    atlas summands without being built.  Hom(X, -) is left exact, so
-    0 -> Hom(X, K) -> Hom(X, T'') -> Hom(X, T) is exact and
+    f sends it by that map into the summand T_j.  f is a module map by
+    construction, and is checked to be onto at each vertex v: the basis
+    maps into T_j, concatenated, have rank dim T_{j,v}, so f_v has rank
+    dim T_v (StructureError if not).  K is identified by its atlas
+    summands without being built; dim K = dim T'' - dim T.  Hom(X, -) is
+    left exact, so 0 -> Hom(X, K) -> Hom(X, T'') -> Hom(X, T) is exact and
         dim Hom(X, K) = Σ_p dim Hom(X, T''_p) - rank Hom(X, f),
     where the block of Hom(X, f) from copy p (the map with index e into
     T_j) is post-composition, atlas.compose(X, T'_i, T_j)[e].  The
@@ -541,20 +513,11 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> di
         for e in range(len(atlas.hom_basis(i, tj)))
     ]
     pieces = [i for i, _, _ in copies]
-    t_mod = direct_sum(dq, fld, [mods[j] for j in t_ids])
-    approx_src = direct_sum(dq, fld, [mods[i] for i in pieces])
-    row_offs = np.cumsum([[0] * dq.nv] + [mods[j].dims for j in t_ids], axis=0)
-    mats = []
-    for v in range(dq.nv):
-        blocks = []
-        for i, j, e in copies:
-            blk = fld.zeros(t_mod.dims[v], mods[i].dims[v])
-            blk[row_offs[j, v] : row_offs[j + 1, v]] = atlas.hom_basis(i, t_ids[j])[e][v]
-            blocks.append(blk)
-        mats.append(np.concatenate(blocks, axis=1) if blocks else fld.zeros(t_mod.dims[v], 0))
-    f = ModuleMap(approx_src, t_mod, tuple(mats))
-    if not f.is_intertwiner() or not f.is_surjective():
-        raise StructureError("approximation onto T is not surjective")
+    for tj in t_ids:
+        for v in range(dq.nv):
+            maps = [b[v] for i in t_prime.summands for b in atlas.hom_basis(i, tj)]
+            if (fld.rank(np.concatenate(maps, axis=1)) if maps else 0) != mods[tj].dims[v]:
+                raise StructureError("approximation onto T is not surjective")
     hom = atlas.hom_table
     to_k = np.zeros(atlas.size, dtype=np.int64)  # dim Hom(X, K) per atlas X
     for x in range(atlas.size):
@@ -564,7 +527,8 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> di
         for p, (i, j, e) in enumerate(copies):
             hom_x_f[rows[j] : rows[j + 1], cols[p] : cols[p + 1]] = atlas.compose(x, i, t_ids[j])[e]
         to_k[x] = cols[-1] - fld.rank(hom_x_f)
-    k_dims = np.array(approx_src.dims) - np.array(t_mod.dims)
+    dims = np.array([m.dims for m in mods], dtype=np.int64)
+    k_dims = dims[pieces].sum(axis=0) - dims[t_ids].sum(axis=0)
     kernel_ids = _multiplicities(atlas, to_k, k_dims)
     if kernel_ids is None:
         raise IntegrityError("the kernel's Hom column has no multiplicities over the atlas")

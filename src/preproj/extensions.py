@@ -1,5 +1,5 @@
-"""Degree-one extensions at cocycle level: construction, pullback and
-pushout, splitting tests, and exactness of a sequence under Hom(-, N).
+"""Degree-one extensions at cocycle level: construction, the Hom and Ext
+tables, and exactness of a sequence under Hom(-, N).
 
 An extension class of x by y (sequences 0 -> y -> E -> x -> 0) is stored
 as one matrix C_a per arrow; the middle term acts by the block matrices
@@ -25,12 +25,9 @@ from .modules import (
     Representation,
     _eye,
     _hom_system,
-    compose_maps,
-    hom_basis,
     hom_dim,
     intertwiner_system,
 )
-from .quivers import symmetric_form
 
 
 @dataclass
@@ -263,13 +260,6 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
     return ExtSpace(x=x, y=y, dim=len(reps), representatives=reps)
 
 
-def ext1_dim_formula(x: Representation, y: Representation) -> int:
-    """dim Hom(x, y) + dim Hom(y, x) - (dim x, dim y)."""
-    if x.dq != y.dq:
-        raise InputError("representations live on different double quivers")
-    return hom_dim(x, y) + hom_dim(y, x) - symmetric_form(x.dq, x.dims, y.dims)
-
-
 def build_extension(e: ExtSpace, coeffs) -> ShortExactSequence:
     """Middle term with block matrices [[Y_a, C_a], [0, X_a]]."""
     fld = e.x.field
@@ -302,142 +292,6 @@ def build_extension(e: ExtSpace, coeffs) -> ShortExactSequence:
         inj=ModuleMap(y, mid, tuple(inj_mats)),
         surj=ModuleMap(mid, x, tuple(surj_mats)),
     ).validate()
-
-
-def factors_through(h: ModuleMap, via: ModuleMap) -> bool:
-    """Whether h: A -> C factors as (via: B -> C) . g for some g: A -> B."""
-    fld = h.source.field
-    homs = hom_basis(h.source, via.source)
-    cols = [
-        _vec_map(compose_maps(via, ModuleMap(h.source, via.source, b)))
-        for b in homs.basis
-    ]
-    target_vec = _vec_map(h)
-    if not cols:
-        return not np.any(target_vec)
-    a = np.stack(cols, axis=1)
-    return fld.solve(a, target_vec.reshape(-1, 1)) is not None
-
-
-def factors_along(h: ModuleMap, through: ModuleMap) -> bool:
-    """Whether h: A -> C factors as g . (through: A -> B) for some g: B -> C."""
-    fld = h.source.field
-    homs = hom_basis(through.target, h.target)
-    cols = [
-        _vec_map(compose_maps(ModuleMap(through.target, h.target, b), through))
-        for b in homs.basis
-    ]
-    target_vec = _vec_map(h)
-    if not cols:
-        return not np.any(target_vec)
-    a = np.stack(cols, axis=1)
-    return fld.solve(a, target_vec.reshape(-1, 1)) is not None
-
-
-def _vec_map(m: ModuleMap) -> np.ndarray:
-    parts = [m.mats[i].reshape(-1) for i in range(m.source.dq.nv)]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def is_split(s: ShortExactSequence) -> bool:
-    """True iff the surjection admits a section (identity lies in the image
-    of post-composition Hom(quot, mid) -> Hom(quot, quot))."""
-    from .modules import identity_map
-
-    return factors_through(identity_map(s.quot), s.surj)
-
-
-def pullback(s: ShortExactSequence, h: ModuleMap) -> ShortExactSequence:
-    """Base change of s: 0 -> sub -> F -> Z -> 0 along h: Y -> Z."""
-    if h.target is not s.quot and h.target.dims != s.quot.dims:
-        raise InputError("map must land in the quotient term")
-    fld = s.sub.field
-    dq = s.sub.dq
-    f_rep, y_rep = s.mid, h.source
-    kers = []
-    for i in range(dq.nv):
-        stacked = np.concatenate(
-            [s.surj.mats[i], (-h.mats[i]) % fld.p], axis=1
-        )
-        kers.append(fld.kernel_basis(stacked))
-    dims = tuple(k.shape[1] for k in kers)
-    mats = []
-    for k, a in enumerate(dq.arrows):
-        si, ti = a.source - 1, a.target - 1
-        block = fld.zeros(
-            f_rep.dims[ti] + y_rep.dims[ti], f_rep.dims[si] + y_rep.dims[si]
-        )
-        block[: f_rep.dims[ti], : f_rep.dims[si]] = f_rep.mats[k]
-        block[f_rep.dims[ti] :, f_rep.dims[si] :] = y_rep.mats[k]
-        coords = fld.solve(kers[ti], fld.mul(block, kers[si]))
-        if coords is None:
-            raise InputError("pullback kernel is not arrow-invariant")
-        mats.append(coords)
-    e_rep = Representation(dq, fld, dims, mats)
-    inj_mats = []
-    surj_mats = []
-    for i in range(dq.nv):
-        lifted = np.concatenate(
-            [s.inj.mats[i], fld.zeros(y_rep.dims[i], s.sub.dims[i])], axis=0
-        )
-        coords = fld.solve(kers[i], lifted)
-        if coords is None:
-            raise InputError("sub does not embed in the pullback")
-        inj_mats.append(coords)
-        surj_mats.append(kers[i][f_rep.dims[i] :, :])
-    return ShortExactSequence(
-        sub=s.sub,
-        mid=e_rep,
-        quot=y_rep,
-        inj=ModuleMap(s.sub, e_rep, tuple(inj_mats)),
-        surj=ModuleMap(e_rep, y_rep, tuple(surj_mats)),
-    ).validate()
-
-
-def pushout(s: ShortExactSequence, g: ModuleMap) -> ShortExactSequence:
-    """Cobase change of s: 0 -> X -> F -> quot -> 0 along g: X -> N."""
-    if g.source is not s.sub and g.source.dims != s.sub.dims:
-        raise InputError("map must start at the sub term")
-    fld = s.sub.field
-    dq = s.sub.dq
-    n_rep, f_rep = g.target, s.mid
-    qs = []
-    for i in range(dq.nv):
-        w = np.concatenate([g.mats[i], (-s.inj.mats[i]) % fld.p], axis=0)
-        qs.append(fld.quotient_map(w, n_rep.dims[i] + f_rep.dims[i]))
-    sections = []
-    for q in qs:
-        sec = fld.solve(q, fld.eye(q.shape[0]))
-        if sec is None:
-            raise InputError("pushout quotient has no section")
-        sections.append(sec)
-    dims = tuple(q.shape[0] for q in qs)
-    mats = []
-    for k, a in enumerate(dq.arrows):
-        si, ti = a.source - 1, a.target - 1
-        block = fld.zeros(
-            n_rep.dims[ti] + f_rep.dims[ti], n_rep.dims[si] + f_rep.dims[si]
-        )
-        block[: n_rep.dims[ti], : n_rep.dims[si]] = n_rep.mats[k]
-        block[n_rep.dims[ti] :, n_rep.dims[si] :] = f_rep.mats[k]
-        mats.append(fld.mulchain(qs[ti], block, sections[si]))
-    m_rep = Representation(dq, fld, dims, mats)
-    inj_mats = []
-    surj_mats = []
-    for i in range(dq.nv):
-        inj_mats.append(qs[i][:, : n_rep.dims[i]])
-        lift = np.concatenate(
-            [fld.zeros(s.quot.dims[i], n_rep.dims[i]), s.surj.mats[i]], axis=1
-        )
-        surj_mats.append(fld.mul(lift, sections[i]))
-    out = ShortExactSequence(
-        sub=n_rep,
-        mid=m_rep,
-        quot=s.quot,
-        inj=ModuleMap(n_rep, m_rep, tuple(inj_mats)),
-        surj=ModuleMap(m_rep, s.quot, tuple(surj_mats)),
-    )
-    return out.validate()
 
 
 # -- exactness under Hom(-, N) -------------------------------------------
@@ -512,15 +366,6 @@ def pullback_matrix(space: ExtSpace, maps) -> np.ndarray:
         prod = prod.reshape(d, y.dims[t], h, x.dims[s]).transpose(2, 0, 1, 3)
         parts.append(prod.reshape(h, d, y.dims[t] * x.dims[s]))
     return _stacked_residues(x, y, parts)
-
-
-def exact_classes(space: ExtSpace, t_summands) -> np.ndarray:
-    """Basis (columns of coefficient vectors) of the classes whose sequences
-    stay exact under Hom(-, n) for every n in t_summands."""
-    fld = space.x.field
-    blocks = [fld.zeros(0, space.dim)]
-    blocks += [connecting_matrix(space, n, hom_basis(space.y, n).basis) for n in t_summands]
-    return fld.kernel_basis(np.concatenate(blocks, axis=0))
 
 
 # seeded random classes the atlas closure samples per extension space, on

@@ -229,14 +229,6 @@ class PrimeField:
     def is_invertible(self, m: np.ndarray) -> bool:
         return m.shape[0] == m.shape[1] and self.rank(m) == m.shape[0]
 
-    def inv(self, m: np.ndarray) -> np.ndarray:
-        if m.shape[0] != m.shape[1]:
-            raise InputError("inverse of a non-square matrix")
-        x = self.solve(m, self.eye(m.shape[0]))
-        if x is None:
-            raise InputError("matrix is singular")
-        return x
-
     def quotient_map(self, w: np.ndarray, dim: int) -> np.ndarray:
         """Matrix of the projection k^dim -> k^dim / span(columns of w).
 

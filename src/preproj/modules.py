@@ -56,9 +56,6 @@ class Representation:
             self._end_dim = hom_dim(self, self)
         return self._end_dim
 
-    def mat(self, k: int) -> np.ndarray:
-        return self.mats[k]
-
     def __repr__(self):
         return f"Representation(dims={self.dims})"
 
@@ -153,18 +150,6 @@ class ModuleMap:
             fld.rank(self.mats[i]) == self.target.dims[i]
             for i in range(self.source.dq.nv)
         )
-
-
-def identity_map(rep: Representation) -> ModuleMap:
-    return ModuleMap(rep, rep, tuple(rep.field.eye(d) for d in rep.dims))
-
-
-def compose_maps(g: ModuleMap, f: ModuleMap) -> ModuleMap:
-    """g after f."""
-    fld = f.source.field
-    return ModuleMap(
-        f.source, g.target, tuple(fld.mul(g.mats[i], f.mats[i]) for i in range(f.source.dq.nv))
-    )
 
 
 # -- Hom spaces ---------------------------------------------------------
@@ -471,32 +456,14 @@ def cosyzygy(rep: Representation, basis: PreprojectiveBasis) -> Representation:
 # -- isomorphism and decomposition ---------------------------------------
 
 
-def _invertible_in_hom(hs: HomSpace, seed: int, tries: int) -> ModuleMap | None:
-    fld = hs.source.field
-    if hs.source.dims != hs.target.dims:
-        return None
-    for b in hs.basis:
-        mp = ModuleMap(hs.source, hs.target, b)
-        if all(fld.is_invertible(m) for m in b):
-            return mp
-    if hs.dim >= 2 and tries > 0:
-        rng = np.random.default_rng([seed, 0x1503])
-        for _ in range(tries):
-            coeffs = rng.integers(0, fld.p, size=hs.dim)
-            mp = hs.element(coeffs)
-            if all(fld.is_invertible(m) for m in mp.mats):
-                return mp
-    return None
+def is_isomorphic(x: Representation, y: Representation) -> bool:
+    """Isomorphism test for x or y indecomposable: dimension fast paths,
+    then a scan of the basis of Hom(x, y) for an invertible map.
 
-
-def is_isomorphic(x: Representation, y: Representation, seed: int = 0, tries: int = 24) -> bool:
-    """Isomorphism test: dimension fast paths, then invertible-intertwiner search.
-
-    The search scans the basis of Hom(x, y), then tries seeded random
-    combinations.  When x or y is indecomposable the basis scan alone is
-    conclusive: if x and y are isomorphic, the non-invertible maps form a
-    proper subspace of Hom(x, y), which cannot contain a whole basis.  So
-    callers that compare against an indecomposable pass tries=0.
+    The scan is exact under that precondition: if x and y are isomorphic
+    and one is indecomposable, the non-invertible maps form a proper
+    subspace of Hom(x, y), which cannot contain a whole basis.  Two
+    decomposable modules may be isomorphic with no invertible basis map.
     """
     if x is y:
         return True
@@ -509,7 +476,8 @@ def is_isomorphic(x: Representation, y: Representation, seed: int = 0, tries: in
     hxy = hom_basis(x, y)
     if hxy.dim == 0 or hxy.dim != x.end_dim:
         return False
-    return _invertible_in_hom(hxy, seed, tries) is not None
+    fld = x.field
+    return any(all(fld.is_invertible(m) for m in b) for b in hxy.basis)
 
 
 def _stable_power(fld: PrimeField, m: np.ndarray) -> np.ndarray:
@@ -585,10 +553,10 @@ def decompose(rep: Representation, seed: int = 0):
         return []
     pieces = _decompose_rec(rep, seed)
     out: list[tuple[Representation, int]] = []
-    # the pieces are certified indecomposable, so the basis scan decides
+    # the pieces are certified indecomposable, so is_isomorphic decides
     for piece in pieces:
         for idx, (known, mult) in enumerate(out):
-            if is_isomorphic(known, piece, seed=seed, tries=0):
+            if is_isomorphic(known, piece):
                 out[idx] = (known, mult + 1)
                 break
         else:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .atlas import Atlas
-from .errors import FormatError, InputError, StructureError
+from .errors import InputError, StructureError
 
 GRAPH_FORMAT_VERSION = 1
 
@@ -216,15 +216,3 @@ def resolve_rigid_label(atlas: Atlas, rigids, token: str) -> int:
         raise InputError(f"rigid index {idx} out of range 0..{len(rigids) - 1}")
     return idx
 
-
-def load_graph_json(path) -> MutationGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"not a graph file: {exc}") from exc
-    if payload.get("format_version") != GRAPH_FORMAT_VERSION:
-        raise FormatError("unsupported graph format_version")
-    vertices = [RigidModule(summands=tuple(v["summands"])) for v in payload["vertices"]]
-    edges = [tuple(e) for e in payload["edges"]]
-    return MutationGraph(vertices=vertices, edges=edges, r=payload["r"], n=payload["n"])

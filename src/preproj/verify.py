@@ -172,7 +172,7 @@ def run_t_suites(names, atlas: Atlas, rigids, graph: MutationGraph | None, t_ind
                             {"t_index": ti, "pair": [x, y], "ext_B": lhs, "relative": rhs}
                         )
         if "theorem1" in names:
-            rep = verify_graph_correspondence(atlas, rigids, graph, ti, calc=calc)
+            rep = verify_graph_correspondence(atlas, rigids, graph, ti, calc)
             nb = next(j if i == ti else i for i, j in graph.edges if ti in (i, j))
             rep["coresolution"] = coresolution_check(atlas, t, rigids[nb])
             reports.append(rep)
@@ -267,7 +267,7 @@ def suite_remark_a4(atlas: Atlas) -> dict:
             failures.append({name: got, "expected": want})
     space = ext1_cocycle(atlas.modules[yid], atlas.modules[xid])
     seq = build_extension(space, (1,) * space.dim)
-    mid_is_p2 = is_isomorphic(seq.mid, atlas.modules[p2], tries=0)
+    mid_is_p2 = is_isomorphic(seq.mid, atlas.modules[p2])
     if not mid_is_p2:
         failures.append({"middle_term_is_P2": False})
     exact_under_v = is_hom_exact(seq, atlas.modules[vid])

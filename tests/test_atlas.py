@@ -14,17 +14,17 @@ from preproj.atlas import (
     enumerate_indecomposables,
 )
 from preproj.errors import EnumerationError, FormatError, IntegrityError
-from preproj.extensions import build_extension, ext1_cocycle, is_split
+from preproj.extensions import build_extension, ext1_cocycle
 from preproj.linalg import PrimeField
 from preproj.modules import (
     cosyzygy,
     hom_basis,
     hom_dim,
-    identity_map,
     socle_dims,
     top,
 )
 from tests.conftest import shared_atlas
+from tests.oracle import identity_map, is_split, module_by_alias
 from tests.test_modules import base_change
 
 
@@ -127,18 +127,18 @@ def test_a3_alias_table_is_complete(atlas_a3):
 
 
 def test_a3_alias_structure(atlas_a3):
-    m = atlas_a3.module_by_alias("13over2")
+    m = module_by_alias(atlas_a3, "13over2")
     assert m.dims == (1, 1, 1)
     assert top(m)[0].dims == (1, 0, 1)
     assert socle_dims(m) == (0, 1, 0)
-    p2 = atlas_a3.module_by_alias("P2")
+    p2 = module_by_alias(atlas_a3, "P2")
     assert p2.dims == (1, 2, 1)
 
 
 def test_a4_named_modules(atlas_a4):
-    assert atlas_a4.module_by_alias("4over3").dims == (0, 0, 1, 1)
-    assert atlas_a4.module_by_alias("2over13over2").dims == (1, 2, 1, 0)
-    assert atlas_a4.module_by_alias("24over3").dims == (0, 1, 1, 1)
+    assert module_by_alias(atlas_a4, "4over3").dims == (0, 0, 1, 1)
+    assert module_by_alias(atlas_a4, "2over13over2").dims == (1, 2, 1, 0)
+    assert module_by_alias(atlas_a4, "24over3").dims == (0, 1, 1, 1)
 
 
 # -- fingerprints ----------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_certificate_refuses_a3_without_any_one_module(atlas_a3):
 
 def test_certificate_refuses_a3_listing_a_module_twice(atlas_a3):
     # tau of the copy lands on the id tau of the original has
-    twice = atlas_a3.modules + [base_change(atlas_a3.module_by_alias("2over13"), 7)]
+    twice = atlas_a3.modules + [base_change(module_by_alias(atlas_a3, "2over13"), 7)]
     assert "permute" in _certify_complete(twice, atlas_a3.basis)
 
 

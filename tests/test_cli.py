@@ -208,6 +208,17 @@ def test_field_char_beyond_int64_exits_2(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("qtype, p", [("A3", "3"), ("A4", "7")])
+def test_field_char_below_the_smallest_usable_prime_exits_2(tmp_path, capsys, qtype, p):
+    # the smallest primes that build are 3 on A2, 5 on A3 and 11 on A4
+    code, _, err = run(
+        capsys, "atlas", "--type", qtype, "--field-char", p, "--cache-dir", str(tmp_path / "c"),
+    )
+    assert code == 2
+    assert "too small for trace-form radical" in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_config_rejects_composite_modulus():
     with pytest.raises(InputError):
         build_config(None, {"field_char": 15})

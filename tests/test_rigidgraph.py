@@ -11,11 +11,11 @@ from preproj.rigidgraph import (
     exchange_pairs,
     export_graph,
     is_connected,
-    load_graph_json,
     maximal_cliques,
     mutation_graph,
     resolve_rigid_label,
 )
+from tests.oracle import load_graph_json
 
 # one-summand-exchange edges of the fourteen A3 vertices, by label
 A3_EDGES = {
