@@ -3,10 +3,16 @@
 Enumeration runs a closure from simples and projectives.  Each pass adds
 the summands of the radicals, tops, syzygies and cosyzygies of the modules
 it has not yet seen, and of the middles of sampled extensions between the
-modules known at its start.  Then it asks for an Auslander-Reiten
-certificate (_certify_complete): the known modules are closed under
-tau = cosyzygy and under the almost split sequences, and their AR quiver is
-connected, so by Auslander's theorem they are all the indecomposables.  The
+modules known at its start.  Work is keyed by content, the dimension vector
+and matrix bytes: a module whose content was decomposed is not decomposed
+again, and a summand whose content was placed is not located again.  Then
+the pass asks for an Auslander-Reiten certificate (_certify_complete): the
+known modules are closed under tau = cosyzygy and under the almost split
+sequences, and their AR quiver is connected, so by Auslander's theorem they
+are all the indecomposables.  The pass hands the certificate what it
+computed (PassFacts): each visited module's cosyzygy, the Ext space of
+each visited pair and the summands of each decomposed module, so the
+certificate computes afresh only for the modules the pass added.  The
 closure stops at the first pass that certifies, and a pass that adds
 nothing without certifying is an error.  Expected counts are asserted by
 callers, not used for termination.  The Hom and Ext tables then come from
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import EnumerationError, FormatError, IntegrityError, InputError
 from .linalg import PrimeField
-from .extensions import _scalar_classes, build_extension, ext1_cocycle, pair_tables, pullback_matrix
+from .extensions import ExtSpace, _scalar_classes, build_extension, ext1_cocycle, pair_tables, pullback_matrix
 from .modules import (
     Representation,
     block_diagonal,
@@ -258,6 +264,12 @@ def _locate(mods: list, quick: dict, c: Representation) -> int | None:
     return None
 
 
+def _content(m: Representation) -> tuple:
+    """The content of a module: its dimension vector and matrix bytes.
+    Equal content means equal matrices, not only isomorphic modules."""
+    return (m.dims, m.flat.tobytes())
+
+
 def _end_radical(m: Representation) -> list[tuple]:
     """A basis of rad End(m), as tuples of vertex maps."""
     fld = m.field
@@ -272,14 +284,28 @@ def _end_radical(m: Representation) -> list[tuple]:
     ]
 
 
-def _ar_socle(m: Representation, tau_m: Representation):
-    """Ext^1(m, tau_m) and a basis (columns) of its socle over End(m): the
-    classes killed by pulling back along every map in rad End(m)."""
-    space = ext1_cocycle(m, tau_m)
-    return space, m.field.kernel_basis(pullback_matrix(space, _end_radical(m)))
+def _ar_socle(space: ExtSpace) -> np.ndarray:
+    """A basis (columns) of the socle of Ext^1(M, N) over End(M), M = space.x:
+    the classes killed by pulling back along every map in rad End(M)."""
+    return space.x.field.kernel_basis(pullback_matrix(space, _end_radical(space.x)))
 
 
-def _certify_complete(mods: list, basis: PreprojectiveBasis, seed: int = 0) -> str | None:
+@dataclass
+class PassFacts:
+    """What the closure's passes computed, handed to _certify_complete.
+
+    summands maps the _content of each module a pass decomposed to its
+    summands, as (id in mods, multiplicity) pairs, with id None for a
+    summand the closure did not place; tau maps the id of each module a
+    unary step visited to the cosyzygy it computed; spaces maps each
+    visited pair (i, j) to the ExtSpace of (mods[i], mods[j])."""
+
+    summands: dict = dc_field(default_factory=dict)
+    tau: dict = dc_field(default_factory=dict)
+    spaces: dict = dc_field(default_factory=dict)
+
+
+def _certify_complete(mods: list, basis: PreprojectiveBasis, facts: PassFacts | None = None) -> str | None:
     """Auslander-Reiten certificate that mods lists every indecomposable.
 
     mods holds pairwise non-isomorphic indecomposables.  The stable category
@@ -293,27 +319,52 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, seed: int = 0) -> s
     which gives the arrows out of each module, and the quiver must be
     connected.  Then mods is a finite component of the AR quiver, hence all
     of it (Auslander).  Returns None when that holds, else the failing part.
+
+    tau M is taken from the list: the Ext space is that of (M, mods[tau
+    id]), isomorphic to Ext^1(M, tau M), so the socle's dimension and E up
+    to isomorphism, hence the verdict, are those of tau M itself, and the
+    passes have built most of these spaces already.  With facts (PassFacts)
+    the certificate reuses the passes' cosyzygies, Ext spaces and the
+    summands of every module whose content they decomposed; it computes
+    only the rest, in practice for the modules the last pass added.
+    Without facts it computes everything.
     """
+    facts = facts or PassFacts()
     quick: dict[tuple, list[int]] = {}
     for mid, m in enumerate(mods):
         quick.setdefault(_iso_key(m), []).append(mid)
+
+    def summands(rep) -> list:
+        """(id in mods or None, multiplicity) per summand of rep."""
+        got = facts.summands.get(_content(rep))
+        if got is None:
+            got = [(_locate(mods, quick, piece), mult) for piece, mult in decompose(rep)]
+        return got
+
+    def located(rep) -> int | None:
+        """Id of the module of mods isomorphic to rep, or None."""
+        got = facts.summands.get(_content(rep))
+        if got is None:
+            return _locate(mods, quick, rep)
+        return got[0][0] if len(got) == 1 and got[0][1] == 1 else None
+
     tau: dict[int, int] = {}
     links = {mid: set() for mid in range(len(mods))}
     for mid, m in enumerate(mods):
-        tau_m = cosyzygy(m, basis)
+        tau_m = facts.tau[mid] if mid in facts.tau else cosyzygy(m, basis)
         if tau_m.total_dim:
-            tid = _locate(mods, quick, tau_m)
+            tid = located(tau_m)
             if tid is None:
                 return f"tau of module {mid} is missing"
             tau[mid] = tid
-            space, socle = _ar_socle(m, tau_m)
+            space = facts.spaces.get((mid, tid)) or ext1_cocycle(m, mods[tid])
+            socle = _ar_socle(space)
             if socle.shape[1] != 1:
                 return f"socle of Ext^1(M, tau M) has dimension {socle.shape[1]} at module {mid}"
             middle = build_extension(space, socle[:, 0]).mid
         else:
             middle = radical(m)[0]
-        for piece, _ in decompose(middle, seed=seed):
-            pid = _locate(mods, quick, piece)
+        for pid, _ in summands(middle):
             if pid is None:
                 return f"a predecessor of module {mid} is missing"
             links[mid].add(pid)
@@ -333,75 +384,81 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, seed: int = 0) -> s
 def enumerate_indecomposables(qtype: str, field: PrimeField, seed: int = 0) -> Atlas:
     """Run the closure of the module docstring, then tabulate Hom and Ext.
 
-    Each pass records dim Ext^1 for every ordered pair of the modules known
-    at its start, and ends with _certify_complete.  The closure stops at
-    the first pass that certifies; a pass that adds nothing and does not
+    Each pass computes Ext^1 for every ordered pair of the modules known
+    at its start, and ends with _certify_complete, to which it hands its
+    PassFacts.  Work is keyed by content: a module whose content was
+    decomposed before is not decomposed again, and a piece whose content
+    was placed before is not located again.  The closure stops at the
+    first pass that certifies; a pass that adds nothing and does not
     certify raises EnumerationError.  Then one call of
     extensions.pair_tables gives Hom and Ext of every pair from two ranks:
     the Hom table, the Ext of the pairs no pass visited, and a cross-check
-    of the Ext the passes recorded (IntegrityError on a mismatch)."""
+    of the Ext the passes computed (IntegrityError on a mismatch).  The
+    seed only seeds the sampled extension classes (_scalar_classes)."""
     dq = double(preset_quiver(qtype))
     basis = PreprojectiveBasis(dq, field)
     cap = 4 * dq.nv
 
     mods: list[Representation] = []
     quick: dict[tuple, list[int]] = {}  # _iso_key -> ids
+    facts = PassFacts()
+    known = facts.summands
 
-    def place(c: Representation) -> bool:
-        """Add c unless an isomorphic module is known; True if added."""
-        if _locate(mods, quick, c) is not None:
-            return False
-        quick.setdefault(_iso_key(c), []).append(len(mods))
-        mods.append(c)
-        return True
+    def place(c: Representation) -> int | None:
+        """Id of c in mods, adding c unless an isomorphic module is known;
+        None if c exceeds the cap."""
+        key = _content(c)
+        if key not in known:
+            mid = None
+            if c.total_dim <= cap:
+                mid = _locate(mods, quick, c)
+                if mid is None:
+                    mid = len(mods)
+                    quick.setdefault(_iso_key(c), []).append(mid)
+                    mods.append(c)
+            known[key] = [(mid, 1)]
+        return known[key][0][0]
 
-    def absorb(rep: Representation) -> bool:
-        got_new = False
-        for piece, _ in decompose(rep, seed=seed):
-            if 0 < piece.total_dim <= cap and place(piece):
-                got_new = True
-        return got_new
+    def absorb(rep: Representation) -> None:
+        """Decompose rep, unless a module of its content was, and place
+        each summand."""
+        key = _content(rep)
+        if key not in known:
+            known[key] = [(place(piece), mult) for piece, mult in decompose(rep)]
 
     for v in dq.vertices:
         place(simple(dq, field, v))
     for v in dq.vertices:
         place(projective_module(basis, v))
 
-    done_unary: set[int] = set()
-    ext_dims: dict[tuple[int, int], int] = {}  # (i, j) -> dim Ext^1(mods[i], mods[j])
     while True:
-        changed = False
         n0 = len(mods)
         for idx in range(n0):
-            if idx in done_unary:
+            if idx in facts.tau:  # unary step done
                 continue
             m = mods[idx]
-            derived = [radical(m)[0], top(m)[0], syzygy(m, basis), cosyzygy(m, basis)]
-            for rep in derived:
-                if rep.total_dim and absorb(rep):
-                    changed = True
-            done_unary.add(idx)
+            facts.tau[idx] = cosyzygy(m, basis)
+            for rep in (radical(m)[0], top(m)[0], syzygy(m, basis), facts.tau[idx]):
+                if rep.total_dim:
+                    absorb(rep)
         for i in range(n0):
             for j in range(n0):
-                if (i, j) in ext_dims:
+                if (i, j) in facts.spaces:
                     continue
                 space = ext1_cocycle(mods[i], mods[j])
                 if space.dim:
-                    classes = _scalar_classes(field, space.dim, seed)
-                    for coeffs in classes:
-                        seq = build_extension(space, coeffs)
-                        if absorb(seq.mid):
-                            changed = True
-                ext_dims[i, j] = space.dim
-        failure = _certify_complete(mods, basis, seed)
+                    for coeffs in _scalar_classes(field, space.dim, seed):
+                        absorb(build_extension(space, coeffs).mid)
+                facts.spaces[i, j] = space
+        failure = _certify_complete(mods, basis, facts)
         if failure is None:
             break
-        if not changed:
+        if len(mods) == n0:
             raise EnumerationError(f"closure stopped without a completeness certificate: {failure}")
     n = len(mods)
     homs, exts = pair_tables(mods, mods)
-    for (i, j), e in ext_dims.items():
-        if exts[i, j] != e:
+    for (i, j), space in facts.spaces.items():
+        if exts[i, j] != space.dim:
             raise IntegrityError(f"Ext^1 of closure modules {i}, {j}: cocycles and ranks disagree")
 
     # canonical order: (total dim, dim vector, hom fingerprint)

@@ -16,6 +16,7 @@ of one matrix, `connecting_matrix` stacked over the summands N of T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +24,11 @@ from .errors import InputError
 from .modules import (
     ModuleMap,
     Representation,
-    _eye,
+    ScatterPlan,
     _hom_system,
+    _map_offsets,
+    _scatter_plan,
+    arrow_pairs,
     hom_dim,
     intertwiner_system,
 )
@@ -103,48 +107,40 @@ def _coboundary_residues(x: Representation, y: Representation, vecs: np.ndarray)
     return (vecs[free] - fld.mul(red[: len(pivots), free].T, vecs[pivots])) % fld.p
 
 
-def _cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats):
-    """The cocycle condition of a pair (x, y), given by dimension vectors
-    and per-arrow matrices: a matrix whose kernel is the cocycle space Z^1
-    in stacked coordinates, with the per-arrow shapes and offsets of those
-    coordinates; the defining relation linearized at each vertex.
+@lru_cache(maxsize=None)
+def _cocycle_plan(dq, x_dims: tuple, y_dims: tuple) -> ScatterPlan:
+    """ScatterPlan of _cocycle_condition, built on first use per (double
+    quiver, x dims, y dims), with X and Y the per-arrow matrices of x and y.
 
-    The matrices may carry leading batch axes, which broadcast as in
-    modules.intertwiner_system: x stacked as (kx, 1, ...) against y as
-    (1, ky, ...) gives the conditions of all kx * ky pairs, of shape
-    (kx, ky, rows, columns).  2-D matrices give one 2-D condition."""
-    shapes, offs = _cocycle_columns(dq, x_dims, y_dims)
-    batch = np.broadcast_shapes(*(m.shape[:-2] for m in (*x_mats, *y_mats)))
-    nrows = sum(x_dims[v - 1] * y_dims[v - 1] for v in dq.vertices)
-    cond = np.zeros(batch + (nrows, int(offs[-1])), dtype=np.int64)
-    r0 = 0
-    for v in dq.vertices:
-        xv, yv = x_dims[v - 1], y_dims[v - 1]
-        r1 = r0 + yv * xv
-        if r1 == r0:
-            continue
-        block = cond[..., r0:r1, :]
-        for k in range(dq.n_base):
-            a = dq.arrows[k]
-            ks = dq.partner[k]
-            # contribution of a term (first . second), a path from v to v, to
-            # the block at v is Y_first C_second + C_first X_second
-            terms = []
-            if a.source == v:
-                terms.append((ks, k, 1))
-            if a.target == v:
-                terms.append((k, ks, -1))
-            for first, second, sgn in terms:
-                # row (i, j) of Y C is Σ_l Y[i, l] C[l, j], of C X is
-                # Σ_m C[i, m] X[m, j]: the blocks as (i, j, row of C, column of C)
-                yc = y_mats[first][..., :, None, :, None] * _eye(xv)[:, None, :]
-                cx = _eye(yv)[:, None, :, None] * x_mats[second].swapaxes(-1, -2)[..., None, :, None, :]
-                c0, c1 = offs[second], offs[second + 1]
-                block[..., c0:c1] += sgn * yc.reshape(yc.shape[:-4] + (r1 - r0, c1 - c0))
-                c0, c1 = offs[first], offs[first + 1]
-                block[..., c0:c1] += sgn * cx.reshape(cx.shape[:-4] + (r1 - r0, c1 - c0))
-        r0 = r1
-    return cond % fld.p, shapes, offs
+    Each arrow b: v -> w, with its partner b*: w -> v, gives the term
+    sgn (Y_b* C_b + C_b* X_b) of the relation at v, sgn = +1 for a base
+    arrow and -1 for a starred one."""
+    _, offs = _cocycle_columns(dq, x_dims, y_dims)
+    # offsets of the arrow matrices of x and of y in their flat vectors
+    (_, xo), (_, yo) = _cocycle_columns(dq, x_dims, x_dims), _cocycle_columns(dq, y_dims, y_dims)
+    row0 = _map_offsets(x_dims, y_dims)  # the block of vertex v
+    x_terms, y_terms = [], []
+    for b, a in enumerate(dq.arrows):
+        v, w, pb = a.source - 1, a.target - 1, dq.partner[b]
+        xv, yv, xw, yw = x_dims[v], y_dims[v], x_dims[w], y_dims[w]
+        sgn = 1 if b < dq.n_base else -1
+        # row (i, j) of Y C is Σ_k Y[i, k] C[k, j], of C X is Σ_k C[i, k] X[k, j]
+        y_terms.append((yv, xv, yw, row0[v], offs[b], 0, 1, xv, yo[pb], yw, 0, 1, sgn))
+        x_terms.append((yv, xv, xw, row0[v], offs[pb], xw, 0, 1, xo[b], 0, 1, xv, sgn))
+    return _scatter_plan(row0[-1], offs[-1], x_terms, y_terms)
+
+
+def _cocycle_condition(fld, dq, x_dims, y_dims, xs, ys) -> np.ndarray:
+    """The cocycle condition of a pair (x, y), given by dimension vectors
+    and per-arrow matrices flattened as Representation.flat holds them: a
+    matrix whose kernel is the cocycle space Z^1 in the stacked coordinates
+    of _cocycle_columns; the defining relation linearized at each vertex.
+
+    The entries are scattered by the cached _cocycle_plan.  xs and ys may
+    carry leading batch axes as in modules.ScatterPlan.apply: x stacked
+    as (kx, 1, n) against y as (1, ky, m) gives the conditions of all
+    kx * ky pairs, of shape (kx, ky, rows, columns)."""
+    return _cocycle_plan(dq, tuple(x_dims), tuple(y_dims)).apply(fld, xs, ys)
 
 
 # padded cells of one stacked rank in pair_tables: stacks of this size keep
@@ -196,24 +192,20 @@ def pair_tables(xs, ys) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("representations live on different double quivers")
 
     def groups(mods, axis):
-        """(dims, ids, per-arrow matrices stacked on the batch axis) per
+        """(dims, ids, Representation.flat stacked on the batch axis) per
         dimension vector, in order of first appearance"""
         ids: dict[tuple, list[int]] = {}
         for i, m in enumerate(mods):
             ids.setdefault(m.dims, []).append(i)
-        out = []
-        for dims, got in ids.items():
-            mats = [np.expand_dims(np.stack([mods[i].mats[k] for i in got]), axis) for k in range(len(dq.arrows))]
-            out.append((dims, got, mats))
-        return out
+        return [(dims, got, np.expand_dims(np.stack([mods[i].flat for i in got]), axis)) for dims, got in ids.items()]
 
     mats, blocks = [], []
+    pairs = arrow_pairs(dq)
     y_groups = groups(ys, 0)
-    for x_dims, ix, x_mats in groups(xs, 1):
-        for y_dims, iy, y_mats in y_groups:
-            actions = [(a.source - 1, a.target - 1, x_mats[k], y_mats[k]) for k, a in enumerate(dq.arrows)]
-            system = intertwiner_system(fld, x_dims, y_dims, actions)
-            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats)[0]
+    for x_dims, ix, x_flat in groups(xs, 1):
+        for y_dims, iy, y_flat in y_groups:
+            system = intertwiner_system(fld, x_dims, y_dims, pairs, x_flat, y_flat)
+            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_flat, y_flat)
             mats += list(system.reshape(len(ix) * len(iy), *system.shape[2:]))
             mats += list(cond.reshape(len(ix) * len(iy), *cond.shape[2:]))
             blocks.append((np.ix_(ix, iy), system.shape[-1], cond.shape[-1]))
@@ -234,8 +226,8 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
         raise InputError("representations live on different double quivers")
     fld = x.field
     dq = x.dq
-    cond, shapes, offs = _cocycle_condition(fld, dq, x.dims, y.dims, x.mats, y.mats)
-    z_basis = fld.kernel_basis(cond)
+    shapes, offs = _cocycle_columns(dq, x.dims, y.dims)
+    z_basis = fld.kernel_basis(_cocycle_condition(fld, dq, x.dims, y.dims, x.flat, y.flat))
 
     # reduce cocycles modulo coboundaries, keeping originals as representatives
     residues = _coboundary_residues(x, y, z_basis)

@@ -41,6 +41,10 @@ class Representation:
             m.flags.writeable = False
             fixed.append(m)
         self.mats = tuple(fixed)
+        # the matrices flattened row-major and concatenated in arrow order:
+        # the entries the linear systems of modules scatter
+        self.flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [m.reshape(-1) for m in fixed])
+        self.flat.flags.writeable = False
         self._end_dim = None
         if validate and not check_relations(self):
             raise InputError("matrices violate the defining relation")
@@ -165,17 +169,6 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def element(self, coeffs) -> ModuleMap:
-        fld = self.source.field
-        nv = self.source.dq.nv
-        mats = [fld.zeros(self.target.dims[i], self.source.dims[i]) for i in range(nv)]
-        for c, b in zip(coeffs, self.basis):
-            if int(c) % fld.p == 0:
-                continue
-            for i in range(nv):
-                mats[i] = (mats[i] + int(c) * b[i]) % fld.p
-        return ModuleMap(self.source, self.target, tuple(mats))
-
 
 def _map_offsets(x_dims, y_dims) -> list[int]:
     """Offsets of the vertex maps k^x_i -> k^y_i in a stacked vector."""
@@ -185,44 +178,100 @@ def _map_offsets(x_dims, y_dims) -> list[int]:
     return offs
 
 
+class ScatterPlan:
+    """Where the entries of two lists of matrices land in a linear system.
+
+    Each cell of a system built from matrices X_1, X_2, ... and Y_1, Y_2,
+    ... is zero, a signed entry of some X or Y, or, on a loop (s == t), the
+    sum of one of each.  Each side, a triple (destinations, sources, signs)
+    from _scatter_plan, lists the flat cell each entry of that side's
+    matrices lands in, its position in those matrices flattened row-major
+    and concatenated in order, and its sign.  Within one side no
+    destination repeats, so the X entries are placed and the Y entries
+    added onto them.
+    """
+
+    def __init__(self, rows: int, cols: int, x_side: tuple, y_side: tuple):
+        self.shape = (int(rows), int(cols))
+        self.x, self.y = x_side, y_side
+        for a in (*x_side, *y_side):  # shared through the caches below
+            a.flags.writeable = False
+
+    def apply(self, fld: PrimeField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The system of the flattened matrices xs and ys, reduced mod p.
+        Their leading batch axes broadcast: X stacked as (kx, 1, n) against
+        Y as (1, ky, m) gives the systems of all kx * ky pairs, of shape
+        (kx, ky, rows, columns)."""
+        batch = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+        out = np.zeros(batch + (self.shape[0] * self.shape[1],), dtype=np.int64)
+        dst, src, sign = self.x
+        out[..., dst] = xs[..., src] * sign
+        dst, src, sign = self.y
+        out[..., dst] += ys[..., src] * sign
+        out %= fld.p
+        return out.reshape(batch + self.shape)
+
+
+def _scatter_plan(rows: int, cols: int, x_terms: list, y_terms: list) -> ScatterPlan:
+    """A ScatterPlan from the terms of its X and Y sides.
+
+    A term (I, J, K, row0, col0, ci, cj, ck, src0, si, sj, sk, sign)
+    places, for i < I, j < J and k < K, the entry at flat source position
+    src0 + si i + sj j + sk k of its side, times sign, in the cell of row
+    row0 + J i + j and column col0 + ci i + cj j + ck k."""
+    terms = np.array(x_terms + y_terms, dtype=np.int64).reshape(-1, 13)
+    I, J, K, row0, col0, ci, cj, ck, src0, si, sj, sk, sign = terms.T
+    # (offset, step in i, in j, in k) of the flat destination and source
+    coef = np.stack([[row0 * cols + col0, J * cols + ci, cols + cj, ck], [src0, si, sj, sk]])
+    counts = I * J * K
+    term = np.repeat(np.arange(len(terms)), counts)  # the term of each entry
+    q = np.arange(len(term)) - np.repeat(np.cumsum(counts) - counts, counts)
+    jk = (J * K)[term]
+    i, j, k = q // jk, q % jk // K[term], q % K[term]
+    c = coef[:, :, term]
+    dst, src = c[:, 0] + c[:, 1] * i + c[:, 2] * j + c[:, 3] * k
+    nx = int(counts[: len(x_terms)].sum())
+    sign = sign[term]
+    return ScatterPlan(rows, cols, (dst[:nx], src[:nx], sign[:nx]), (dst[nx:], src[nx:], sign[nx:]))
+
+
 @lru_cache(maxsize=None)
-def _eye(n: int) -> np.ndarray:
-    """The n x n identity, shared and read-only."""
-    out = np.eye(n, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+def _intertwiner_plan(x_dims: tuple, y_dims: tuple, pairs: tuple) -> ScatterPlan:
+    """ScatterPlan of intertwiner_system for actions between the vertex
+    pairs (s, t), built on first use per (x dims, y dims, pairs) and kept:
+    a run meets few such keys (about 300 building the A4 atlas)."""
+    offs = _map_offsets(x_dims, y_dims)
+    x_terms, y_terms = [], []
+    r0 = xo = yo = 0
+    for s, t in pairs:
+        xs, xt, ys, yt = x_dims[s], x_dims[t], y_dims[s], y_dims[t]
+        # row (i, j) of f_t X_a is Σ_k f_t[i, k] X_a[k, j], of Y_a f_s is
+        # Σ_k Y_a[i, k] f_s[k, j]
+        x_terms.append((yt, xs, xt, r0, offs[t], xt, 0, 1, xo, 0, 1, xs, 1))
+        y_terms.append((yt, xs, ys, r0, offs[s], 0, 1, xs, yo, ys, 0, 1, -1))
+        r0, xo, yo = r0 + yt * xs, xo + xt * xs, yo + yt * ys
+    return _scatter_plan(r0, offs[-1], x_terms, y_terms)
 
 
-def intertwiner_system(fld: PrimeField, x_dims, y_dims, actions) -> np.ndarray:
+def intertwiner_system(fld: PrimeField, x_dims, y_dims, pairs, xs, ys) -> np.ndarray:
     """Matrix of f -> (f_t X_a - Y_a f_s)_a, whose kernel is Hom(x, y).
 
     The unknowns are the row-major vectors of the vertex maps
-    f_i: k^x_i -> k^y_i, stacked in vertex order.  actions lists
-    (s, t, X_a, Y_a) with 0-based vertices s, t; the row blocks follow its
-    order, an empty block for each action with y_t * x_s = 0.  The X_a and
-    Y_a may carry leading batch axes, which broadcast: X_a stacked as
-    (kx, 1, x_t, x_s) against Y_a as (1, ky, y_t, y_s) gives the systems of
-    all kx * ky pairs, of shape (kx, ky, rows, columns).  2-D actions give
-    one 2-D system.
+    f_i: k^x_i -> k^y_i, stacked in vertex order.  pairs lists the 0-based
+    vertices (s, t) of each action a; the row blocks follow its order, an
+    empty block for each action with y_t * x_s = 0.  xs and ys hold the X_a
+    and the Y_a flattened row-major and concatenated in that order, as
+    Representation.flat holds a module's arrow matrices, with leading
+    batch axes as in ScatterPlan.apply.  The entries are scattered by the
+    cached _intertwiner_plan; on a loop (s == t) the cells (i, j), (i, j)
+    of f_t X_a and Y_a f_s coincide, and get the difference.
     """
-    offs = _map_offsets(x_dims, y_dims)
-    batch = np.broadcast_shapes(*(m.shape[:-2] for _, _, xa, ya in actions for m in (xa, ya)))
-    nrows = sum(y_dims[t] * x_dims[s] for s, t, _, _ in actions)
-    a = np.zeros(batch + (nrows, offs[-1]), dtype=np.int64)
-    r0 = 0
-    for s, t, xa, ya in actions:
-        yt, xs = y_dims[t], x_dims[s]
-        r1 = r0 + yt * xs
-        if r1 == r0:
-            continue
-        # row (i, j) of f_t X_a is Σ_k f_t[i, k] X_a[k, j], of Y_a f_s is
-        # Σ_l Y_a[i, l] f_s[l, j]: the blocks as (i, j, row of f, column of f)
-        ft = _eye(yt)[:, None, :, None] * xa.swapaxes(-1, -2)[..., None, :, None, :]
-        fs = ya[..., :, None, :, None] * _eye(xs)[:, None, :]
-        a[..., r0:r1, offs[t] : offs[t + 1]] = ft.reshape(ft.shape[:-4] + (r1 - r0, offs[t + 1] - offs[t]))
-        a[..., r0:r1, offs[s] : offs[s + 1]] -= fs.reshape(fs.shape[:-4] + (r1 - r0, offs[s + 1] - offs[s]))
-        r0 = r1
-    return a % fld.p
+    return _intertwiner_plan(tuple(x_dims), tuple(y_dims), tuple(pairs)).apply(fld, xs, ys)
+
+
+def arrow_pairs(dq: DoubleQuiver) -> tuple:
+    """The 0-based vertices (s, t) of each arrow, in arrow order."""
+    return tuple((a.source - 1, a.target - 1) for a in dq.arrows)
 
 
 def kernel_maps(fld: PrimeField, x_dims, y_dims, system: np.ndarray) -> list[tuple]:
@@ -241,10 +290,7 @@ def kernel_maps(fld: PrimeField, x_dims, y_dims, system: np.ndarray) -> list[tup
 def _hom_system(x: Representation, y: Representation) -> np.ndarray:
     if x.dq is not y.dq and x.dq != y.dq:
         raise InputError("representations live on different double quivers")
-    actions = [
-        (a.source - 1, a.target - 1, x.mats[k], y.mats[k]) for k, a in enumerate(x.dq.arrows)
-    ]
-    return intertwiner_system(x.field, x.dims, y.dims, actions)
+    return intertwiner_system(x.field, x.dims, y.dims, arrow_pairs(x.dq), x.flat, y.flat)
 
 
 def hom_basis(x: Representation, y: Representation) -> HomSpace:
@@ -537,21 +583,17 @@ def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
     return out
 
 
-# seeded random endomorphisms decompose tries on a factor that no Hom basis
-# element splits and that is not certified indecomposable
-SPLIT_TRIES = 64
-
-
-def decompose(rep: Representation, seed: int = 0):
+def decompose(rep: Representation):
     """Krull-Schmidt decomposition into (indecomposable, multiplicity) pairs.
 
-    Splitting elements of End(rep) are searched among the Hom basis and
-    then SPLIT_TRIES seeded random combinations; a factor is certified indecomposable
-    by End/rad being 1-dimensional (trace-form radical).
+    Splitting elements of End(rep) are searched among its Hom basis; a
+    factor none of them splits is certified indecomposable by End/rad
+    being 1-dimensional (trace-form radical), and NonSplitResidueError is
+    raised if End/rad is larger.
     """
     if rep.total_dim == 0:
         return []
-    pieces = _decompose_rec(rep, seed)
+    pieces = _decompose_rec(rep)
     out: list[tuple[Representation, int]] = []
     # the pieces are certified indecomposable, so is_isomorphic decides
     for piece in pieces:
@@ -564,37 +606,19 @@ def decompose(rep: Representation, seed: int = 0):
     return out
 
 
-def _decompose_rec(rep: Representation, seed: int) -> list[Representation]:
+def _decompose_rec(rep: Representation) -> list[Representation]:
     ends = hom_basis(rep, rep)
     rep._end_dim = ends.dim  # spares is_isomorphic and the atlas closure a rank
     if ends.dim == 1:
         return [rep]
-
-    def split_by(mats):
-        spaces = _split_spaces(rep, mats)
-        if len(spaces) < 2:
-            return None
-        found = []
-        for bases in spaces:
-            sub, _ = sub_representation(rep, bases)
-            found.extend(_decompose_rec(sub, seed))
-        return found
-
     for b in ends.basis:
-        got = split_by(b)
-        if got is not None:
-            return got
-    # no basis element split; certify or keep searching with random combos
+        spaces = _split_spaces(rep, b)
+        if len(spaces) >= 2:
+            return [piece for bases in spaces for piece in _decompose_rec(sub_representation(rep, bases)[0])]
     fld = rep.field
     rad_coords = fld.trace_form_radical([block_diagonal(rep, b) for b in ends.basis])
     if ends.dim - rad_coords.shape[1] == 1:
         return [rep]
-    rng = np.random.default_rng([seed, 0x0D3C])
-    for _ in range(SPLIT_TRIES):
-        coeffs = rng.integers(0, fld.p, size=ends.dim)
-        got = split_by(ends.element(coeffs).mats)
-        if got is not None:
-            return got
     raise NonSplitResidueError(
-        f"factor with End/rad dimension {ends.dim - rad_coords.shape[1]} did not split"
+        f"no Hom basis element splits a factor with End/rad dimension {ends.dim - rad_coords.shape[1]}"
     )

@@ -6,8 +6,11 @@ another way: splitting, pullback and pushout of sequences (Auslander-
 Reiten-Smalø, Ch. I) against the connecting and pullback matrices; Hom
 over End(T) from the intertwining system, and the cover and syzygy modules,
 against the presentations of ExtCalculatorB; the approximation T'' -> T
-as a module map against coresolution_check's vertex-wise ranks.  Nothing
-in src/preproj imports this module.
+as a module map against coresolution_check's vertex-wise ranks; the Hom
+systems and cocycle conditions built by broadcasting, block by block,
+against the index plans of modules.intertwiner_system and
+extensions._cocycle_condition.  Nothing in src/preproj imports this
+module.
 """
 
 from __future__ import annotations
@@ -70,6 +73,90 @@ def isomorphic_by_decomposition(x: Representation, y: Representation) -> bool:
             return False
         del unmatched[hit]
     return not unmatched
+
+
+# -- the linear systems, built by broadcasting ------------------------------------
+
+
+def _eye(n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.int64)
+
+
+def broadcast_intertwiner_system(fld, x_dims, y_dims, actions) -> np.ndarray:
+    """modules.intertwiner_system built block by block: each action's
+    blocks of f_t X_a and Y_a f_s as broadcast products with identities.
+    The X_a and Y_a may carry leading batch axes, which broadcast."""
+    offs = [0]
+    for xd, yd in zip(x_dims, y_dims):
+        offs.append(offs[-1] + yd * xd)
+    batch = np.broadcast_shapes(*(m.shape[:-2] for _, _, xa, ya in actions for m in (xa, ya)))
+    nrows = sum(y_dims[t] * x_dims[s] for s, t, _, _ in actions)
+    a = np.zeros(batch + (nrows, offs[-1]), dtype=np.int64)
+    r0 = 0
+    for s, t, xa, ya in actions:
+        yt, xs = y_dims[t], x_dims[s]
+        r1 = r0 + yt * xs
+        if r1 == r0:
+            continue
+        # the blocks as (i, j, row of f, column of f)
+        ft = _eye(yt)[:, None, :, None] * xa.swapaxes(-1, -2)[..., None, :, None, :]
+        fs = ya[..., :, None, :, None] * _eye(xs)[:, None, :]
+        a[..., r0:r1, offs[t] : offs[t + 1]] = ft.reshape(ft.shape[:-4] + (r1 - r0, offs[t + 1] - offs[t]))
+        a[..., r0:r1, offs[s] : offs[s + 1]] -= fs.reshape(fs.shape[:-4] + (r1 - r0, offs[s + 1] - offs[s]))
+        r0 = r1
+    return a % fld.p
+
+
+def broadcast_cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats) -> np.ndarray:
+    """The matrix of extensions._cocycle_condition built vertex by vertex:
+    the terms Y_first C_second + C_first X_second of the defining relation
+    as broadcast products with identities."""
+    sizes = [y_dims[a.target - 1] * x_dims[a.source - 1] for a in dq.arrows]
+    offs = np.concatenate([[0], np.cumsum(sizes)])
+    batch = np.broadcast_shapes(*(m.shape[:-2] for m in (*x_mats, *y_mats)))
+    nrows = sum(x_dims[v - 1] * y_dims[v - 1] for v in dq.vertices)
+    cond = np.zeros(batch + (nrows, int(offs[-1])), dtype=np.int64)
+    r0 = 0
+    for v in dq.vertices:
+        xv, yv = x_dims[v - 1], y_dims[v - 1]
+        r1 = r0 + yv * xv
+        if r1 == r0:
+            continue
+        block = cond[..., r0:r1, :]
+        for k in range(dq.n_base):
+            a = dq.arrows[k]
+            ks = dq.partner[k]
+            terms = []
+            if a.source == v:
+                terms.append((ks, k, 1))
+            if a.target == v:
+                terms.append((k, ks, -1))
+            for first, second, sgn in terms:
+                yc = y_mats[first][..., :, None, :, None] * _eye(xv)[:, None, :]
+                cx = _eye(yv)[:, None, :, None] * x_mats[second].swapaxes(-1, -2)[..., None, :, None, :]
+                c0, c1 = offs[second], offs[second + 1]
+                block[..., c0:c1] += sgn * yc.reshape(yc.shape[:-4] + (r1 - r0, c1 - c0))
+                c0, c1 = offs[first], offs[first + 1]
+                block[..., c0:c1] += sgn * cx.reshape(cx.shape[:-4] + (r1 - r0, c1 - c0))
+        r0 = r1
+    return cond % fld.p
+
+
+def flat_matrices(mats) -> np.ndarray:
+    """Matrices with one batch shape, each flattened row-major and
+    concatenated along the last axis, as Representation.flat holds them."""
+    if not mats:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate([m.reshape(m.shape[:-2] + (-1,)) for m in mats], axis=-1)
+
+
+def planned_system(fld, x_dims, y_dims, actions) -> np.ndarray:
+    """modules.intertwiner_system of the actions (s, t, X_a, Y_a), as
+    broadcast_intertwiner_system takes them (2-D X_a and Y_a)."""
+    pairs = [(s, t) for s, t, _, _ in actions]
+    xs = flat_matrices([xa for _, _, xa, _ in actions])
+    ys = flat_matrices([ya for _, _, _, ya in actions])
+    return intertwiner_system(fld, x_dims, y_dims, pairs, xs, ys)
 
 
 # -- extensions -----------------------------------------------------------------
@@ -252,7 +339,7 @@ def _system(m, n):
         nb = n.action_block(idx)
         if np.any(mb) or np.any(nb):
             actions.append((b.src, b.tgt, mb, nb))
-    return intertwiner_system(alg.field, m.comp_dims, n.comp_dims, actions)
+    return planned_system(alg.field, m.comp_dims, n.comp_dims, actions)
 
 
 def oracle_hom_basis(m, n):

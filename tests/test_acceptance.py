@@ -182,6 +182,7 @@ PINNED_DIGESTS = {
     ("A3", 32003, "atlas"): "6fcd5adc799e23b9e7dc0374a7e13711abffda5cd606f7d877a373664763156e",
     ("A3", 101, "atlas"): "f0223c7a8bfc2de064d9cd8502390bf7553df0aa25f9f4e3897be2b7169e8421",
     ("A4", 32003, "atlas"): "836dec36f38cf7df42d8b38d41dd2cdce12fc1a6462df648ab1295ca57021db3",
+    ("A4", 101, "atlas"): "2e68a2f66774751892bf34b08ed694f97710f561dd66794db3f5ef272c65db37",
     ("A4", 32003, "mutation"): "e8d8f1b53faa1cdfadf5c4fab386b578079219a7a5db4891af4c00400d9e5d6c",
 }
 

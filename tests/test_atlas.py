@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import preproj.atlas as atlas_mod
+import preproj.extensions as extensions_mod
+import preproj.modules as modules_mod
 from preproj.atlas import (
     Atlas,
     _ar_socle,
@@ -237,7 +239,8 @@ def test_a3_socle_classes_give_almost_split_sequences(atlas_a3):
         tau_m = cosyzygy(m, atlas_a3.basis)
         if not tau_m.total_dim:
             continue
-        space, socle = _ar_socle(m, tau_m)
+        space = ext1_cocycle(m, tau_m)
+        socle = _ar_socle(space)
         assert socle.shape[1] == 1
         for col in socle.T:
             seq = build_extension(space, col)
@@ -248,31 +251,79 @@ def test_a3_socle_classes_give_almost_split_sequences(atlas_a3):
 
 
 def test_uncertified_closure_raises(monkeypatch):
-    monkeypatch.setattr(atlas_mod, "_certify_complete", lambda mods, basis, seed=0: "refused")
+    monkeypatch.setattr(atlas_mod, "_certify_complete", lambda mods, basis, facts=None: "refused")
     with pytest.raises(EnumerationError, match="refused"):
         enumerate_indecomposables("A3", PrimeField(32003))
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    """Count the calls of the named functions through every binding of
+    them in atlas, modules and extensions, and of PrimeField.rref."""
+    calls = dict.fromkeys([*names, "rref"], 0)
+    for mod in (atlas_mod, modules_mod, extensions_mod):
+        for name in names:
+            real = getattr(mod, name, None)
+            if real is None:
+                continue
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    real_rref = PrimeField.rref
+
+    def rref(self, *args, **kwargs):
+        calls["rref"] += 1
+        return real_rref(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeField, "rref", rref)
+    return calls
 
 
 def test_a4_closure_builds_few_extensions(monkeypatch):
     # confirming completeness by one more sampled pass built 1,200 middle
     # terms on A4; the certificate builds one almost split sequence per
-    # non-projective module.  The passes and the certificate build 521
+    # non-projective module.  The passes and the certificate build 507
     # extension spaces; the 1,116 pairs no pass visited get Ext from
-    # pair_tables, without cocycles
-    calls = {"build_extension": 0, "ext1_cocycle": 0}
-    for name in calls:
-        real = getattr(atlas_mod, name)
-
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(atlas_mod, name, counted)
+    # pair_tables, without cocycles.  Each content is decomposed once, each
+    # placed piece located once, and the certificate reuses the passes'
+    # cosyzygies, Ext spaces and decompositions: 215 decompositions, 703
+    # Hom bases, 389 isomorphism tests, 63 cosyzygies and 8,430 rrefs before
+    names = ["build_extension", "ext1_cocycle", "decompose", "hom_basis", "is_isomorphic", "cosyzygy"]
+    calls = _count_calls(monkeypatch, names)
     built = enumerate_indecomposables("A4", PrimeField(32003))
     assert built.size == 40
     assert calls["build_extension"] <= 200
-    assert calls["ext1_cocycle"] < 40 * 40 // 2
+    assert calls["ext1_cocycle"] <= 507
+    assert calls["decompose"] <= 108
+    assert calls["hom_basis"] <= 382
+    assert calls["is_isomorphic"] <= 179
+    assert calls["cosyzygy"] <= 40
+    assert calls["rref"] <= 6442
     assert compare_atlases(built, shared_atlas("A4")) == []
+
+
+@pytest.mark.parametrize("p", [32003, 101])
+@pytest.mark.parametrize("qtype", ["A2", "A3", "A4"])
+def test_certificate_verdict_does_not_depend_on_the_passes_facts(qtype, p, monkeypatch):
+    # every pass's certificate gives the same verdict from the passes'
+    # facts as from scratch; A2 and A3 certify after one pass, A4 after two,
+    # so a failing verdict is compared too
+    real = atlas_mod._certify_complete
+    verdicts = []
+
+    def both(mods, basis, facts=None):
+        got = real(mods, basis, facts)
+        verdicts.append((got, real(list(mods), basis)))
+        return got
+
+    monkeypatch.setattr(atlas_mod, "_certify_complete", both)
+    built = enumerate_indecomposables(qtype, PrimeField(p))
+    assert verdicts[-1] == (None, None)
+    assert all(with_facts == without for with_facts, without in verdicts), verdicts
+    assert len(verdicts) == (2 if qtype == "A4" else 1)
+    assert compare_atlases(built, shared_atlas(qtype, p)) == []
 
 
 def test_closure_ext_is_checked_against_ranks(monkeypatch):

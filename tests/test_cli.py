@@ -145,7 +145,7 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
 
 
 def test_uncertified_closure_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(atlas_mod, "_certify_complete", lambda mods, basis, seed=0: "refused")
+    monkeypatch.setattr(atlas_mod, "_certify_complete", lambda mods, basis, facts=None: "refused")
     for cmd in (["atlas"], ["graph", "--kind", "mutation"]):
         code, out, err = run(capsys, *cmd, "--type", "A2", "--cache-dir", str(tmp_path / "c"))
         assert code == 2

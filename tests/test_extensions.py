@@ -13,6 +13,7 @@ from preproj.linalg import PrimeField
 from preproj.modules import (
     ModuleMap,
     _hom_system,
+    arrow_pairs,
     decompose,
     direct_sum,
     hom_basis,
@@ -21,11 +22,15 @@ from preproj.modules import (
     is_isomorphic,
     zero_rep,
 )
+from tests.conftest import shared_atlas
 from tests.oracle import (
+    broadcast_cocycle_condition,
+    broadcast_intertwiner_system,
     exact_classes,
     ext1_dim_formula,
     factors_along,
     factors_through,
+    flat_matrices,
     identity_map,
     is_split,
     pullback,
@@ -95,34 +100,54 @@ def test_pair_tables_match_the_a4_atlas_at_p11():
     assert ext.tolist() == [[ext1_cocycle(x, y).dim for y in mods] for x in mods]
 
 
-def test_stacked_systems_match_single_pair_builds(atlas_a4):
+def test_stacked_systems_match_single_pair_builds():
+    # the planned builders against the broadcasting oracles, for every pair
+    # of atlas modules of A2, A3 and A4: one pair at a time, and with the
     # modules of one dimension vector stacked as (kx, 1, ...) against
-    # (1, ky, ...): both builders give, entry for entry, the stack of their
-    # single-pair systems; a 2-D y against a stacked x broadcasts too
-    fld, dq = atlas_a4.field, atlas_a4.dq
+    # (1, ky, ...), as pair_tables stacks them; a 2-D y against a stacked x
+    # broadcasts too
+    for qtype in ("A2", "A3", "A4"):
+        _check_planned_systems(shared_atlas(qtype))
+    assert max(len(g) for g in _dims_groups(shared_atlas("A4")).values()) > 1
+
+
+def _dims_groups(atlas) -> dict:
     groups = {}
-    for m in atlas_a4.modules:
+    for m in atlas.modules:
         groups.setdefault(m.dims, []).append(m)
-    assert max(len(g) for g in groups.values()) > 1
+    return groups
+
+
+def _check_planned_systems(atlas):
+    fld, dq = atlas.field, atlas.dq
+    pairs = arrow_pairs(dq)
     arrows = range(len(dq.arrows))
+    groups = _dims_groups(atlas)
     for x_dims, gx in groups.items():
         x_mats = [np.stack([x.mats[k] for x in gx])[:, None] for k in arrows]
+        x_flat = np.stack([x.flat for x in gx])[:, None]
+        assert np.array_equal(x_flat, flat_matrices(x_mats))
         for y_dims, gy in groups.items():
             y_mats = [np.stack([y.mats[k] for y in gy])[None] for k in arrows]
-            actions = [(a.source - 1, a.target - 1, x_mats[k], y_mats[k]) for k, a in enumerate(dq.arrows)]
-            system = intertwiner_system(fld, x_dims, y_dims, actions)
-            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats)[0]
+            y_flat = np.stack([y.flat for y in gy])[None]
+            actions = [(s, t, x_mats[k], y_mats[k]) for k, (s, t) in enumerate(pairs)]
+            system = intertwiner_system(fld, x_dims, y_dims, pairs, x_flat, y_flat)
+            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_flat, y_flat)
             assert system.shape[:2] == cond.shape[:2] == (len(gx), len(gy))
+            assert np.array_equal(system, broadcast_intertwiner_system(fld, x_dims, y_dims, actions))
+            assert np.array_equal(cond, broadcast_cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats))
             for i, x in enumerate(gx):
                 for j, y in enumerate(gy):
+                    single = [(s, t, x.mats[k], y.mats[k]) for k, (s, t) in enumerate(pairs)]
                     assert np.array_equal(system[i, j], _hom_system(x, y))
-                    assert np.array_equal(cond[i, j], _cocycle_condition(fld, dq, x.dims, y.dims, x.mats, y.mats)[0])
+                    assert np.array_equal(system[i, j], broadcast_intertwiner_system(fld, x.dims, y.dims, single))
+                    one = _cocycle_condition(fld, dq, x.dims, y.dims, x.flat, y.flat)
+                    assert np.array_equal(cond[i, j], one)
+                    assert np.array_equal(one, broadcast_cocycle_condition(fld, dq, x.dims, y.dims, x.mats, y.mats))
             y = gy[0]
-            flat_x = [m[:, 0] for m in x_mats]
-            cond = _cocycle_condition(fld, dq, x_dims, y_dims, flat_x, y.mats)[0]
+            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_flat[:, 0], y.flat)
             assert cond.shape[0] == len(gx)
-            for i, x in enumerate(gx):
-                assert np.array_equal(cond[i], _cocycle_condition(fld, dq, x.dims, y.dims, x.mats, y.mats)[0])
+            assert np.array_equal(cond, broadcast_cocycle_condition(fld, dq, x_dims, y_dims, [m[:, 0] for m in x_mats], y.mats))
 
 
 def test_ext_vanishes_into_projectives(atlas_a3):

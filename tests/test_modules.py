@@ -24,7 +24,7 @@ from preproj.modules import (
     zero_rep,
 )
 from preproj.quivers import PreprojectiveBasis, double, dynkin_a
-from tests.oracle import inv, isomorphic_by_decomposition
+from tests.oracle import broadcast_intertwiner_system, inv, isomorphic_by_decomposition, planned_system
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,26 @@ def test_decompose_block_diagonal(a3, f):
     assert sorted((x.dims, k) for x, k in parts) == [((0, 1, 0), 1), ((1, 1, 1), 1)]
     doubled = decompose(direct_sum(dq, f, [p1, p1]))
     assert len(doubled) == 1 and doubled[0][1] == 2
+
+
+def test_planned_system_adds_both_entries_on_a_loop(f):
+    # an action with s == t, as an element of rad End(T_k) acts over End(T),
+    # sends an entry of X_a and one of Y_a to each cell (i, j), (i, j) of
+    # its block; random matrices, whose diagonals are not zero, must get
+    # their difference there, as from the broadcasting oracle
+    rng = np.random.default_rng(5)
+    loops = 0
+    for _ in range(40):
+        x_dims, y_dims = (tuple(int(d) for d in rng.integers(0, 4, 3)) for _ in range(2))
+        actions = []
+        for s, t in rng.integers(0, 3, (4, 2)):
+            xa = rng.integers(0, f.p, (x_dims[t], x_dims[s]))
+            ya = rng.integers(0, f.p, (y_dims[t], y_dims[s]))
+            actions.append((int(s), int(t), xa, ya))
+            loops += s == t and x_dims[s] * y_dims[s] > 0
+        want = broadcast_intertwiner_system(f, x_dims, y_dims, actions)
+        assert np.array_equal(planned_system(f, x_dims, y_dims, actions), want)
+    assert loops
 
 
 def test_decompose_is_a_partition(a3, f):

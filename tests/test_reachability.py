@@ -33,8 +33,6 @@ ALLOWED = {
     "linalg.PrimeField.__eq__": PROTOCOL,
     "linalg.PrimeField.__hash__": PROTOCOL,
     "modules.Representation.__repr__": PROTOCOL,
-    "quivers.DoubleQuiver.__hash__": PROTOCOL,
-    "modules.HomSpace.element": FALLBACK,  # decompose's SPLIT_TRIES search
     "modules.zero_rep": FALLBACK,  # direct_sum of no modules
     "linalg.PrimeField.mat": CONSTRUCTOR,
     "endo.BoundAlgebra.dim": CONSTRUCTOR,
