@@ -7,7 +7,6 @@ from .config import Config, build_config
 from .endo import BoundAlgebra, BModule, enumerate_tilting, verify_graph_correspondence
 from .extensions import (
     ExtSpace,
-    ShortExactSequence,
     build_extension,
     ext1_cocycle,
     is_hom_exact,
@@ -24,7 +23,6 @@ from .modules import (
     radical,
     simple,
     syzygy,
-    top,
 )
 from .quivers import (
     DoubleQuiver,
@@ -47,9 +45,9 @@ from .rigidgraph import (
 __all__ = [
     "Atlas", "enumerate_indecomposables", "Config", "build_config", "BoundAlgebra",
     "BModule", "enumerate_tilting", "verify_graph_correspondence", "ExtSpace",
-    "ShortExactSequence", "build_extension", "ext1_cocycle", "is_hom_exact", "PrimeField", "Representation", "check_relations", "decompose",
+    "build_extension", "ext1_cocycle", "is_hom_exact", "PrimeField", "Representation", "check_relations", "decompose",
     "direct_sum", "hom_basis", "is_isomorphic", "projective_module", "radical",
-    "simple", "syzygy", "top", "DoubleQuiver", "PreprojectiveBasis", "Quiver", "double",
+    "simple", "syzygy", "DoubleQuiver", "PreprojectiveBasis", "Quiver", "double",
     "dynkin_a", "preset_quiver", "symmetric_form", "MutationGraph", "RigidModule",
     "enumerate_maximal_rigid", "export_graph", "is_connected",
     "mutation_graph",

@@ -1,7 +1,7 @@
 """Complete lists of indecomposable modules with Hom/Ext tables.
 
 Enumeration runs a closure from simples and projectives.  Each pass adds
-the summands of the radicals, tops, syzygies and cosyzygies of the modules
+the summands of the radicals, syzygies and cosyzygies of the modules
 it has not yet seen, and of the middles of sampled extensions between the
 modules known at its start.  Work is keyed by content, the dimension vector
 and matrix bytes: a module whose content was decomposed is not decomposed
@@ -41,7 +41,7 @@ from .modules import (
     simple,
     socle_dims,
     syzygy,
-    top,
+    top_dims,
 )
 from .quivers import (
     RELATION_CONVENTION,
@@ -106,7 +106,7 @@ class Atlas:
         if got is not None:
             return got
         src, tgt = self.modules[i], self.modules[j]
-        found = hom_basis(src, tgt).basis
+        found = hom_basis(src, tgt)
         if i == j:
             found = self._local_basis(src, found)
         self._homs[(i, j)] = found
@@ -209,22 +209,24 @@ class Atlas:
                 f"atlas stored at p={payload.get('field_char')}, engine configured p={field.p}"
             )
         qtype = payload.get("quiver_type")
-        dq = double(preset_quiver(qtype))
-        basis = PreprojectiveBasis(dq, field)
         modules = []
         aliases = {}
-        for entry in payload["modules"]:
-            dims = tuple(entry["dim_vector"])
-            mats = []
-            for k, a in enumerate(dq.arrows):
-                flat = entry["matrices"][a.name]
-                rows, cols = dims[a.target - 1], dims[a.source - 1]
-                mats.append(np.array(flat, dtype=np.int64).reshape(rows, cols))
-            modules.append(Representation(dq, field, dims, mats))
-            if "alias" in entry:
-                aliases[entry["id"]] = entry["alias"]
-        hom_table = np.array(payload["hom_table"], dtype=np.int64)
-        ext_table = np.array(payload["ext_table"], dtype=np.int64)
+        try:
+            dq = double(preset_quiver(qtype))
+            for entry in payload["modules"]:
+                dims = tuple(entry["dim_vector"])
+                mats = []
+                for k, a in enumerate(dq.arrows):
+                    flat = entry["matrices"][a.name]
+                    rows, cols = dims[a.target - 1], dims[a.source - 1]
+                    mats.append(np.array(flat, dtype=np.int64).reshape(rows, cols))
+                modules.append(Representation(dq, field, dims, mats))
+                if "alias" in entry:
+                    aliases[entry["id"]] = entry["alias"]
+            hom_table = np.array(payload["hom_table"], dtype=np.int64)
+            ext_table = np.array(payload["ext_table"], dtype=np.int64)
+        except (KeyError, IndexError, TypeError, ValueError, InputError) as exc:
+            raise FormatError(f"malformed atlas file: {type(exc).__name__}: {exc}") from exc
         n = len(modules)
         if hom_table.shape != (n, n) or ext_table.shape != (n, n):
             raise FormatError("table shapes do not match module count")
@@ -232,7 +234,7 @@ class Atlas:
             qtype=qtype,
             field=field,
             dq=dq,
-            basis=basis,
+            basis=PreprojectiveBasis(dq, field),
             modules=modules,
             hom_table=hom_table,
             ext_table=ext_table,
@@ -273,7 +275,7 @@ def _content(m: Representation) -> tuple:
 def _end_radical(m: Representation) -> list[tuple]:
     """A basis of rad End(m), as tuples of vertex maps."""
     fld = m.field
-    ends = hom_basis(m, m).basis
+    ends = hom_basis(m, m)
     coords = fld.trace_form_radical([block_diagonal(m, b) for b in ends])
     return [
         tuple(
@@ -361,9 +363,9 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, facts: PassFacts | 
             socle = _ar_socle(space)
             if socle.shape[1] != 1:
                 return f"socle of Ext^1(M, tau M) has dimension {socle.shape[1]} at module {mid}"
-            middle = build_extension(space, socle[:, 0]).mid
+            middle = build_extension(space, socle[:, 0])
         else:
-            middle = radical(m)[0]
+            middle = radical(m)
         for pid, _ in summands(middle):
             if pid is None:
                 return f"a predecessor of module {mid} is missing"
@@ -438,7 +440,8 @@ def enumerate_indecomposables(qtype: str, field: PrimeField, seed: int = 0) -> A
                 continue
             m = mods[idx]
             facts.tau[idx] = cosyzygy(m, basis)
-            for rep in (radical(m)[0], top(m)[0], syzygy(m, basis), facts.tau[idx]):
+            # no top: it is semisimple, and every simple is placed first
+            for rep in (radical(m), syzygy(m, basis), facts.tau[idx]):
                 if rep.total_dim:
                     absorb(rep)
         for i in range(n0):
@@ -448,7 +451,7 @@ def enumerate_indecomposables(qtype: str, field: PrimeField, seed: int = 0) -> A
                 space = ext1_cocycle(mods[i], mods[j])
                 if space.dim:
                     for coeffs in _scalar_classes(field, space.dim, seed):
-                        absorb(build_extension(space, coeffs).mid)
+                        absorb(build_extension(space, coeffs))
                 facts.spaces[i, j] = space
         failure = _certify_complete(mods, basis, facts)
         if failure is None:
@@ -489,10 +492,6 @@ def enumerate_indecomposables(qtype: str, field: PrimeField, seed: int = 0) -> A
 # -- alias assignment ------------------------------------------------------
 
 
-def _top_dims(m: Representation) -> tuple:
-    return top(m)[0].dims
-
-
 def assign_aliases(atlas: Atlas) -> dict[int, str]:
     """Structural names: simples, projectives, and the Loewy-layer names of
     the remaining A3 modules plus the four distinguished A4 modules."""
@@ -525,7 +524,7 @@ def assign_aliases(atlas: Atlas) -> dict[int, str]:
     for mid, m in enumerate(atlas.modules):
         if mid in out:
             continue
-        sig = (m.dims, _top_dims(m), socle_dims(m))
+        sig = (m.dims, top_dims(m), socle_dims(m))
         if sig in named:
             put(mid, named[sig])
     return out

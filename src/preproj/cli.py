@@ -12,7 +12,7 @@ import sys
 from .atlas import ATLAS_FORMAT_VERSION, Atlas, enumerate_indecomposables
 from .config import Config, build_config
 from .endo import ExtCalculatorB, enumerate_tilting
-from .errors import PreprojError
+from .errors import FormatError, PreprojError
 from .linalg import PrimeField
 from .rigidgraph import (
     RigidModule,
@@ -39,6 +39,8 @@ def get_atlas(cfg: Config, qtype: str, p: int | None = None) -> Atlas:
     path = os.path.join(root, "atlas.json")
     if os.path.exists(path):
         atlas = Atlas.load(path, field)
+        if atlas.qtype != qtype:
+            raise FormatError(f"cached atlas {path} is of type {atlas.qtype}, not {qtype}")
         print(f"loaded {qtype} atlas from {path}", file=sys.stderr)
         return atlas
     atlas = enumerate_indecomposables(qtype, field, seed=cfg.seed)

@@ -64,10 +64,8 @@ class BoundAlgebra:
             self.identity_of[k] = self.block_elems[(k, k)][0]
         idents = set(self.identity_of.values())
         self.radical_elements = [e.index for e in self.elements if e.index not in idents]
-        self.mult: dict[tuple[int, int], np.ndarray] = {}
-        self._build_mult_table()
+        self._images: dict[int, BModule] = {}
         self._check_structure()
-        self._proj_cache: dict[int, BModule] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -75,74 +73,40 @@ class BoundAlgebra:
     def dim(self) -> int:
         return len(self.elements)
 
-    def _build_mult_table(self):
-        """mult[(i1, i2)]: coordinates of elements[i1] o elements[i2] over
-        the basis of its block, sliced from atlas.compose."""
-        ids = self.summand_ids
-        for m in range(self.r):
-            for k in range(self.r):
-                seconds = self.block_elems[(m, k)]
-                for l in range(self.r):
-                    firsts = self.block_elems[(k, l)]
-                    if not firsts or not seconds:
-                        continue
-                    consts = self.atlas.compose(ids[m], ids[k], ids[l])
-                    for e1, i1 in enumerate(firsts):
-                        for e2, i2 in enumerate(seconds):
-                            self.mult[(i1, i2)] = consts[e1, :, e2]
-
     def _check_structure(self):
-        """The identity laws, exactly.  Associativity needs no runtime
-        check: the constants are slices of Atlas.compose, each from an
-        exact solve over a basis of actual maps, whose composition is
+        """The identity laws, exactly, on the composition constants of the
+        atlas: b o e_k = b for b in Hom(T_k, T_l), and e_k o b = b for b in
+        Hom(T_m, T_k), where e_k is the first basis element of End(T_k).
+        Associativity needs no runtime check: the constants come from exact
+        solves over a basis of actual maps, whose composition is
         associative."""
-        fld = self.field
-        # orthogonal idempotents summing to the identity
+        ids = self.summand_ids
         for k in range(self.r):
-            ek = self.identity_of[k]
-            for b in self.elements:
-                if b.src == k:
-                    got = self.mult.get((b.index, ek))
-                    unit = np.zeros(len(self.block_elems[(k, b.tgt)]), dtype=np.int64)
-                    unit[self.block_elems[(k, b.tgt)].index(b.index)] = 1
-                    if got is None or np.any((got - unit) % fld.p):
-                        raise IntegrityError("right identity law fails")
-                if b.tgt == k:
-                    got = self.mult.get((ek, b.index))
-                    unit = np.zeros(len(self.block_elems[(b.src, k)]), dtype=np.int64)
-                    unit[self.block_elems[(b.src, k)].index(b.index)] = 1
-                    if got is None or np.any((got - unit) % fld.p):
-                        raise IntegrityError("left identity law fails")
+            for l in range(self.r):
+                right = self.atlas.compose(ids[k], ids[k], ids[l])[:, :, 0]
+                if not np.array_equal(right, np.eye(len(right), dtype=np.int64)):
+                    raise IntegrityError("right identity law fails")
+                left = self.atlas.compose(ids[l], ids[k], ids[k])[0]
+                if not np.array_equal(left, np.eye(len(left), dtype=np.int64)):
+                    raise IntegrityError("left identity law fails")
 
     # -- modules ---------------------------------------------------------
 
     def projective(self, k: int) -> "BModule":
-        """The left ideal generated by the k-th idempotent."""
-        got = self._proj_cache.get(k)
-        if got is not None:
-            return got
-        comp_dims = tuple(len(self.block_elems[(k, j)]) for j in range(self.r))
-        blocks = {}
-        for b in self.elements:
-            src, tgt = b.src, b.tgt
-            cols = self.block_elems[(k, src)]
-            if not cols or not self.block_elems[(k, tgt)]:
-                continue
-            block = self.field.zeros(len(self.block_elems[(k, tgt)]), len(cols))
-            for c, i2 in enumerate(cols):
-                if b.src == self.elements[i2].tgt:
-                    block[:, c] = self.mult[(b.index, i2)]
-            if block.any() or b.index == self.identity_of[src]:
-                blocks[b.index] = block
-        mod = BModule(self, comp_dims, blocks)
-        self._proj_cache[k] = mod
-        return mod
+        """The left ideal B e_k generated by the k-th idempotent: the image
+        Hom(T_k, T) of the summand T_k, read from the memo of hom_image
+        when it is there."""
+        mid = self.summand_ids[k]
+        return self._images.get(mid) or self.hom_image(mid)
 
     def hom_image(self, mid: int) -> "BModule":
         """Image of atlas module mid under Hom(-, T): component j is
         Hom(mid, T_j) on the basis atlas.hom_basis(mid, T_j), and basis
         element e of block (k, l) acts by post-composition, the matrix
-        atlas.compose(mid, T_k, T_l)[e]."""
+        atlas.compose(mid, T_k, T_l)[e].  Built once per mid."""
+        got = self._images.get(mid)
+        if got is not None:
+            return got
         atlas, ids = self.atlas, self.summand_ids
         comp_dims = tuple(len(atlas.hom_basis(mid, t)) for t in ids)
         blocks = {}
@@ -153,7 +117,8 @@ class BoundAlgebra:
             for e, idx in enumerate(elems):
                 if consts[e].any() or idx == self.identity_of[k]:
                     blocks[idx] = consts[e]
-        return BModule(self, comp_dims, blocks)
+        got = self._images[mid] = BModule(self, comp_dims, blocks)
+        return got
 
 
 class BModule:

@@ -22,13 +22,13 @@ import numpy as np
 
 from .errors import InputError
 from .modules import (
-    ModuleMap,
     Representation,
     ScatterPlan,
     _hom_system,
     _map_offsets,
     _scatter_plan,
     arrow_pairs,
+    hom_basis,
     hom_dim,
     intertwiner_system,
 )
@@ -59,29 +59,6 @@ class ExtSpace:
             for k in range(len(mats)):
                 mats[k] = (mats[k] + c * rep[k]) % fld.p
         return mats
-
-
-@dataclass
-class ShortExactSequence:
-    sub: Representation
-    mid: Representation
-    quot: Representation
-    inj: ModuleMap
-    surj: ModuleMap
-
-    def validate(self):
-        fld = self.sub.field
-        if not (self.inj.is_intertwiner() and self.surj.is_intertwiner()):
-            raise InputError("sequence maps are not module maps")
-        if not self.inj.is_injective() or not self.surj.is_surjective():
-            raise InputError("sequence is not exact at the ends")
-        for i in range(self.sub.dq.nv):
-            if self.mid.dims[i] != self.sub.dims[i] + self.quot.dims[i]:
-                raise InputError("middle term has the wrong dimension vector")
-            comp = fld.mul(self.surj.mats[i], self.inj.mats[i])
-            if np.any(comp):
-                raise InputError("composite sub -> quot is nonzero")
-        return self
 
 
 def _cocycle_columns(dq, x_dims, y_dims):
@@ -229,31 +206,20 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
     shapes, offs = _cocycle_columns(dq, x.dims, y.dims)
     z_basis = fld.kernel_basis(_cocycle_condition(fld, dq, x.dims, y.dims, x.flat, y.flat))
 
-    # reduce cocycles modulo coboundaries, keeping originals as representatives
-    residues = _coboundary_residues(x, y, z_basis)
-    reps = []
-    kept_residues = None
-    for c in range(z_basis.shape[1]):
-        vec = residues[:, c : c + 1]
-        if not np.any(vec):
-            continue
-        if kept_residues is None:
-            kept_residues = vec
-        else:
-            stacked = np.concatenate([kept_residues, vec], axis=1)
-            if fld.rank(stacked) == kept_residues.shape[1]:
-                continue
-            kept_residues = stacked
-        mats = tuple(
-            z_basis[offs[k] : offs[k + 1], c].reshape(shapes[k])
-            for k in range(len(dq.arrows))
-        )
-        reps.append(mats)
+    # the pivot columns of the residues are the cocycles kept as class
+    # representatives: each is outside the span of the columns before it
+    _, pivots = fld.rref(_coboundary_residues(x, y, z_basis))
+    reps = [
+        tuple(z_basis[offs[k] : offs[k + 1], c].reshape(shapes[k]) for k in range(len(dq.arrows)))
+        for c in pivots
+    ]
     return ExtSpace(x=x, y=y, dim=len(reps), representatives=reps)
 
 
-def build_extension(e: ExtSpace, coeffs) -> ShortExactSequence:
-    """Middle term with block matrices [[Y_a, C_a], [0, X_a]]."""
+def build_extension(e: ExtSpace, coeffs) -> Representation:
+    """Middle term E of the class with these coefficients, 0 -> y -> E -> x -> 0,
+    acting by the block matrices [[Y_a, C_a], [0, X_a]].  Representation
+    checks the defining relation, which holds exactly when C is a cocycle."""
     fld = e.x.field
     dq = e.x.dq
     x, y = e.x, e.y
@@ -267,35 +233,22 @@ def build_extension(e: ExtSpace, coeffs) -> ShortExactSequence:
         m[: y.dims[t], y.dims[s] :] = c[k]
         m[y.dims[t] :, y.dims[s] :] = x.mats[k]
         mats.append(m)
-    mid = Representation(dq, fld, dims, mats)
-    inj_mats = []
-    surj_mats = []
-    for i in range(dq.nv):
-        inj = fld.zeros(dims[i], y.dims[i])
-        inj[: y.dims[i], :] = fld.eye(y.dims[i])
-        inj_mats.append(inj)
-        surj = fld.zeros(x.dims[i], dims[i])
-        surj[:, y.dims[i] :] = fld.eye(x.dims[i])
-        surj_mats.append(surj)
-    return ShortExactSequence(
-        sub=y,
-        mid=mid,
-        quot=x,
-        inj=ModuleMap(y, mid, tuple(inj_mats)),
-        surj=ModuleMap(mid, x, tuple(surj_mats)),
-    ).validate()
+    return Representation(dq, fld, dims, mats)
 
 
 # -- exactness under Hom(-, N) -------------------------------------------
 
 
-def is_hom_exact(s: ShortExactSequence, n: Representation) -> bool:
-    """Whether Hom(-, n) keeps the sequence exact.
-
-    Left exactness is automatic, so this reduces to the rank identity
-    dim Hom(mid, n) = dim Hom(sub, n) + dim Hom(quot, n).
-    """
-    return hom_dim(s.mid, n) == hom_dim(s.sub, n) + hom_dim(s.quot, n)
+def is_hom_exact(space: ExtSpace, coeffs, n: Representation) -> bool:
+    """Whether Hom(-, n) keeps exact the sequence 0 -> y -> E -> x -> 0 of
+    the class with these coefficients: whether its connecting map
+    Hom(y, n) -> Ext^1(x, n) is zero, the column connecting_matrix gives
+    it.  With Hom(y, n) = 0 there is no connecting map to check."""
+    if not hom_dim(space.y, n):
+        return True
+    fld = space.x.field
+    coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, 1) % fld.p
+    return not fld.mul(connecting_matrix(space, n, hom_basis(space.y, n)), coeffs).any()
 
 
 def _stacked_residues(x: Representation, y: Representation, parts) -> np.ndarray:

@@ -94,12 +94,6 @@ class PrimeField:
             return self.zeros(a.shape[0], b.shape[1])
         return (a @ b) % self.p
 
-    def mulchain(self, *ms: np.ndarray) -> np.ndarray:
-        out = ms[0]
-        for m in ms[1:]:
-            out = self.mul(out, m)
-        return out
-
     # -- elimination ---------------------------------------------------
 
     def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -2,14 +2,13 @@
 radicals, projective covers, syzygies.
 
 A representation assigns a space k^d_i to each vertex and a matrix to each
-double-quiver arrow, subject to the vertex-wise defining relation.  Maps
-between representations are tuples of vertex matrices commuting with every
-arrow action.
+double-quiver arrow, subject to the vertex-wise defining relation.  A map
+between representations is a tuple of vertex matrices commuting with every
+arrow action; no map object is kept, only such tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -116,58 +115,7 @@ def direct_sum(dq: DoubleQuiver, field: PrimeField, reps) -> Representation:
     return Representation(dq, field, dims, mats, validate=False)
 
 
-# -- maps between representations --------------------------------------
-
-
-@dataclass(frozen=True)
-class ModuleMap:
-    source: Representation
-    target: Representation
-    mats: tuple
-
-    def __post_init__(self):
-        for i in range(self.source.dq.nv):
-            want = (self.target.dims[i], self.source.dims[i])
-            if self.mats[i].shape != want:
-                raise InputError(f"map component {i} has shape {self.mats[i].shape}, want {want}")
-
-    def is_intertwiner(self) -> bool:
-        fld = self.source.field
-        for k, a in enumerate(self.source.dq.arrows):
-            s, t = a.source - 1, a.target - 1
-            lhs = fld.mul(self.mats[t], self.source.mats[k])
-            rhs = fld.mul(self.target.mats[k], self.mats[s])
-            if np.any((lhs - rhs) % fld.p):
-                return False
-        return True
-
-    def is_injective(self) -> bool:
-        fld = self.source.field
-        return all(
-            fld.rank(self.mats[i]) == self.source.dims[i]
-            for i in range(self.source.dq.nv)
-        )
-
-    def is_surjective(self) -> bool:
-        fld = self.source.field
-        return all(
-            fld.rank(self.mats[i]) == self.target.dims[i]
-            for i in range(self.source.dq.nv)
-        )
-
-
 # -- Hom spaces ---------------------------------------------------------
-
-
-@dataclass
-class HomSpace:
-    source: Representation
-    target: Representation
-    basis: list  # list of tuples of vertex matrices
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _map_offsets(x_dims, y_dims) -> list[int]:
@@ -293,9 +241,10 @@ def _hom_system(x: Representation, y: Representation) -> np.ndarray:
     return intertwiner_system(x.field, x.dims, y.dims, arrow_pairs(x.dq), x.flat, y.flat)
 
 
-def hom_basis(x: Representation, y: Representation) -> HomSpace:
-    """Solve all intertwining conditions as one stacked kernel computation."""
-    return HomSpace(x, y, kernel_maps(x.field, x.dims, y.dims, _hom_system(x, y)))
+def hom_basis(x: Representation, y: Representation) -> list[tuple]:
+    """A basis of Hom(x, y), tuples of vertex maps: the kernel of all
+    intertwining conditions, solved as one stacked system."""
+    return kernel_maps(x.field, x.dims, y.dims, _hom_system(x, y))
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
@@ -307,7 +256,7 @@ def hom_dim(x: Representation, y: Representation) -> int:
 # -- subquotients -------------------------------------------------------
 
 
-def sub_representation(rep: Representation, vertex_bases) -> tuple[Representation, ModuleMap]:
+def sub_representation(rep: Representation, vertex_bases) -> Representation:
     """Restrict to the invariant subspace spanned by the given vertex bases."""
     fld = rep.field
     dq = rep.dq
@@ -320,62 +269,30 @@ def sub_representation(rep: Representation, vertex_bases) -> tuple[Representatio
         if coords is None:
             raise InputError("subspaces are not invariant under the arrow action")
         mats.append(coords)
-    sub = Representation(dq, fld, dims, mats, validate=False)
-    incl = ModuleMap(sub, rep, tuple(vertex_bases))
-    return sub, incl
+    return Representation(dq, fld, dims, mats, validate=False)
 
 
-def quotient_representation(rep: Representation, vertex_subs) -> tuple[Representation, ModuleMap]:
-    """Quotient by the subrepresentation spanned by the given vertex bases."""
-    fld = rep.field
-    dq = rep.dq
-    qs = [fld.quotient_map(w, rep.dims[i]) for i, w in enumerate(vertex_subs)]
-    sections = []
-    for i, q in enumerate(qs):
-        sec = fld.solve(q, fld.eye(q.shape[0]))
-        if sec is None:
-            raise InputError("quotient map has no section")
-        sections.append(sec)
-    dims = tuple(q.shape[0] for q in qs)
-    mats = []
-    for k, a in enumerate(dq.arrows):
-        s, t = a.source - 1, a.target - 1
-        mats.append(fld.mulchain(qs[t], rep.mats[k], sections[s]))
-    quot = Representation(dq, fld, dims, mats, validate=False)
-    proj = ModuleMap(rep, quot, tuple(qs))
-    if not proj.is_intertwiner():
-        raise InputError("quotient by a non-invariant subspace")
-    return quot, proj
+def _incoming(rep: Representation, i: int) -> np.ndarray:
+    """The actions of the arrows into vertex i + 1, side by side: their
+    column space is the radical of rep at that vertex."""
+    mats = [rep.mats[k] for k in rep.dq.arrows_in(rep.dq.vertices[i])]
+    return np.concatenate(mats, axis=1) if mats else rep.field.zeros(rep.dims[i], 0)
 
 
-def radical(rep: Representation) -> tuple[Representation, ModuleMap]:
+def radical(rep: Representation) -> Representation:
     """Sum of the images of all arrow actions, as a subrepresentation."""
     fld = rep.field
-    dq = rep.dq
     bases = []
-    for i, v in enumerate(dq.vertices):
-        incoming = [rep.mats[k] for k in dq.arrows_in(v)]
-        if incoming:
-            h = np.concatenate(incoming, axis=1)
-            r, pivots = fld.rref(h.T)
-            basis = r[: len(pivots)].T.copy()
-        else:
-            basis = fld.zeros(rep.dims[i], 0)
-        bases.append(basis)
+    for i in range(rep.dq.nv):
+        r, pivots = fld.rref(_incoming(rep, i).T)
+        bases.append(r[: len(pivots)].T.copy())
     return sub_representation(rep, bases)
 
 
-def top(rep: Representation) -> tuple[Representation, ModuleMap]:
-    fld = rep.field
-    dq = rep.dq
-    subs = []
-    for i, v in enumerate(dq.vertices):
-        incoming = [rep.mats[k] for k in dq.arrows_in(v)]
-        if incoming:
-            subs.append(np.concatenate(incoming, axis=1))
-        else:
-            subs.append(fld.zeros(rep.dims[i], 0))
-    return quotient_representation(rep, subs)
+def top_dims(rep: Representation) -> tuple[int, ...]:
+    """Dimension vector of rep / rad rep: each dimension minus the rank of
+    the incoming arrow actions."""
+    return tuple(rep.dims[i] - rep.field.rank(_incoming(rep, i)) for i in range(rep.dq.nv))
 
 
 def socle_dims(rep: Representation) -> tuple[int, ...]:
@@ -438,20 +355,16 @@ def path_action(rep: Representation, path: tuple[int, ...], v_start: int) -> np.
     return out
 
 
-def projective_cover(rep: Representation, basis: PreprojectiveBasis) -> tuple[Representation, ModuleMap]:
-    """Minimal projective cover P -> rep via lifts of a basis of the top."""
+def projective_cover(rep: Representation, basis: PreprojectiveBasis) -> tuple[Representation, tuple]:
+    """Minimal projective cover P -> rep via lifts of a basis of the top:
+    the module P and the vertex maps of the cover."""
     fld = rep.field
     dq = rep.dq
-    # radical bases per vertex, then standard-coordinate lifts of the top
+    # standard-coordinate lifts of the top: the coordinates left free by
+    # the radical at each vertex
     lifts = []  # (vertex id, column vector in rep at that vertex)
     for i, v in enumerate(dq.vertices):
-        incoming = [rep.mats[k] for k in dq.arrows_in(v)]
-        h = (
-            np.concatenate(incoming, axis=1)
-            if incoming
-            else fld.zeros(rep.dims[i], 0)
-        )
-        _, pivots = fld.rref(h.T)
+        _, pivots = fld.rref(_incoming(rep, i).T)
         free = sorted(set(range(rep.dims[i])).difference(pivots))
         for c in free:
             vec = fld.zeros(rep.dims[i], 1)
@@ -472,19 +385,19 @@ def projective_cover(rep: Representation, basis: PreprojectiveBasis) -> tuple[Re
         np.concatenate(cols[j], axis=1) if cols[j] else fld.zeros(rep.dims[j - 1], 0)
         for j in dq.vertices
     )
-    cover = ModuleMap(cover_rep, rep, mats)
-    if not cover.is_intertwiner() or not cover.is_surjective():
-        raise StructureError("projective cover construction failed")
-    return cover_rep, cover
+    return cover_rep, mats
 
 
 def syzygy(rep: Representation, basis: PreprojectiveBasis) -> Representation:
-    """Kernel of the projective cover; zero for projectives."""
+    """Kernel of the projective cover; zero for projectives.  The cover must
+    be onto: at each vertex its columns minus its kernel's are the
+    dimension of rep (StructureError if not)."""
     fld = rep.field
-    cover_rep, cover = projective_cover(rep, basis)
-    kers = [fld.kernel_basis(cover.mats[i]) for i in range(rep.dq.nv)]
-    syz, _ = sub_representation(cover_rep, kers)
-    return syz
+    cover_rep, mats = projective_cover(rep, basis)
+    kers = [fld.kernel_basis(m) for m in mats]
+    if any(m.shape[1] - k.shape[1] != d for m, k, d in zip(mats, kers, rep.dims)):
+        raise StructureError("projective cover is not surjective")
+    return sub_representation(cover_rep, kers)
 
 
 def dual_twist(rep: Representation) -> Representation:
@@ -520,10 +433,10 @@ def is_isomorphic(x: Representation, y: Representation) -> bool:
     if x.end_dim != y.end_dim:
         return False
     hxy = hom_basis(x, y)
-    if hxy.dim == 0 or hxy.dim != x.end_dim:
+    if not hxy or len(hxy) != x.end_dim:
         return False
     fld = x.field
-    return any(all(fld.is_invertible(m) for m in b) for b in hxy.basis)
+    return any(all(fld.is_invertible(m) for m in b) for b in hxy)
 
 
 def _stable_power(fld: PrimeField, m: np.ndarray) -> np.ndarray:
@@ -608,17 +521,17 @@ def decompose(rep: Representation):
 
 def _decompose_rec(rep: Representation) -> list[Representation]:
     ends = hom_basis(rep, rep)
-    rep._end_dim = ends.dim  # spares is_isomorphic and the atlas closure a rank
-    if ends.dim == 1:
+    rep._end_dim = len(ends)  # spares is_isomorphic and the atlas closure a rank
+    if len(ends) == 1:
         return [rep]
-    for b in ends.basis:
+    for b in ends:
         spaces = _split_spaces(rep, b)
         if len(spaces) >= 2:
-            return [piece for bases in spaces for piece in _decompose_rec(sub_representation(rep, bases)[0])]
+            return [piece for bases in spaces for piece in _decompose_rec(sub_representation(rep, bases))]
     fld = rep.field
-    rad_coords = fld.trace_form_radical([block_diagonal(rep, b) for b in ends.basis])
-    if ends.dim - rad_coords.shape[1] == 1:
+    rad_coords = fld.trace_form_radical([block_diagonal(rep, b) for b in ends])
+    if len(ends) - rad_coords.shape[1] == 1:
         return [rep]
     raise NonSplitResidueError(
-        f"no Hom basis element splits a factor with End/rad dimension {ends.dim - rad_coords.shape[1]}"
+        f"no Hom basis element splits a factor with End/rad dimension {len(ends) - rad_coords.shape[1]}"
     )

@@ -2,8 +2,11 @@
 ones it does.
 
 Each is a slower or more literal way to get an answer the package gets
-another way: splitting, pullback and pushout of sequences (Auslander-
-Reiten-Smalø, Ch. I) against the connecting and pullback matrices; Hom
+another way: module maps and short exact sequences with their checks,
+against the middle terms and covers the package builds as modules alone;
+splitting, pullback and pushout of sequences (Auslander-Reiten-Smalø,
+Ch. I), and exactness under Hom(-, N) by the rank identity, against the
+connecting and pullback matrices; Hom
 over End(T) from the intertwining system, and the cover and syzygy modules,
 against the presentations of ExtCalculatorB; the approximation T'' -> T
 as a module map against coresolution_check's vertex-wise ranks; the Hom
@@ -16,14 +19,14 @@ module.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
 from preproj.endo import BModule, _top_basis
 from preproj.errors import FormatError, InputError, StructureError
-from preproj.extensions import ShortExactSequence, connecting_matrix
+from preproj.extensions import build_extension, connecting_matrix
 from preproj.modules import (
-    ModuleMap,
     Representation,
     decompose,
     direct_sum,
@@ -31,7 +34,6 @@ from preproj.modules import (
     hom_dim,
     intertwiner_system,
     is_isomorphic,
-    kernel_maps,
 )
 from preproj.quivers import symmetric_form
 from preproj.rigidgraph import GRAPH_FORMAT_VERSION, MutationGraph, RigidModule
@@ -47,6 +49,39 @@ def inv(fld, m: np.ndarray) -> np.ndarray:
     if x is None:
         raise InputError("matrix is singular")
     return x
+
+
+@dataclass(frozen=True)
+class ModuleMap:
+    """A module map as an object: its source, target and vertex maps."""
+
+    source: Representation
+    target: Representation
+    mats: tuple
+
+    def __post_init__(self):
+        for i in range(self.source.dq.nv):
+            want = (self.target.dims[i], self.source.dims[i])
+            if self.mats[i].shape != want:
+                raise InputError(f"map component {i} has shape {self.mats[i].shape}, want {want}")
+
+    def is_intertwiner(self) -> bool:
+        fld = self.source.field
+        for k, a in enumerate(self.source.dq.arrows):
+            s, t = a.source - 1, a.target - 1
+            lhs = fld.mul(self.mats[t], self.source.mats[k])
+            rhs = fld.mul(self.target.mats[k], self.mats[s])
+            if np.any((lhs - rhs) % fld.p):
+                return False
+        return True
+
+    def is_injective(self) -> bool:
+        fld = self.source.field
+        return all(fld.rank(self.mats[i]) == self.source.dims[i] for i in range(self.source.dq.nv))
+
+    def is_surjective(self) -> bool:
+        fld = self.source.field
+        return all(fld.rank(self.mats[i]) == self.target.dims[i] for i in range(self.source.dq.nv))
 
 
 def identity_map(rep: Representation) -> ModuleMap:
@@ -169,6 +204,60 @@ def ext1_dim_formula(x: Representation, y: Representation) -> int:
     return hom_dim(x, y) + hom_dim(y, x) - symmetric_form(x.dq, x.dims, y.dims)
 
 
+@dataclass
+class ShortExactSequence:
+    sub: Representation
+    mid: Representation
+    quot: Representation
+    inj: ModuleMap
+    surj: ModuleMap
+
+    def validate(self):
+        fld = self.sub.field
+        if not (self.inj.is_intertwiner() and self.surj.is_intertwiner()):
+            raise InputError("sequence maps are not module maps")
+        if not self.inj.is_injective() or not self.surj.is_surjective():
+            raise InputError("sequence is not exact at the ends")
+        for i in range(self.sub.dq.nv):
+            if self.mid.dims[i] != self.sub.dims[i] + self.quot.dims[i]:
+                raise InputError("middle term has the wrong dimension vector")
+            comp = fld.mul(self.surj.mats[i], self.inj.mats[i])
+            if np.any(comp):
+                raise InputError("composite sub -> quot is nonzero")
+        return self
+
+
+def extension_sequence(space, coeffs) -> ShortExactSequence:
+    """The sequence 0 -> y -> E -> x -> 0 of a class, validated: E from
+    extensions.build_extension, the inclusion of y as the first block of
+    coordinates and the projection onto x as the last."""
+    x, y = space.x, space.y
+    fld = x.field
+    mid = build_extension(space, coeffs)
+    inj_mats, surj_mats = [], []
+    for i in range(x.dq.nv):
+        inj = fld.zeros(mid.dims[i], y.dims[i])
+        inj[: y.dims[i], :] = fld.eye(y.dims[i])
+        inj_mats.append(inj)
+        surj = fld.zeros(x.dims[i], mid.dims[i])
+        surj[:, y.dims[i] :] = fld.eye(x.dims[i])
+        surj_mats.append(surj)
+    return ShortExactSequence(
+        sub=y,
+        mid=mid,
+        quot=x,
+        inj=ModuleMap(y, mid, tuple(inj_mats)),
+        surj=ModuleMap(mid, x, tuple(surj_mats)),
+    ).validate()
+
+
+def hom_exact_by_dims(s: ShortExactSequence, n: Representation) -> bool:
+    """Whether Hom(-, n) keeps s exact, by the rank identity
+    dim Hom(mid, n) = dim Hom(sub, n) + dim Hom(quot, n): Hom(-, n) is left
+    exact, so the identity holds exactly when the last map is onto."""
+    return hom_dim(s.mid, n) == hom_dim(s.sub, n) + hom_dim(s.quot, n)
+
+
 def _vec_map(m: ModuleMap) -> np.ndarray:
     parts = [m.mats[i].reshape(-1) for i in range(m.source.dq.nv)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
@@ -184,7 +273,7 @@ def factors_through(h: ModuleMap, via: ModuleMap) -> bool:
     """Whether h: A -> C factors as (via: B -> C) . g for some g: A -> B."""
     cols = [
         _vec_map(compose_maps(via, ModuleMap(h.source, via.source, b)))
-        for b in hom_basis(h.source, via.source).basis
+        for b in hom_basis(h.source, via.source)
     ]
     return _in_span(h.source.field, cols, _vec_map(h))
 
@@ -193,7 +282,7 @@ def factors_along(h: ModuleMap, through: ModuleMap) -> bool:
     """Whether h: A -> C factors as g . (through: A -> B) for some g: B -> C."""
     cols = [
         _vec_map(compose_maps(ModuleMap(through.target, h.target, b), through))
-        for b in hom_basis(through.target, h.target).basis
+        for b in hom_basis(through.target, h.target)
     ]
     return _in_span(h.source.field, cols, _vec_map(h))
 
@@ -269,7 +358,7 @@ def pushout(s: ShortExactSequence, g: ModuleMap) -> ShortExactSequence:
         block = fld.zeros(n_rep.dims[ti] + f_rep.dims[ti], n_rep.dims[si] + f_rep.dims[si])
         block[: n_rep.dims[ti], : n_rep.dims[si]] = n_rep.mats[k]
         block[n_rep.dims[ti] :, n_rep.dims[si] :] = f_rep.mats[k]
-        mats.append(fld.mulchain(qs[ti], block, sections[si]))
+        mats.append(fld.mul(fld.mul(qs[ti], block), sections[si]))
     m_rep = Representation(dq, fld, dims, mats)
     inj_mats = []
     surj_mats = []
@@ -291,7 +380,7 @@ def exact_classes(space, t_summands) -> np.ndarray:
     stay exact under Hom(-, n) for every n in t_summands."""
     fld = space.x.field
     blocks = [fld.zeros(0, space.dim)]
-    blocks += [connecting_matrix(space, n, hom_basis(space.y, n).basis) for n in t_summands]
+    blocks += [connecting_matrix(space, n, hom_basis(space.y, n)) for n in t_summands]
     return fld.kernel_basis(np.concatenate(blocks, axis=0))
 
 
@@ -299,12 +388,36 @@ def exact_classes(space, t_summands) -> np.ndarray:
 
 
 def product_coords(algebra, i1: int, i2: int) -> tuple[tuple[int, int], np.ndarray]:
-    """Coefficients of elements[i1] o elements[i2] over its block basis."""
+    """Coefficients of elements[i1] o elements[i2] over its block basis,
+    read from the atlas's composition constants."""
     e1, e2 = algebra.elements[i1], algebra.elements[i2]
     block = (e2.src, e1.tgt)
     if e1.src != e2.tgt:
         return block, np.zeros(len(algebra.block_elems[block]), dtype=np.int64)
-    return block, algebra.mult[(i1, i2)]
+    ids = algebra.summand_ids
+    consts = algebra.atlas.compose(ids[e2.src], ids[e1.src], ids[e1.tgt])
+    pos1 = algebra.block_elems[(e1.src, e1.tgt)].index(i1)
+    pos2 = algebra.block_elems[(e2.src, e2.tgt)].index(i2)
+    return block, consts[pos1, :, pos2]
+
+
+def oracle_projective(algebra, k: int) -> BModule:
+    """The left ideal B e_k from the multiplication of B alone: component j
+    has the basis of block (k, j), and b: T_s -> T_t sends a basis element
+    c of block (k, s) to the coordinates of b o c over block (k, t)."""
+    blocks_of = algebra.block_elems
+    comp_dims = tuple(len(blocks_of[(k, j)]) for j in range(algebra.r))
+    blocks = {}
+    for b in algebra.elements:
+        cols = blocks_of[(k, b.src)]
+        if not cols or not blocks_of[(k, b.tgt)]:
+            continue
+        block = algebra.field.zeros(len(blocks_of[(k, b.tgt)]), len(cols))
+        for c, i2 in enumerate(cols):
+            block[:, c] = product_coords(algebra, b.index, i2)[1]
+        if block.any() or b.index == algebra.identity_of[b.src]:
+            blocks[b.index] = block
+    return BModule(algebra, comp_dims, blocks)
 
 
 def simple_b(algebra, k: int) -> BModule:
@@ -342,10 +455,6 @@ def _system(m, n):
     return planned_system(alg.field, m.comp_dims, n.comp_dims, actions)
 
 
-def oracle_hom_basis(m, n):
-    return kernel_maps(m.algebra.field, m.comp_dims, n.comp_dims, _system(m, n))
-
-
 def oracle_hom_dim(m, n):
     a = _system(m, n)
     return a.shape[1] - m.algebra.field.rank(a)
@@ -363,7 +472,7 @@ def oracle_hom_image(algebra, m):
     the component bases, for oracle_hom_image_map."""
     fld = algebra.field
     nv = len(m.dims)
-    bases = [hom_basis(m, algebra.atlas.modules[t]).basis for t in algebra.summand_ids]
+    bases = [hom_basis(m, algebra.atlas.modules[t]) for t in algebra.summand_ids]
     comp_dims = tuple(len(b) for b in bases)
     blocks = {}
     for b in algebra.elements:

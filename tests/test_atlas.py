@@ -20,13 +20,15 @@ from preproj.extensions import build_extension, ext1_cocycle
 from preproj.linalg import PrimeField
 from preproj.modules import (
     cosyzygy,
+    dual_twist,
     hom_basis,
     hom_dim,
+    projective_cover,
     socle_dims,
-    top,
+    top_dims,
 )
 from tests.conftest import shared_atlas
-from tests.oracle import identity_map, is_split, module_by_alias
+from tests.oracle import ModuleMap, extension_sequence, identity_map, is_split, module_by_alias
 from tests.test_modules import base_change
 
 
@@ -131,7 +133,7 @@ def test_a3_alias_table_is_complete(atlas_a3):
 def test_a3_alias_structure(atlas_a3):
     m = module_by_alias(atlas_a3, "13over2")
     assert m.dims == (1, 1, 1)
-    assert top(m)[0].dims == (1, 0, 1)
+    assert top_dims(m) == (1, 0, 1)
     assert socle_dims(m) == (0, 1, 0)
     p2 = module_by_alias(atlas_a3, "P2")
     assert p2.dims == (1, 2, 1)
@@ -162,7 +164,7 @@ def test_table_cache_coherence(atlas_a3):
         assert mods[i].end_dim == atlas_a3.hom_table[i, i]
         for j in range(12):
             assert atlas_a3.hom_table[i, j] == hom_dim(mods[i], mods[j])
-            assert hom_basis(mods[i], mods[j]).dim == hom_dim(mods[i], mods[j])
+            assert len(hom_basis(mods[i], mods[j])) == hom_dim(mods[i], mods[j])
     for i, j in [(0, 5), (3, 9), (11, 2), (7, 7)]:
         assert atlas_a3.ext_table[i, j] == ext1_cocycle(
             atlas_a3.modules[i], atlas_a3.modules[j]
@@ -243,11 +245,42 @@ def test_a3_socle_classes_give_almost_split_sequences(atlas_a3):
         socle = _ar_socle(space)
         assert socle.shape[1] == 1
         for col in socle.T:
-            seq = build_extension(space, col)
+            seq = extension_sequence(space, col)
             assert not is_split(seq)
             assert seq.mid.dims == tuple(a + b for a, b in zip(m.dims, tau_m.dims))
             checked += 1
     assert checked == 9
+
+
+@pytest.mark.parametrize("qtype", ["A2", "A3", "A4"])
+def test_closure_extensions_are_exact_sequences(qtype, monkeypatch):
+    # build_extension returns the middle term alone; every class the passes
+    # and the certificate build gives a sequence 0 -> y -> E -> x -> 0 whose
+    # block inclusion and projection are module maps, injective and onto,
+    # composing to zero
+    built = []
+
+    def recording(space, coeffs):
+        built.append((space, tuple(int(c) for c in coeffs)))
+        return build_extension(space, coeffs)
+
+    monkeypatch.setattr(atlas_mod, "build_extension", recording)
+    enumerate_indecomposables(qtype, PrimeField(32003))
+    assert built
+    for space, coeffs in built:
+        extension_sequence(space, coeffs)  # validate raises InputError
+
+
+@pytest.mark.parametrize("qtype", ["A2", "A3", "A4"])
+def test_projective_covers_are_surjective_module_maps(qtype):
+    # the closure takes the cover of every atlas module (syzygy) and of its
+    # dual twist (cosyzygy); syzygy checks only that each cover is onto
+    atlas = shared_atlas(qtype)
+    for m in atlas.modules:
+        for rep in (m, dual_twist(m)):
+            cover_rep, mats = projective_cover(rep, atlas.basis)
+            cover = ModuleMap(cover_rep, rep, mats)
+            assert cover.is_intertwiner() and cover.is_surjective()
 
 
 def test_uncertified_closure_raises(monkeypatch):
@@ -296,7 +329,7 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
     assert built.size == 40
     assert calls["build_extension"] <= 200
     assert calls["ext1_cocycle"] <= 507
-    assert calls["decompose"] <= 108
+    assert calls["decompose"] <= 106
     assert calls["hom_basis"] <= 382
     assert calls["is_isomorphic"] <= 179
     assert calls["cosyzygy"] <= 40

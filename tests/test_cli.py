@@ -144,6 +144,46 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
     assert "format_version" in err
 
 
+def _tampered_cache(tmp_path, capsys, edit, qtype="A2"):
+    """Build the A2 atlas into a cache, edit its payload, write it back as
+    the cached atlas of qtype, and run `atlas --type qtype` on that cache."""
+    cache = tmp_path / "c"
+    assert run(capsys, "atlas", "--type", "A2", "--cache-dir", str(cache))[0] == 0
+    built = cache / "A2-p32003-v1" / "atlas.json"
+    payload = json.loads(built.read_text())
+    edit(payload)
+    target = cache / f"{qtype}-p32003-v1" / "atlas.json"
+    target.parent.mkdir(exist_ok=True)
+    target.write_text(json.dumps(payload))
+    return run(capsys, "atlas", "--type", qtype, "--cache-dir", str(cache))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: payload["modules"][2].pop("matrices"),
+        lambda payload: payload["modules"][2].update(dim_vector=[2, 1]),
+        lambda payload: payload["modules"][0].update(dim_vector=[1]),
+        lambda payload: payload.update(hom_table=[[1, 0], [0]]),
+    ],
+    ids=["no-matrices", "dims-mismatch", "short-dims", "ragged-table"],
+)
+def test_malformed_cache_exits_2(tmp_path, capsys, edit):
+    # exit 1 means a verification failed; a cache file that is no atlas is
+    # refused like a wrong format_version, without a traceback
+    code, out, err = _tampered_cache(tmp_path, capsys, edit)
+    assert code == 2
+    assert out == ""
+    assert "malformed atlas file" in err
+
+
+def test_cache_of_another_type_exits_2(tmp_path, capsys):
+    code, out, err = _tampered_cache(tmp_path, capsys, lambda payload: None, qtype="A3")
+    assert code == 2
+    assert out == ""
+    assert "is of type A2, not A3" in err
+
+
 def test_uncertified_closure_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(atlas_mod, "_certify_complete", lambda mods, basis, facts=None: "refused")
     for cmd in (["atlas"], ["graph", "--kind", "mutation"]):

@@ -4,7 +4,6 @@ import pytest
 from preproj.errors import InputError
 from preproj.linalg import PrimeField
 from preproj.modules import (
-    ModuleMap,
     Representation,
     _split_spaces,
     check_relations,
@@ -20,11 +19,11 @@ from preproj.modules import (
     simple,
     socle_dims,
     syzygy,
-    top,
+    top_dims,
     zero_rep,
 )
 from preproj.quivers import PreprojectiveBasis, double, dynkin_a
-from tests.oracle import broadcast_intertwiner_system, inv, isomorphic_by_decomposition, planned_system
+from tests.oracle import ModuleMap, broadcast_intertwiner_system, inv, isomorphic_by_decomposition, planned_system
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ def base_change(rep, seed=0):
     mats = []
     for k, a in enumerate(rep.dq.arrows):
         s, t = a.source - 1, a.target - 1
-        mats.append(fld.mulchain(gs[t], rep.mats[k], inv(fld, gs[s])))
+        mats.append(fld.mul(fld.mul(gs[t], rep.mats[k]), inv(fld, gs[s])))
     return Representation(rep.dq, fld, rep.dims, mats)
 
 
@@ -220,7 +219,7 @@ def test_one_eigenvalue_shortcut_on_atlas_endomorphisms(atlas_a3):
     ]
     seen = set()
     for rep in reps:
-        for b in hom_basis(rep, rep).basis:
+        for b in hom_basis(rep, rep):
             seen.add(_split_iff_one_factor(rep, b))
     assert seen == {True, False}
 
@@ -229,7 +228,7 @@ def _conjugate(fld, rng, e):
     while True:
         g = rng.integers(0, fld.p, size=e.shape)
         if fld.is_invertible(g):
-            return fld.mulchain(g, e, inv(fld, g))
+            return fld.mul(fld.mul(g, e), inv(fld, g))
 
 
 @pytest.mark.parametrize("p", (32003, 101))
@@ -275,13 +274,16 @@ def test_dual_twist_convention(a3):
     assert not is_isomorphic(dual_twist(p1), p1)
 
 
-def test_radical_top_socle(a3, f):
+def test_radical_top_socle(a3, f, atlas_a3):
     dq, basis = a3
     p1 = projective_module(basis, 1)
     p2 = projective_module(basis, 2)
-    assert radical(p1)[0].dims == (0, 1, 1)
-    assert top(p2)[0].dims == (0, 1, 0)
+    assert radical(p1).dims == (0, 1, 1)
+    assert top_dims(p2) == (0, 1, 0)
     assert socle_dims(p1) == (0, 0, 1)
+    # top M = M / rad M, on every A3 indecomposable
+    for m in atlas_a3.modules:
+        assert tuple(t + r for t, r in zip(top_dims(m), radical(m).dims)) == m.dims
 
 
 def test_syzygy_a2(a2, f):

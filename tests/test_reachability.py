@@ -1,7 +1,7 @@
 """src/preproj holds what the checker runs.
 
 One test runs the command line in process under sys.setprofile, over the
-A2 and A3 commands a user makes, and asserts that every def in
+A2 and A3 commands a user makes and the A4 remark-a4 suite, and asserts that every def in
 src/preproj/*.py is entered, or is on ALLOWED with the reason it is not
 entered there.  A function only tests call belongs in tests/oracle.py.
 """
@@ -19,7 +19,6 @@ SRC = Path(preproj.__file__).resolve().parent
 
 TRACED = "named in perfbench/tracer.py TARGETS, whose install raises on a missing name"
 PROTOCOL = "Python protocol method"
-A4_ONLY = "reached only on A4, by remark-a4"
 FALLBACK = "fallback or error path these runs never reach"
 CONSTRUCTOR = "public constructor"
 
@@ -27,8 +26,6 @@ ALLOWED = {
     "verify.suite_lemma37": TRACED,
     "verify.suite_lemma22": TRACED,
     "verify.suite_theorem1": TRACED,
-    "verify.suite_remark_a4": A4_ONLY,
-    "extensions.is_hom_exact": A4_ONLY,
     "linalg.PrimeField.__repr__": PROTOCOL,
     "linalg.PrimeField.__eq__": PROTOCOL,
     "linalg.PrimeField.__hash__": PROTOCOL,
@@ -79,6 +76,7 @@ def test_every_package_function_is_reached_or_allowed(tmp_path, capsys):
         ["verify", "--suite", "all", "--type", "A2"],
         ["verify", "--suite", "all", "--type", "A3"],
         ["atlas", "--type", "A2", "--config", str(cfg)],
+        ["verify", "--suite", "remark-a4"],
     ]
     # a memoised function whose result an earlier test left behind would
     # not be entered again
