@@ -31,6 +31,7 @@ from .linalg import PrimeField
 from .extensions import ExtSpace, _scalar_classes, build_extension, ext1_cocycle, pair_tables, pullback_matrix
 from .modules import (
     Representation,
+    _stable_power,
     block_diagonal,
     cosyzygy,
     decompose,
@@ -47,6 +48,7 @@ from .quivers import (
     RELATION_CONVENTION,
     DoubleQuiver,
     PreprojectiveBasis,
+    connected,
     double,
     preset_quiver,
 )
@@ -124,10 +126,7 @@ class Atlas:
         for b in chosen:
             lam = int(np.trace(b[v0]) % fld.p) * fld.inv_scalar(m.dims[v0]) % fld.p
             nb = tuple((b[i] - lam * ident[i]) % fld.p for i in range(len(b)))
-            power = nb
-            for _ in range(m.total_dim):
-                power = tuple(fld.mul(power[i], nb[i]) for i in range(len(nb)))
-            if any(np.any(x) for x in power):
+            if any(np.any(_stable_power(fld, x)) for x in nb):
                 raise IntegrityError("diagonal basis element is not scalar plus nilpotent")
             out.append(nb)
         return out
@@ -351,7 +350,7 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, facts: PassFacts | 
         return got[0][0] if len(got) == 1 and got[0][1] == 1 else None
 
     tau: dict[int, int] = {}
-    links = {mid: set() for mid in range(len(mods))}
+    links = []  # AR quiver arrows, undirected
     for mid, m in enumerate(mods):
         tau_m = facts.tau[mid] if mid in facts.tau else cosyzygy(m, basis)
         if tau_m.total_dim:
@@ -369,16 +368,10 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, facts: PassFacts | 
         for pid, _ in summands(middle):
             if pid is None:
                 return f"a predecessor of module {mid} is missing"
-            links[mid].add(pid)
-            links[pid].add(mid)
+            links.append((mid, pid))
     if sorted(tau.values()) != sorted(tau):
         return "tau does not permute the non-projective modules"
-    seen, stack = {0}, [0]
-    while stack:
-        for nxt in links[stack.pop()] - seen:
-            seen.add(nxt)
-            stack.append(nxt)
-    if len(seen) != len(mods):
+    if not connected(len(mods), links):
         return "the AR quiver is not connected"
     return None
 

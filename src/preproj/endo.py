@@ -16,10 +16,11 @@ Hom and Ext over B from a module M with pd M <= 1 (that is, dim ΩM equals
 the dimension of the projective cover of the top of ΩM) come from its
 minimal projective presentation, read from the kernel of its cover map in
 the cover's coordinates, with no cover or syzygy module built: one rank of
-one small matrix per pair of modules (ExtCalculatorB).  The tilting sets
-are the maximal cliques of Ext^1_B (rigidgraph.maximal_cliques), and the
-coresolution check reads the summands of its kernel off hom_table with one
-solve over a fixed large prime field, checked over the integers.
+one small matrix per pair of modules, ranked in stacks into full Hom_B and
+Ext^1_B tables per T (ExtCalculatorB).  The tilting sets are the maximal
+cliques of Ext^1_B (rigidgraph.maximal_cliques), and the coresolution
+check reads the summands of its kernel off hom_table with one solve over
+a fixed large prime field, checked over the integers.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
+from .extensions import _stacked_ranks
 from .linalg import PrimeField
 from .rigidgraph import RigidModule, maximal_cliques
 
@@ -166,12 +168,6 @@ def _radical_image(m: BModule, k: int) -> np.ndarray:
     return np.concatenate(images, axis=1)
 
 
-def top_dims_b(m: BModule) -> tuple[int, ...]:
-    """Multiplicity of each simple in m / rad(B) m."""
-    fld = m.algebra.field
-    return tuple(m.comp_dims[l] - fld.rank(_radical_image(m, l)) for l in range(m.algebra.r))
-
-
 def _top_basis(m: BModule) -> list[tuple[int, int]]:
     """(k, c) per top generator of m: the coordinates c of component k
     left free by rad(B) m, so their unit vectors span a complement of it."""
@@ -233,123 +229,106 @@ def hom_b(pres: Presentation, n: BModule) -> np.ndarray:
     return out
 
 
+def presentation(m: BModule) -> Presentation | None:
+    """The minimal presentation of m, read in the coordinates of its
+    projective cover P (see _cover_kernel); None if its syzygy ΩM is not
+    projective, that is, if pd m > 1.
+
+    rad(B) ΩM in component l is spanned by each radical element b: k -> l
+    acting on the columns of kers[k], copy by copy through the action of b
+    on B e_{k_g}.  The columns of kers[l] that are pivots of
+    [rad(B) ΩM | kers[l]] span a complement of it, so they are the top
+    generators ρ of ΩM and their coordinates over P are the columns
+    themselves.  ΩM is projective iff it is as large as the cover of its
+    top: Σ_ρ dim B e_{k_ρ} = dim ΩM = Σ_j (columns of kers[j])."""
+    alg, fld = m.algebra, m.algebra.field
+    copies, kers = _cover_kernel(m)
+    offs = [
+        list(accumulate((len(alg.block_elems[(kg, j)]) for kg in copies), initial=0))
+        for j in range(alg.r)
+    ]
+    rads = [[] for _ in range(alg.r)]
+    for idx in alg.radical_elements:
+        k, l = alg.elements[idx].src, alg.elements[idx].tgt
+        if not kers[k].shape[1] or not kers[l].shape[1]:
+            continue
+        img = fld.zeros(kers[l].shape[0], kers[k].shape[1])
+        for g, kg in enumerate(copies):
+            blk = alg.projective(kg).blocks.get(idx)
+            if blk is not None:
+                img[offs[l][g] : offs[l][g + 1]] = fld.mul(blk, kers[k][offs[k][g] : offs[k][g + 1]])
+        rads[l].append(img)
+    tops = []
+    for l in range(alg.r):
+        if kers[l].shape[1]:
+            width = sum(img.shape[1] for img in rads[l])
+            _, pivots = fld.rref(np.concatenate(rads[l] + [kers[l]], axis=1))
+            tops.extend((l, c - width) for c in pivots if c >= width)
+    if sum(alg.projective(k).dim for k, _ in tops) != sum(ker.shape[1] for ker in kers):
+        return None
+    coords = {}
+    for r, (k, c) in enumerate(tops):
+        col = kers[k][:, c]
+        for g, kg in enumerate(copies):
+            ids = alg.block_elems[(kg, k)]
+            terms = [(idx, int(v)) for idx, v in zip(ids, col[offs[k][g] :]) if v]
+            if terms:
+                coords[(r, g)] = terms
+    return Presentation(tuple(copies), tuple(k for k, _ in tops), coords)
+
+
 class ExtCalculatorB:
-    """Per-T context of the End(T) checks: the algebra B = End(T), candidate
-    B-modules keyed by vertex name, and, cached, their minimal presentations
-    and the Ext and Hom dimensions of each ordered pair.
+    """Per-T context of the End(T) checks: the algebra B = End(T), a list
+    of candidate B-modules, and the tables hom[a, b] = dim Hom_B(M, N) and
+    ext[a, b] = dim Ext^1_B(M, N) for M = candidates[a], N = candidates[b],
+    int64 arrays of shape (n, n) filled on construction.
 
     Every candidate M must have projective dimension at most one, so that
     its presentation 0 -> ⊕_ρ B e_{k_ρ} -> ⊕_g B e_{k_g} -> M -> 0 has a
-    projective syzygy: _presentation reads it from the kernel of the cover
-    map and checks Σ_ρ dim B e_{k_ρ} = dim ΩM.  ext1 and hom_dim raise
-    InputError otherwise.  Then
+    projective syzygy (see presentation); InputError otherwise.  Then
     Hom_B(-, N) turns it into 0 -> Hom(M, N) -> ⊕_g e_{k_g} N -R_N->
     ⊕_ρ e_{k_ρ} N -> Ext^1(M, N) -> 0 (see hom_b), and with n_k = dim e_k N
         dim Hom_B(M, N) = Σ_g n_{k_g} - rank R_N,
         dim Ext^1_B(M, N) = Σ_ρ n_{k_ρ} - rank R_N,
-    both memoised from the one rank."""
+    both from one rank per pair, all ranked in stacks by
+    extensions._stacked_ranks."""
 
-    def __init__(self, algebra: BoundAlgebra, candidates: dict[int, BModule]):
+    def __init__(self, algebra: BoundAlgebra, candidates: list[BModule]):
         self.algebra = algebra
-        self.candidates = candidates
-        self._pres: dict[int, Presentation | None] = {}
-        self._ext: dict[tuple[int, int], int] = {}
-        self._hom: dict[tuple[int, int], int] = {}
+        cands = self.candidates = list(candidates)
+        pres = [presentation(m) for m in cands]
+        if None in pres:
+            raise InputError(f"candidate {pres.index(None)} has projective dimension > 1")
+        size = len(cands)
+        rank = _stacked_ranks(algebra.field, [hom_b(pr, n) for pr in pres for n in cands]).reshape(size, size)
+        dims = np.array([n.comp_dims for n in cands], dtype=np.int64).reshape(size, algebra.r)
+        # row a, column b: Σ_g n_{k_g} (for hom) or Σ_ρ n_{k_ρ} (for ext) of pres[a] at N = candidates[b]
+        copies = np.array([dims[:, list(pr.copies)].sum(axis=1) for pr in pres], dtype=np.int64)
+        relations = np.array([dims[:, list(pr.relations)].sum(axis=1) for pr in pres], dtype=np.int64)
+        self.hom = copies.reshape(size, size) - rank
+        self.ext = relations.reshape(size, size) - rank
 
     @classmethod
     def for_rigid(cls, atlas: Atlas, rigid: RigidModule) -> "ExtCalculatorB":
-        """End(T) for T = rigid; candidates are the Hom(-, T) images of the atlas."""
+        """End(T) for T = rigid; candidates[mid] is the Hom(-, T) image of
+        atlas module mid."""
         algebra = BoundAlgebra(atlas, rigid)
-        return cls(algebra, {mid: algebra.hom_image(mid) for mid in range(atlas.size)})
-
-    def _presentation(self, key: int) -> Presentation | None:
-        """The minimal presentation of candidates[key], read in the
-        coordinates of its projective cover P (see _cover_kernel); None if
-        its syzygy ΩM is not projective.
-
-        rad(B) ΩM in component l is spanned by each radical element b: k -> l
-        acting on the columns of kers[k], copy by copy through the action
-        of b on B e_{k_g}.  The columns of kers[l] that are pivots of
-        [rad(B) ΩM | kers[l]] span a complement of it, so they are the top
-        generators ρ of ΩM and their coordinates over P are the columns
-        themselves.  ΩM is projective iff it is as large as the cover of
-        its top: Σ_ρ dim B e_{k_ρ} = dim ΩM = Σ_j (columns of kers[j])."""
-        if key in self._pres:
-            return self._pres[key]
-        alg, fld = self.algebra, self.algebra.field
-        copies, kers = _cover_kernel(self.candidates[key])
-        offs = [
-            list(accumulate((len(alg.block_elems[(kg, j)]) for kg in copies), initial=0))
-            for j in range(alg.r)
-        ]
-        rads = [[] for _ in range(alg.r)]
-        for idx in alg.radical_elements:
-            k, l = alg.elements[idx].src, alg.elements[idx].tgt
-            if not kers[k].shape[1] or not kers[l].shape[1]:
-                continue
-            img = fld.zeros(kers[l].shape[0], kers[k].shape[1])
-            for g, kg in enumerate(copies):
-                blk = alg.projective(kg).blocks.get(idx)
-                if blk is not None:
-                    img[offs[l][g] : offs[l][g + 1]] = fld.mul(blk, kers[k][offs[k][g] : offs[k][g + 1]])
-            rads[l].append(img)
-        tops = []
-        for l in range(alg.r):
-            if kers[l].shape[1]:
-                width = sum(img.shape[1] for img in rads[l])
-                _, pivots = fld.rref(np.concatenate(rads[l] + [kers[l]], axis=1))
-                tops.extend((l, c - width) for c in pivots if c >= width)
-        pres = None
-        if sum(alg.projective(k).dim for k, _ in tops) == sum(ker.shape[1] for ker in kers):
-            coords = {}
-            for r, (k, c) in enumerate(tops):
-                col = kers[k][:, c]
-                for g, kg in enumerate(copies):
-                    ids = alg.block_elems[(kg, k)]
-                    terms = [(idx, int(v)) for idx, v in zip(ids, col[offs[k][g] :]) if v]
-                    if terms:
-                        coords[(r, g)] = terms
-            pres = Presentation(tuple(copies), tuple(k for k, _ in tops), coords)
-        self._pres[key] = pres
-        return pres
-
-    def _fill(self, a: int, b: int):
-        pres = self._presentation(a)
-        if pres is None:
-            raise InputError(f"candidate {a} has projective dimension > 1")
-        n = self.candidates[b]
-        rank = self.algebra.field.rank(hom_b(pres, n))
-        self._hom[(a, b)] = sum(n.comp_dims[k] for k in pres.copies) - rank
-        self._ext[(a, b)] = sum(n.comp_dims[k] for k in pres.relations) - rank
-
-    def hom_dim(self, a: int, b: int) -> int:
-        """dim Hom_B(M, N) = Σ_g n_{k_g} - rank R_N for M = candidates[a],
-        N = candidates[b]; InputError if pd M > 1."""
-        if (a, b) not in self._hom:
-            self._fill(a, b)
-        return self._hom[(a, b)]
+        return cls(algebra, [algebra.hom_image(mid) for mid in range(atlas.size)])
 
     def ext1(self, a: int, b: int) -> int:
-        """dim Ext^1_B(M, N) = Σ_ρ n_{k_ρ} - rank R_N for M = candidates[a],
-        N = candidates[b]; InputError if pd M > 1."""
-        if (a, b) not in self._ext:
-            self._fill(a, b)
-        return self._ext[(a, b)]
+        """dim Ext^1_B(candidates[a], candidates[b])."""
+        return int(self.ext[a, b])
 
 
 # -- tilting sets and the graph correspondence ------------------------------
 
 
 def enumerate_tilting(calc: ExtCalculatorB):
-    """All size-r subsets of calc.candidates that are Ext-orthogonal over
-    B = calc.algebra with projective dimension at most one: the maximal
-    cliques of Ext^1_B, with the keys of the candidate dict as vertex
-    names, each of size r.
-
-    Candidates failing the projective dimension bound raise InputError.
-    """
+    """All size-r sets of candidate positions that are Ext-orthogonal over
+    B = calc.algebra: the maximal cliques of Ext^1_B, each of size r.  Every
+    candidate has projective dimension at most one (ExtCalculatorB)."""
     r = calc.algebra.r
-    cliques = maximal_cliques(calc.candidates, calc.ext1)
+    cliques = maximal_cliques(range(len(calc.candidates)), calc.ext1)
     if len(cliques[0]) != r:
         raise StructureError(f"tilting sets have {len(cliques[0])} summands, expected {r}")
     return cliques
@@ -363,23 +342,21 @@ def verify_graph_correspondence(atlas: Atlas, rigids, graph, t_index: int, calc:
     direction.  With the bijection, these edges are exactly the
     one-summand exchanges between tilting sets.
 
-    calc is ExtCalculatorB.for_rigid(atlas, rigids[t_index]), with
-    whatever it has cached."""
+    The functor F = Hom(-, T) is fully faithful, as T contains the
+    cogenerator Π, so dim Hom_B(FX, FY) = dim Hom(Y, X): calc.hom must be
+    the transpose of atlas.hom_table.  That also keeps the images of
+    distinct modules apart, since FX ≅ FY makes rows X and Y of the
+    invertible hom_table equal.
+
+    calc is ExtCalculatorB.for_rigid(atlas, rigids[t_index])."""
     t = rigids[t_index]
     mismatches = []
-    # images must stay distinguishable and keep their endomorphism dimension
-    # (object injectivity / faithfulness of the contravariant functor)
-    fps: dict[tuple, int] = {}
-    for mid, cand in calc.candidates.items():
-        end = calc.hom_dim(mid, mid)
-        if end != int(atlas.hom_table[mid, mid]):
-            mismatches.append(f"module {mid}: End dimension changed under the functor")
-        fp = (cand.comp_dims, top_dims_b(cand))
-        other = fps.get(fp)
-        if other is not None and calc.hom_dim(other, mid) == end:
-            if calc.hom_dim(mid, other) == end:
-                mismatches.append(f"images of modules {other} and {mid} are indistinguishable")
-        fps[fp] = mid
+    unfaithful = np.argwhere(calc.hom != atlas.hom_table.T)
+    if len(unfaithful):
+        mismatches.append(
+            f"Hom(-, T) is not fully faithful: dim Hom_B(FX, FY) != dim Hom(Y, X) "
+            f"for {len(unfaithful)} pair(s) (X, Y), first {unfaithful[:8].tolist()}"
+        )
     tilts = enumerate_tilting(calc)
     lam = sorted(tuple(v.summands) for v in rigids)
     bijection = tilts == lam
@@ -396,7 +373,7 @@ def verify_graph_correspondence(atlas: Atlas, rigids, graph, t_index: int, calc:
         a, b = graph.vertices[i].summands, graph.vertices[j].summands
         (x,) = set(a).difference(b)
         (y,) = set(b).difference(a)
-        directions = (calc.ext1(x, y) > 0) + (calc.ext1(y, x) > 0)
+        directions = int(calc.ext[x, y] > 0) + int(calc.ext[y, x] > 0)
         if directions != 1:
             edges_preserved = False
             mismatches.append(

@@ -223,22 +223,23 @@ class PrimeField:
     def is_invertible(self, m: np.ndarray) -> bool:
         return m.shape[0] == m.shape[1] and self.rank(m) == m.shape[0]
 
-    def quotient_map(self, w: np.ndarray, dim: int) -> np.ndarray:
-        """Matrix of the projection k^dim -> k^dim / span(columns of w).
+    def quotient_map(self, w: np.ndarray, dim: int) -> tuple[np.ndarray, list[int]]:
+        """(q, free): q is the matrix of the projection
+        k^dim -> k^dim / span(columns of w).
 
         The quotient is coordinatized on the standard basis vectors whose
-        index is not a pivot of rref(w^T); for those indices e_j the map
-        sends e_j to the j-th quotient coordinate, so sections are plain
-        coordinate inclusions.
+        index, listed in free, is not a pivot of rref(w^T); for those
+        indices e_j the map sends e_j to the j-th quotient coordinate, so
+        sections are plain coordinate inclusions.
         """
         if w.shape[1] == 0:
-            return self.eye(dim)
+            return self.eye(dim), list(range(dim))
         r, pivots = self.rref(w.T)
         free = sorted(set(range(dim)).difference(pivots))
         q = self.eye(dim)
         if pivots:
             q = (q - self.mul(r[: len(pivots)].T, q[pivots, :])) % self.p
-        return q[free, :] if free else self.zeros(0, dim)
+        return (q[free, :] if free else self.zeros(0, dim)), free
 
     # -- polynomials over F_p ------------------------------------------
     #

@@ -43,7 +43,7 @@ class Quiver:
                 raise InputError(f"arrow {a.name} touches unknown vertex")
         if self._has_cycle():
             raise InputError("quiver has an oriented cycle")
-        if not self._connected():
+        if not connected(n, [(a.source - 1, a.target - 1) for a in self.arrows]):
             raise InputError("quiver is not connected")
 
     def _has_cycle(self) -> bool:
@@ -62,21 +62,23 @@ class Quiver:
 
         return any(state[v] == 0 and visit(v) for v in self.vertices)
 
-    def _connected(self) -> bool:
-        if len(self.vertices) == 1:
-            return True
-        adj = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+
+def connected(n: int, edges) -> bool:
+    """Whether the undirected graph on the vertices 0..n-1 with these edges
+    (pairs of vertices) is connected; the empty graph is."""
+    if not n:
+        return True
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 def dynkin_a(n: int) -> Quiver:
@@ -173,17 +175,16 @@ class PreprojectiveBasis:
     expressing any path of that profile in the chosen basis.
     """
 
-    def __init__(self, dq: DoubleQuiver, field: PrimeField, max_degree: int | None = None):
+    def __init__(self, dq: DoubleQuiver, field: PrimeField):
         self.dq = dq
         self.field = field
-        cap = 2 * dq.nv if max_degree is None else max_degree
         # all_paths[deg][(i, j)] -> ordered list of path tuples
         self.all_paths: list[dict[tuple[int, int], list[tuple[int, ...]]]] = []
         # basis_paths[deg][(i, j)] -> chosen basis paths; reducers map path
         # indicator vectors to basis coordinates
         self.basis_paths: list[dict[tuple[int, int], list[tuple[int, ...]]]] = []
         self.reducers: list[dict[tuple[int, int], np.ndarray]] = []
-        self._build(cap)
+        self._build(2 * dq.nv)
         self.graded_dims = [
             sum(len(v) for v in layer.values()) for layer in self.basis_paths
         ]
@@ -231,10 +232,8 @@ class PreprojectiveBasis:
                     rel = np.stack(rel_vecs, axis=1)
                 else:
                     rel = fld.zeros(len(paths), 0)
-                q = fld.quotient_map(rel, len(paths))
+                q, free = fld.quotient_map(rel, len(paths))
                 if q.shape[0]:
-                    _, pivots = fld.rref(rel.T)
-                    free = sorted(set(range(len(paths))).difference(pivots))
                     basis_layer[(i, j)] = [paths[c] for c in free]
                     reducer_layer[(i, j)] = q
                     nonzero = True

@@ -9,6 +9,7 @@ from itertools import combinations
 
 from .atlas import Atlas
 from .errors import InputError, StructureError
+from .quivers import connected
 
 GRAPH_FORMAT_VERSION = 1
 
@@ -113,20 +114,7 @@ def mutation_graph(rigids, n: int) -> MutationGraph:
 
 
 def is_connected(g: MutationGraph) -> bool:
-    if not g.vertices:
-        return True
-    adj = {i: set() for i in range(len(g.vertices))}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
+    return connected(len(g.vertices), g.edges)
 
 
 # -- export ----------------------------------------------------------------

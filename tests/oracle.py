@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from preproj.endo import BModule, _top_basis
+from preproj.endo import BModule, _top_basis, presentation
 from preproj.errors import FormatError, InputError, StructureError
 from preproj.extensions import build_extension, connecting_matrix
 from preproj.modules import (
@@ -344,7 +344,7 @@ def pushout(s: ShortExactSequence, g: ModuleMap) -> ShortExactSequence:
     qs = []
     for i in range(dq.nv):
         w = np.concatenate([g.mats[i], (-s.inj.mats[i]) % fld.p], axis=0)
-        qs.append(fld.quotient_map(w, n_rep.dims[i] + f_rep.dims[i]))
+        qs.append(fld.quotient_map(w, n_rep.dims[i] + f_rep.dims[i])[0])
     sections = []
     for q in qs:
         sec = fld.solve(q, fld.eye(q.shape[0]))
@@ -435,9 +435,9 @@ def dense_action(m: BModule, idx: int) -> np.ndarray:
     return out
 
 
-def pd_le1(calc, key: int) -> bool:
-    """calc's verdict on pd candidates[key] <= 1: whether it has a presentation."""
-    return calc._presentation(key) is not None
+def pd_le1(m: BModule) -> bool:
+    """The checker's verdict on pd m <= 1: whether m has a presentation."""
+    return presentation(m) is not None
 
 
 def _system(m, n):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from preproj.endo import (
     Presentation,
     coresolution_check,
     enumerate_tilting,
+    _top_basis,
     hom_b,
-    top_dims_b,
+    presentation,
     verify_graph_correspondence,
 )
 from preproj.errors import InputError, IntegrityError, StructureError
@@ -148,11 +151,9 @@ def test_image_of_zero(setup_a3):
 
 def test_images_pairwise_distinct(setup_a3):
     atlas, _, _, algebra = setup_a3
-    calc = ExtCalculatorB(algebra, {i: algebra.hom_image(i) for i in range(atlas.size)})
-    fps = []
-    for a, im in calc.candidates.items():
-        fps.append((im.comp_dims, tuple(calc.hom_dim(a, b) for b in calc.candidates)))
-    assert len(set(fps)) == 12
+    calc = ExtCalculatorB(algebra, [algebra.hom_image(i) for i in range(atlas.size)])
+    fps = {(im.comp_dims, tuple(calc.hom[a])) for a, im in enumerate(calc.candidates)}
+    assert len(fps) == 12
 
 
 def test_proj_dim(setup_a3):
@@ -160,18 +161,16 @@ def test_proj_dim(setup_a3):
     r = algebra.r
     mods = [algebra.projective(0)] + [simple_b(algebra, k) for k in range(r)]
     mods += [algebra.hom_image(i) for i in range(atlas.size)]
-    calc = ExtCalculatorB(algebra, dict(enumerate(mods)))
-    assert pd_le1(calc, 0)
-    assert all(pd_le1(calc, 1 + r + i) for i in range(atlas.size))
-    flags = [pd_le1(calc, 1 + k) for k in range(r)]
+    assert pd_le1(mods[0])
+    assert all(pd_le1(mods[1 + r + i]) for i in range(atlas.size))
+    flags = [pd_le1(mods[1 + k]) for k in range(r)]
     assert not all(flags)  # the algebra has global dimension > 1
 
 
 def test_ext_b_from_projective_vanishes(setup_a3):
     atlas, _, _, algebra = setup_a3
     target = algebra.r
-    mods = {k: algebra.projective(k) for k in range(algebra.r)}
-    mods[target] = algebra.hom_image(5)
+    mods = [algebra.projective(k) for k in range(algebra.r)] + [algebra.hom_image(5)]
     calc = ExtCalculatorB(algebra, mods)
     for k in range(algebra.r):
         assert calc.ext1(k, target) == 0
@@ -181,22 +180,21 @@ def _check_against_oracle(atlas, t):
     # Ext from 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(ΩM, N) -> Ext^1(M, N) -> 0,
     # Hom_B(B e_k, N) = e_k N and every other Hom from the system oracle
     calc = ExtCalculatorB.for_rigid(atlas, t)
-    for a, m in calc.candidates.items():
+    for a, m in enumerate(calc.candidates):
         syz, copies, _ = syzygy_b(m)
-        assert pd_le1(calc, a) and oracle_pd_le1(m), (t.summands, a)
-        for b, n in calc.candidates.items():
+        assert pd_le1(m) and oracle_pd_le1(m), (t.summands, a)
+        for b, n in enumerate(calc.candidates):
             hom = oracle_hom_dim(m, n)
             ext = oracle_hom_dim(syz, n) - sum(n.comp_dims[k] for k in copies) + hom
-            assert (calc.hom_dim(a, b), calc.ext1(a, b)) == (hom, ext), (t.summands, a, b)
+            assert (calc.hom[a, b], calc.ext[a, b]) == (hom, ext), (t.summands, a, b)
     # and from each projective B e_k: Ext 0 and Hom e_k N
-    alg = calc.algebra
-    projs = ExtCalculatorB(alg, {**calc.candidates, **{-1 - k: alg.projective(k) for k in range(alg.r)}})
+    alg, size = calc.algebra, len(calc.candidates)
+    projs = ExtCalculatorB(alg, calc.candidates + [alg.projective(k) for k in range(alg.r)])
     for k in range(alg.r):
-        for b, n in calc.candidates.items():
-            assert (projs.ext1(-1 - k, b), projs.hom_dim(-1 - k, b)) == (0, n.comp_dims[k])
+        for b, n in enumerate(calc.candidates):
+            assert (projs.ext[size + k, b], projs.hom[size + k, b]) == (0, n.comp_dims[k])
     # the simples, some of projective dimension > 1, get the oracle's verdict
-    simples = ExtCalculatorB(alg, {k: simple_b(alg, k) for k in range(alg.r)})
-    verdicts = [pd_le1(simples, k) for k in range(alg.r)]
+    verdicts = [pd_le1(simple_b(alg, k)) for k in range(alg.r)]
     assert verdicts == [oracle_pd_le1(simple_b(alg, k)) for k in range(alg.r)], t.summands
 
 
@@ -212,36 +210,29 @@ def test_ext1_and_hom_dim_match_system_oracle_a4(atlas_a4, rigids_a4, t_index):
 
 def test_modules_of_proj_dim_above_one_are_refused(setup_a3):
     _, _, _, algebra = setup_a3
-    simples = {k: simple_b(algebra, k) for k in range(algebra.r)}
-    calc = ExtCalculatorB(algebra, simples)
-    bad = [k for k in simples if not pd_le1(calc, k)]
+    simples = [simple_b(algebra, k) for k in range(algebra.r)]
+    bad = [k for k, s in enumerate(simples) if not pd_le1(s)]
     assert bad
-    for k in bad:
-        for j in simples:
-            with pytest.raises(InputError):
-                calc.ext1(k, j)
-            with pytest.raises(InputError):
-                calc.hom_dim(k, j)
-    with pytest.raises(InputError):
-        enumerate_tilting(calc)
+    with pytest.raises(InputError, match=f"candidate {bad[0]} has projective dimension > 1"):
+        ExtCalculatorB(algebra, simples)
 
 
 def test_zero_and_projectives_have_empty_presentation_matrix(setup_a3):
     # no relations: R_N has no rows, Ext vanishes and Hom is Σ_g n_{k_g}
     atlas, _, _, algebra = setup_a3
     r = algebra.r
-    mods = {k: algebra.projective(k) for k in range(r)}
-    mods[r] = oracle_hom_image(algebra, zero_rep(atlas.dq, atlas.field))
-    targets = {r + 1 + i: algebra.hom_image(i) for i in range(atlas.size)}
-    calc = ExtCalculatorB(algebra, {**mods, **targets})
-    for a, m in mods.items():
-        pres = calc._presentation(a)
+    mods = [algebra.projective(k) for k in range(r)]
+    mods.append(oracle_hom_image(algebra, zero_rep(atlas.dq, atlas.field)))
+    targets = [algebra.hom_image(i) for i in range(atlas.size)]
+    calc = ExtCalculatorB(algebra, mods + targets)
+    for a, m in enumerate(mods):
+        pres = presentation(m)
         assert pres.relations == () and pres.copies == ((a,) if a < r else ())
-        for b, n in targets.items():
+        for b, n in enumerate(targets, start=r + 1):
             assert hom_b(pres, n).size == 0
-            assert calc.ext1(a, b) == 0
-            assert calc.hom_dim(a, b) == (n.comp_dims[a] if a < r else 0)
-            assert calc.hom_dim(a, b) == oracle_hom_dim(m, n)
+            assert calc.ext[a, b] == 0
+            assert calc.hom[a, b] == (n.comp_dims[a] if a < r else 0)
+            assert calc.hom[a, b] == oracle_hom_dim(m, n)
 
 
 def test_presentation_matrix_sums_every_term(setup_a3):
@@ -259,8 +250,8 @@ def test_presentation_matrix_sums_every_term(setup_a3):
 def test_top_of_projective(setup_a3):
     _, _, _, algebra = setup_a3
     for k in range(algebra.r):
-        tops = top_dims_b(algebra.projective(k))
-        assert tops == tuple(int(j == k) for j in range(algebra.r))
+        tops = [j for j, _ in _top_basis(algebra.projective(k))]
+        assert tops == [k]
 
 
 def test_direct_sum_b(setup_a3):
@@ -271,7 +262,7 @@ def test_direct_sum_b(setup_a3):
 
 def test_enumerate_tilting_a3(setup_a3):
     atlas, rigids, _, algebra = setup_a3
-    candidates = {m: algebra.hom_image(m) for m in range(atlas.size)}
+    candidates = [algebra.hom_image(m) for m in range(atlas.size)]
     tilts = enumerate_tilting(ExtCalculatorB(algebra, candidates))
     assert len(tilts) == 14
     assert tuple(rigids[0].summands) in tilts  # the algebra itself is a vertex
@@ -283,15 +274,15 @@ def test_enumerate_tilting_a2_with_exhaustive_oracle(atlas_a2, rigids_a2):
 
     rigids, _ = rigids_a2
     algebra = BoundAlgebra(atlas_a2, rigids[0])
-    candidates = {m: algebra.hom_image(m) for m in range(4)}
+    candidates = [algebra.hom_image(m) for m in range(4)]
     calc = ExtCalculatorB(algebra, candidates)
     tilts = enumerate_tilting(calc)
     assert len(tilts) == 2
     # oracle: test all 3-element subsets directly
     direct = []
     for subset in itertools.combinations(range(4), 3):
-        if all(pd_le1(calc, c) for c in subset) and all(
-            calc.ext1(a, b) == 0 for a in subset for b in subset
+        if all(pd_le1(candidates[c]) for c in subset) and all(
+            calc.ext[a, b] == 0 for a in subset for b in subset
         ):
             direct.append(subset)
     assert sorted(direct) == [tuple(t) for t in tilts]
@@ -325,12 +316,89 @@ def test_edge_check_fails_when_complements_extend_both_ways(setup_a3):
     x, y = complements(*pairs[0])
     assert (calc.ext1(x, y) > 0) + (calc.ext1(y, x) > 0) == 1
     # x and y never share a tilting set, so the tilting sets stay as they are
-    calc._ext[x, y] = calc._ext[y, x] = 1
+    calc.ext[x, y] = calc.ext[y, x] = 1
     rep = verify_graph_correspondence(atlas, rigids, graph, 7, calc=calc)
     assert rep["bijection"] and not rep["edges_preserved"]
     hit = [p for p in pairs if set(complements(*p)) == {x, y}]
     assert len(rep["mismatches"]) == len(hit) >= 1
     assert all("non-split extensions in 2 directions" in m for m in rep["mismatches"])
+
+
+def test_theorem1_lists_a_perturbed_hom_entry(setup_a3, monkeypatch):
+    # the functor check compares the whole Hom_B table with the transpose of
+    # hom_table: one changed entry is listed with its pair, and fails the suite
+    from preproj import verify
+
+    atlas, rigids, graph, _ = setup_a3
+    want = [
+        "Hom(-, T) is not fully faithful: dim Hom_B(FX, FY) != dim Hom(Y, X) "
+        "for 1 pair(s) (X, Y), first [[2, 5]]"
+    ]
+    calc = ExtCalculatorB.for_rigid(atlas, rigids[7])
+    calc.hom[2, 5] += 1
+    rep = verify_graph_correspondence(atlas, rigids, graph, 7, calc)
+    assert rep["bijection"] and rep["edges_preserved"] and rep["mismatches"] == want
+    real = verify.verify_graph_correspondence
+
+    def perturbed(atlas, rigids, graph, t_index, calc):
+        calc.hom[2, 5] += 1
+        return real(atlas, rigids, graph, t_index, calc)
+
+    monkeypatch.setattr(verify, "verify_graph_correspondence", perturbed)
+    report = verify.run_t_suites(("theorem1",), atlas, rigids, graph, [7])["theorem1"]
+    assert not report["passed"] and report["failures"][0]["mismatches"] == want
+
+
+def test_lemma22_lists_perturbed_ext_entries_in_row_major_order(setup_a3, monkeypatch):
+    # lemma22 compares the whole Ext^1_B table with the relative Ext array
+    from preproj import verify
+
+    atlas, rigids, _, _ = setup_a3
+    real = ExtCalculatorB.for_rigid.__func__
+    base = real(ExtCalculatorB, atlas, rigids[3]).ext
+
+    def perturbed(cls, atlas, rigid):
+        calc = real(cls, atlas, rigid)
+        calc.ext[7, 1] += 1
+        calc.ext[2, 9] += 2
+        return calc
+
+    monkeypatch.setattr(ExtCalculatorB, "for_rigid", classmethod(perturbed))
+    report = verify.run_t_suites(("lemma22",), atlas, rigids, None, [3])["lemma22"]
+    assert not report["passed"]
+    assert report["failures"] == [
+        {"t_index": 3, "pair": [x, y], "ext_B": int(base[x, y]) + d, "relative": int(base[x, y])}
+        for x, y, d in ((2, 9, 2), (7, 1, 1))
+    ]
+
+
+def _integer_det(rows) -> Fraction:
+    """Determinant of an integer matrix by elimination over the rationals."""
+    a = [[Fraction(int(v)) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+@pytest.mark.parametrize("p", [32003, 101])
+@pytest.mark.parametrize("qtype", ["A2", "A3", "A4"])
+def test_hom_table_is_unimodular(qtype, p):
+    # coresolution_check solves hom_table v = column over one fixed prime,
+    # and theorem1 reads distinct images off distinct rows: both need det ±1
+    from tests.conftest import shared_atlas
+
+    assert _integer_det([[2, 1], [4, 3]]) == 2 and _integer_det([[0, 1], [1, 0]]) == -1
+    assert abs(_integer_det(shared_atlas(qtype, p).hom_table)) == 1
 
 
 def test_coresolution_spot_check(setup_a3):
@@ -462,12 +530,11 @@ def test_sequence_dimension_identity_matches_hom_exactness(setup_a3):
 def _matches_oracle(atlas, t):
     calc = ExtCalculatorB.for_rigid(atlas, t)
     alg = calc.algebra
-    oracle = ExtCalculatorB(alg, {mid: oracle_hom_image(alg, m) for mid, m in enumerate(atlas.modules)})
+    oracle = ExtCalculatorB(alg, [oracle_hom_image(alg, m) for m in atlas.modules])
     for a in range(atlas.size):
         assert calc.candidates[a].comp_dims == oracle.candidates[a].comp_dims
-        for b in range(atlas.size):
-            got = (calc.hom_dim(a, b), calc.ext1(a, b))
-            assert got == (oracle.hom_dim(a, b), oracle.ext1(a, b)), (t.summands, a, b)
+    assert np.array_equal(calc.hom, oracle.hom), t.summands
+    assert np.array_equal(calc.ext, oracle.ext), t.summands
 
 
 def test_hom_image_matches_representation_oracle_a3(atlas_a3, rigids_a3):
