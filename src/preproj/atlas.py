@@ -1,22 +1,23 @@
 """Complete lists of indecomposable modules with Hom/Ext tables.
 
 Enumeration runs a closure from simples and projectives.  Each pass adds
-the summands of the radicals, syzygies and cosyzygies of the modules
-it has not yet seen, and of the middles of sampled extensions between the
-modules known at its start.  Work is keyed by content, the dimension vector
-and matrix bytes: a module whose content was decomposed is not decomposed
-again, and a summand whose content was placed is not located again.  Then
-the pass asks for an Auslander-Reiten certificate (_certify_complete): the
-known modules are closed under tau = cosyzygy and under the almost split
-sequences, and their AR quiver is connected, so by Auslander's theorem they
-are all the indecomposables.  The pass hands the certificate what it
-computed (PassFacts): each visited module's cosyzygy, the Ext space of
-each visited pair and the summands of each decomposed module, so the
-certificate computes afresh only for the modules the pass added.  The
-closure stops at the first pass that certifies, and a pass that adds
-nothing without certifying is an error.  Expected counts are asserted by
-callers, not used for termination.  The Hom and Ext tables then come from
-one call of extensions.pair_tables: two ranks per pair, taken in stacks.
+the summands of the radicals, syzygies and cosyzygies of the modules it
+has not yet seen, and of the middle terms of the basis classes of Ext^1
+between the modules known at its start.  Work is keyed by content, the
+dimension vector and matrix bytes: a module whose content was decomposed
+is not decomposed again, and a summand whose content was placed is not
+located again.  Then the pass asks for an Auslander-Reiten certificate
+(_certify_complete): the known modules are closed under tau = cosyzygy
+and under the almost split sequences, and their AR quiver is connected,
+so by Auslander's theorem they are all the indecomposables.  The pass
+hands the certificate what it computed (PassFacts): each visited module's
+cosyzygy, the Ext space of each visited pair and the summands of each
+decomposed module, so the certificate computes afresh only for the
+modules the pass added.  The closure stops at the first pass that
+certifies, and a pass that adds nothing without certifying is an error.
+Expected counts are asserted by callers, not used for termination.  The
+Hom and Ext tables then come from one call of extensions.pair_tables: two
+ranks per pair, taken in stacks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import EnumerationError, FormatError, IntegrityError, InputError
 from .linalg import PrimeField
-from .extensions import ExtSpace, _scalar_classes, build_extension, ext1_cocycle, pair_tables, pullback_matrix
+from .extensions import ExtSpace, build_extension, ext1_cocycle, pair_tables, pullback_matrix
 from .modules import (
     Representation,
     _stable_power,
@@ -54,8 +55,6 @@ from .quivers import (
 )
 
 ATLAS_FORMAT_VERSION = 1
-
-EXPECTED_COUNTS = {"A2": 4, "A3": 12, "A4": 40}
 
 
 @dataclass
@@ -376,20 +375,20 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, facts: PassFacts | 
     return None
 
 
-def enumerate_indecomposables(qtype: str, field: PrimeField, seed: int = 0) -> Atlas:
+def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
     """Run the closure of the module docstring, then tabulate Hom and Ext.
 
     Each pass computes Ext^1 for every ordered pair of the modules known
-    at its start, and ends with _certify_complete, to which it hands its
-    PassFacts.  Work is keyed by content: a module whose content was
-    decomposed before is not decomposed again, and a piece whose content
-    was placed before is not located again.  The closure stops at the
-    first pass that certifies; a pass that adds nothing and does not
-    certify raises EnumerationError.  Then one call of
-    extensions.pair_tables gives Hom and Ext of every pair from two ranks:
-    the Hom table, the Ext of the pairs no pass visited, and a cross-check
-    of the Ext the passes computed (IntegrityError on a mismatch).  The
-    seed only seeds the sampled extension classes (_scalar_classes)."""
+    at its start, absorbs the middle term of each basis class, and ends
+    with _certify_complete, to which it hands its PassFacts.  Work is
+    keyed by content: a module whose content was decomposed before is not
+    decomposed again, and a piece whose content was placed before is not
+    located again.  The closure stops at the first pass that certifies; a
+    pass that adds nothing and does not certify raises EnumerationError.
+    Then one call of extensions.pair_tables gives Hom and Ext of every pair
+    from two ranks: the Hom table, the Ext of the pairs no pass visited,
+    and a cross-check of the Ext the passes computed (IntegrityError on a
+    mismatch)."""
     dq = double(preset_quiver(qtype))
     basis = PreprojectiveBasis(dq, field)
     cap = 4 * dq.nv
@@ -442,9 +441,8 @@ def enumerate_indecomposables(qtype: str, field: PrimeField, seed: int = 0) -> A
                 if (i, j) in facts.spaces:
                     continue
                 space = ext1_cocycle(mods[i], mods[j])
-                if space.dim:
-                    for coeffs in _scalar_classes(field, space.dim, seed):
-                        absorb(build_extension(space, coeffs))
+                for coeffs in np.eye(space.dim, dtype=np.int64):
+                    absorb(build_extension(space, coeffs))
                 facts.spaces[i, j] = space
         failure = _certify_complete(mods, basis, facts)
         if failure is None:

@@ -43,7 +43,7 @@ def get_atlas(cfg: Config, qtype: str, p: int | None = None) -> Atlas:
             raise FormatError(f"cached atlas {path} is of type {atlas.qtype}, not {qtype}")
         print(f"loaded {qtype} atlas from {path}", file=sys.stderr)
         return atlas
-    atlas = enumerate_indecomposables(qtype, field, seed=cfg.seed)
+    atlas = enumerate_indecomposables(qtype, field)
     os.makedirs(root, exist_ok=True)
     atlas.save(path)
     print(f"built {qtype} atlas, saved to {path}", file=sys.stderr)

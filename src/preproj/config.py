@@ -1,4 +1,7 @@
-"""Engine configuration: field moduli, seed and cache location.
+"""Engine configuration: field moduli and cache location.
+
+`seed` is validated (non-negative) but read by no computation, which
+draws no random number: perfbench/run.py passes --seed to every command.
 
 Flags override an optional flat key=value config file; the only
 environment hook is PREPROJ_CACHE for the cache directory.

@@ -43,7 +43,6 @@ class BasisElement:
     index: int
     src: int  # summand position k: the element is a map T_k -> T_l
     tgt: int
-    mats: tuple  # vertex matrices of the underlying module map
 
 
 class BoundAlgebra:
@@ -59,9 +58,9 @@ class BoundAlgebra:
         for k, tk in enumerate(self.summand_ids):
             for l, tl in enumerate(self.summand_ids):
                 ids = []
-                for mats in atlas.hom_basis(tk, tl):
+                for _ in atlas.hom_basis(tk, tl):
                     ids.append(len(self.elements))
-                    self.elements.append(BasisElement(ids[-1], k, l, mats))
+                    self.elements.append(BasisElement(ids[-1], k, l))
                 self.block_elems[(k, l)] = ids
             self.identity_of[k] = self.block_elems[(k, k)][0]
         idents = set(self.identity_of.values())

@@ -312,27 +312,3 @@ def pullback_matrix(space: ExtSpace, maps) -> np.ndarray:
         parts.append(prod.reshape(h, d, y.dims[t] * x.dims[s]))
     return _stacked_residues(x, y, parts)
 
-
-# seeded random classes the atlas closure samples per extension space, on
-# top of the basis classes; the atlas bytes depend on this value
-EXT_SAMPLES = 8
-
-
-def _scalar_classes(fld, dim: int, seed: int):
-    """Nonzero class representatives up to scalar, first coordinate
-    normalized: the basis classes (and their sum when dim = 2) and
-    EXT_SAMPLES seeded random classes."""
-    if dim == 1:
-        return [(1,)]
-    if dim == 2:
-        rng = np.random.default_rng([seed, 0xE87])
-        out = [(1, 0), (0, 1), (1, 1)]
-        for _ in range(EXT_SAMPLES):
-            out.append((1, int(rng.integers(1, fld.p))))
-        return list(dict.fromkeys(out))
-    rng = np.random.default_rng([seed, 0xE88])
-    out = [tuple(int(v == k) for v in range(dim)) for k in range(dim)]
-    for _ in range(EXT_SAMPLES):
-        vec = [1] + [int(rng.integers(0, fld.p)) for _ in range(dim - 1)]
-        out.append(tuple(vec))
-    return list(dict.fromkeys(out))

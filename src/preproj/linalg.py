@@ -321,34 +321,15 @@ class PrimeField:
         return out
 
     def minimal_polynomial(self, e: np.ndarray) -> list[int]:
-        """Monic minimal polynomial of a square matrix, via Krylov chains."""
-        n = e.shape[0]
-        if n == 0:
-            return [1]
-        mu = [1]
-        annihilator = self.eye(n)
-        for j in range(n):
-            v = self.zeros(n, 1)
-            v[j, 0] = 1
-            # annihilate v by the current mu; the local factor below is then
-            # minpoly(v)/gcd(minpoly(v), mu), so the product stays the lcm
-            if annihilator is None:
-                annihilator = self.poly_eval_matrix(mu, e)
-            v = self.mul(annihilator, v)
-            if not np.any(v):
-                continue
-            chain = [v]
-            cur = v
-            while True:
-                cur = self.mul(e, cur)
-                coeffs = self.solve(np.concatenate(chain, axis=1), cur)
-                if coeffs is not None:
-                    local = [-int(c) % self.p for c in coeffs[:, 0]] + [1]
-                    break
-                chain.append(cur)
-            mu = self.poly_mul(mu, local)
-            annihilator = None
-        return mu
+        """Monic minimal polynomial of a square matrix, from one rref of the
+        columns vec(e^0), ..., vec(e^n): the first k are independent and
+        column k gives e^k = sum c_i e^i, so mu = t^k - sum c_i t^i."""
+        powers = [self.eye(e.shape[0])]
+        for _ in range(e.shape[0]):
+            powers.append(self.mul(powers[-1], e))
+        r, pivots = self.rref(np.stack([m.reshape(-1) for m in powers], axis=1))
+        k = len(pivots)
+        return [-int(c) % self.p for c in r[:k, k]] + [1]
 
     # -- factorization needed by Fitting splitting ---------------------
 
@@ -439,16 +420,12 @@ class PrimeField:
         Valid when p exceeds every multiplicity in the action; guarded by
         p > matrix size.
         """
-        k = len(basis)
-        if k == 0:
+        if not basis:
             return self.zeros(0, 0)
         n = basis[0].shape[0]
         if self.p <= n:
             raise FieldSizeError(f"p = {self.p} too small for trace-form radical (dim {n})")
-        gram = self.zeros(k, k)
-        for i in range(k):
-            for j in range(i, k):
-                t = int(np.trace(self.mul(basis[i], basis[j])) % self.p)
-                gram[i, j] = t
-                gram[j, i] = t
-        return self.kernel_basis(gram)
+        # tr(b_i b_j) = vec(b_i) . vec(b_j^T): the Gram matrix is one product
+        flat = np.stack([b.reshape(-1) for b in basis])
+        flat_t = np.stack([b.T.reshape(-1) for b in basis])
+        return self.kernel_basis(self.mul(flat, flat_t.T))

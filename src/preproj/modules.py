@@ -296,18 +296,9 @@ def top_dims(rep: Representation) -> tuple[int, ...]:
 
 
 def socle_dims(rep: Representation) -> tuple[int, ...]:
-    """Dimension vector of the joint kernel of all outgoing arrow actions."""
-    fld = rep.field
-    dq = rep.dq
-    out = []
-    for i, v in enumerate(dq.vertices):
-        outgoing = [rep.mats[k] for k in dq.arrows_out(v)]
-        if outgoing:
-            stacked = np.concatenate(outgoing, axis=0)
-            out.append(rep.dims[i] - fld.rank(stacked))
-        else:
-            out.append(rep.dims[i])
-    return tuple(out)
+    """Dimension vector of the joint kernel of all outgoing arrow actions:
+    dual_twist makes them the incoming actions, transposed."""
+    return top_dims(dual_twist(rep))
 
 
 # -- projectives, covers, syzygies --------------------------------------

@@ -12,8 +12,9 @@ against the presentations of ExtCalculatorB; the approximation T'' -> T
 as a module map against coresolution_check's vertex-wise ranks; the Hom
 systems and cocycle conditions built by broadcasting, block by block,
 against the index plans of modules.intertwiner_system and
-extensions._cocycle_condition.  Nothing in src/preproj imports this
-module.
+extensions._cocycle_condition; the minimal polynomial from Krylov chains
+against the one elimination of PrimeField.minimal_polynomial.  Nothing
+in src/preproj imports this module.
 """
 
 from __future__ import annotations
@@ -49,6 +50,31 @@ def inv(fld, m: np.ndarray) -> np.ndarray:
     if x is None:
         raise InputError("matrix is singular")
     return x
+
+
+def krylov_minimal_polynomial(fld, e: np.ndarray) -> list[int]:
+    """Monic minimal polynomial as the lcm of the minimal polynomials of the
+    unit vectors: each e_j is first annihilated by the product so far, and
+    its Krylov chain is eliminated afresh at every step."""
+    n = e.shape[0]
+    mu = [1]
+    for j in range(n):
+        v = fld.zeros(n, 1)
+        v[j, 0] = 1
+        # the local factor is minpoly(v)/gcd(minpoly(v), mu), so the
+        # product stays the lcm
+        v = fld.mul(fld.poly_eval_matrix(mu, e), v)
+        if not np.any(v):
+            continue
+        chain = [v]
+        while True:
+            cur = fld.mul(e, chain[-1])
+            coeffs = fld.solve(np.concatenate(chain, axis=1), cur)
+            if coeffs is not None:
+                break
+            chain.append(cur)
+        mu = fld.poly_mul(mu, [-int(c) % fld.p for c in coeffs[:, 0]] + [1])
+    return mu
 
 
 @dataclass(frozen=True)
@@ -472,14 +498,17 @@ def oracle_hom_image(algebra, m):
     the component bases, for oracle_hom_image_map."""
     fld = algebra.field
     nv = len(m.dims)
-    bases = [hom_basis(m, algebra.atlas.modules[t]) for t in algebra.summand_ids]
+    ids = algebra.summand_ids
+    bases = [hom_basis(m, algebra.atlas.modules[t]) for t in ids]
     comp_dims = tuple(len(b) for b in bases)
     blocks = {}
     for b in algebra.elements:
         k, l = b.src, b.tgt
         if comp_dims[k] == 0 or comp_dims[l] == 0:
             continue
-        rhs = np.stack([_flat([fld.mul(b.mats[v], f[v]) for v in range(nv)]) for f in bases[k]], axis=1)
+        pos = algebra.block_elems[(k, l)].index(b.index)
+        mats = algebra.atlas.hom_basis(ids[k], ids[l])[pos]
+        rhs = np.stack([_flat([fld.mul(mats[v], f[v]) for v in range(nv)]) for f in bases[k]], axis=1)
         sol = fld.solve(np.stack([_flat(g) for g in bases[l]], axis=1), rhs)
         assert sol is not None, "post-composition left its Hom component"
         if np.any(sol) or b.index == algebra.identity_of[k]:

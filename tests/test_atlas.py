@@ -314,6 +314,33 @@ def _count_calls(monkeypatch, names) -> dict:
     return calls
 
 
+def _record_classes(monkeypatch) -> list:
+    """The coefficient vectors of every build_extension call in atlas: the
+    closure's passes and the certificate's almost split sequences."""
+    seen = []
+    real = atlas_mod.build_extension
+
+    def recorded(space, coeffs):
+        seen.append([int(c) for c in coeffs])
+        return real(space, coeffs)
+
+    monkeypatch.setattr(atlas_mod, "build_extension", recorded)
+    return seen
+
+
+def _is_unit_vector(v) -> bool:
+    return sorted(v) == [0] * (len(v) - 1) + [1]
+
+
+def test_a3_closure_extends_by_basis_classes(monkeypatch):
+    # each pass absorbs the middle term of every basis class of Ext^1; every
+    # space met on A3 is 1-dimensional, so each vector is (1,)
+    classes = _record_classes(monkeypatch)
+    built = enumerate_indecomposables("A3", PrimeField(32003))
+    assert built.size == 12 and classes
+    assert all(_is_unit_vector(c) for c in classes), classes
+
+
 def test_a4_closure_builds_few_extensions(monkeypatch):
     # confirming completeness by one more sampled pass built 1,200 middle
     # terms on A4; the certificate builds one almost split sequence per
@@ -325,8 +352,11 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
     # Hom bases, 389 isomorphism tests, 63 cosyzygies and 8,430 rrefs before
     names = ["build_extension", "ext1_cocycle", "decompose", "hom_basis", "is_isomorphic", "cosyzygy"]
     calls = _count_calls(monkeypatch, names)
+    classes = _record_classes(monkeypatch)
     built = enumerate_indecomposables("A4", PrimeField(32003))
     assert built.size == 40
+    assert len(classes) == calls["build_extension"]
+    assert all(_is_unit_vector(c) for c in classes), classes
     assert calls["build_extension"] <= 200
     assert calls["ext1_cocycle"] <= 507
     assert calls["decompose"] <= 106

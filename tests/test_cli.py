@@ -204,6 +204,20 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_seed_is_accepted_and_changes_no_byte(tmp_path, capsys):
+    # no computation draws a random number; the flag stays for callers that
+    # pass it, and is still validated
+    paths = []
+    for seed in ("0", "7"):
+        cache = tmp_path / f"c{seed}"
+        code, _, _ = run(capsys, "atlas", "--type", "A3", "--seed", seed, "--cache-dir", str(cache))
+        assert code == 0
+        paths.append(cache / "A3-p32003-v1" / "atlas.json")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    code, _, err = run(capsys, "atlas", "--type", "A2", "--seed", "-1", "--cache-dir", str(tmp_path / "c"))
+    assert code == 2 and "seed must be non-negative" in err
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "engine.cfg"
     cfg.write_text("seed = 3\ncache_dir = {}\n# comment\ncross_check_char = 103\n".format(tmp_path / "c"))

@@ -5,6 +5,7 @@ from preproj.errors import FieldSizeError, InputError
 from preproj.linalg import PrimeField
 from preproj.modules import Representation, _split_spaces
 from preproj.quivers import double, dynkin_a
+from tests.oracle import inv, krylov_minimal_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,44 @@ def test_minimal_polynomial(f):
     e = f.mat([[0, 1], [0, 0]])
     assert f.minimal_polynomial(e) == [0, 0, 1]
     assert f.minimal_polynomial(f.eye(3)) == [f.p - 1, 1]
+    assert f.minimal_polynomial(f.zeros(0, 0)) == [1]
+
+
+def _conjugated(fld, rng, m):
+    """g m g^-1 for a seeded random invertible g."""
+    n = m.shape[0]
+    while True:
+        g = rng.integers(0, fld.p, size=(n, n))
+        if fld.is_invertible(g):
+            return fld.mul(fld.mul(g, m), inv(fld, g))
+
+
+def _nilpotent(fld, rng, n):
+    """A strictly upper triangular matrix with some superdiagonal zeros,
+    so that its Jordan blocks vary, conjugated."""
+    m = np.triu(rng.integers(0, fld.p, size=(n, n)), 1)
+    m[np.arange(n - 1), np.arange(1, n)] *= rng.integers(0, 2, size=max(n - 1, 0))
+    return _conjugated(fld, rng, m)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_minimal_polynomial_matches_krylov_reference(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p + 11)
+    for n in range(13):
+        lam, mu = (int(v) for v in rng.choice(p, size=2, replace=False))
+        k = int(rng.integers(0, n + 1))
+        two = fld.zeros(n, n)
+        two[:k, :k] = (_nilpotent(fld, rng, k) + lam * fld.eye(k)) % p
+        two[k:, k:] = (_nilpotent(fld, rng, n - k) + mu * fld.eye(n - k)) % p
+        cases = [
+            _nilpotent(fld, rng, n),
+            (_nilpotent(fld, rng, n) + lam * fld.eye(n)) % p,
+            two,
+            _conjugated(fld, rng, two),
+        ]
+        for e in cases:
+            assert fld.minimal_polynomial(e) == krylov_minimal_polynomial(fld, e), (n, e)
 
 
 PRIMES = (32003, 101)
@@ -283,6 +322,21 @@ def test_trace_form_radical_triangular_algebra(f):
     rad = f.trace_form_radical(basis)
     assert rad.shape[1] == 1
     assert rad[0, 0] == 0 and rad[1, 0] != 0
+    # upper triangular 3x3 on I, E11, E22, E12, E13, E23: tr(I E11) = 1
+    # puts the Gram matrix off the diagonal; the radical is span{E12, E13, E23}
+    units = {}
+    for i, j in [(0, 0), (1, 1), (0, 1), (0, 2), (1, 2)]:
+        units[i, j] = f.zeros(3, 3)
+        units[i, j][i, j] = 1
+    rad = f.trace_form_radical([f.eye(3), *units.values()])
+    assert np.array_equal(rad, f.eye(6)[:, 3:])
+    # with E11 + E12 in place of E12 the radical is no longer spanned by
+    # basis vectors: E12 has coordinates e_3 - e_1, which the diagonal of
+    # the Gram matrix alone would miss
+    basis = [f.eye(3), units[0, 0], units[1, 1], units[0, 0] + units[0, 1], units[0, 2], units[1, 2]]
+    rad = f.trace_form_radical(basis)
+    assert np.array_equal(rad[:, 0], f.mat([0, -1, 0, 1, 0, 0]))
+    assert np.array_equal(rad[:, 1:], f.eye(6)[:, 4:])
 
 
 def test_ranks_agree_across_primes():
