@@ -67,10 +67,12 @@ class Atlas:
     hom_table: np.ndarray
     ext_table: np.ndarray
     aliases: dict = dc_field(default_factory=dict)  # id -> name
-    # memos of hom_basis and compose, kept in memory only: never saved,
-    # compared or passed on by dataclasses.replace
+    # memos of hom_basis and compose, and the pairs of modules whose
+    # identity laws endo.BoundAlgebra has checked on those constants, kept
+    # in memory only: never saved, compared or passed on by dataclasses.replace
     _homs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _comps: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _unital: set = dc_field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -185,9 +187,10 @@ class Atlas:
         }
 
     def save(self, path):
+        # json.dumps runs the C encoder, json.dump the pure-Python one
+        text = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_payload(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path, field: PrimeField) -> "Atlas":

@@ -15,18 +15,19 @@ Hom(X, T_j) and acts by post-composition, atlas.compose(X, T_k, T_l).
 Hom and Ext over B from a module M with pd M <= 1 (that is, dim ΩM equals
 the dimension of the projective cover of the top of ΩM) come from its
 minimal projective presentation, read from the kernel of its cover map in
-the cover's coordinates, with no cover or syzygy module built: one rank of
-one small matrix per pair of modules, ranked in stacks into full Hom_B and
-Ext^1_B tables per T (ExtCalculatorB).  The tilting sets are the maximal
-cliques of Ext^1_B (rigidgraph.maximal_cliques), and the coresolution
-check reads the summands of its kernel off hom_table with one solve over
-a fixed large prime field, checked over the integers.
+the cover's coordinates, with no cover or syzygy module built; the image of
+a summand of T is projective and needs none.  One rank of one small matrix
+per pair of modules, ranked in stacks into full Hom_B and Ext^1_B tables
+per T (ExtCalculatorB); a presentation with no relation needs no rank.  The
+tilting sets are the maximal cliques of Ext^1_B
+(rigidgraph.maximal_cliques), and the coresolution check reads the
+summands of its kernel off hom_table with one solve over a fixed large
+prime field, checked over the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -65,7 +66,12 @@ class BoundAlgebra:
             self.identity_of[k] = self.block_elems[(k, k)][0]
         idents = set(self.identity_of.values())
         self.radical_elements = [e.index for e in self.elements if e.index not in idents]
+        # block_dims[k, l] = dim Hom(T_k, T_l), the dimension of component l of B e_k
+        self.block_dims = np.array(
+            [[len(self.block_elems[(k, l)]) for l in range(self.r)] for k in range(self.r)]
+        )
         self._images: dict[int, BModule] = {}
+        self._radical_stacks: dict[tuple[int, int], np.ndarray] = {}
         self._check_structure()
 
     # -- construction ---------------------------------------------------
@@ -77,26 +83,53 @@ class BoundAlgebra:
     def _check_structure(self):
         """The identity laws, exactly, on the composition constants of the
         atlas: b o e_k = b for b in Hom(T_k, T_l), and e_k o b = b for b in
-        Hom(T_m, T_k), where e_k is the first basis element of End(T_k).
+        Hom(T_l, T_k), where e_k is the first basis element of End(T_k).
+        They depend on the pair of atlas modules (T_k, T_l) alone, so each
+        pair is checked once per atlas and recorded in atlas._unital.
         Associativity needs no runtime check: the constants come from exact
         solves over a basis of actual maps, whose composition is
         associative."""
-        ids = self.summand_ids
-        for k in range(self.r):
-            for l in range(self.r):
-                right = self.atlas.compose(ids[k], ids[k], ids[l])[:, :, 0]
+        atlas, checked = self.atlas, self.atlas._unital
+        for tk in self.summand_ids:
+            for tl in self.summand_ids:
+                if (tk, tl) in checked:
+                    continue
+                right = atlas.compose(tk, tk, tl)[:, :, 0]
                 if not np.array_equal(right, np.eye(len(right), dtype=np.int64)):
                     raise IntegrityError("right identity law fails")
-                left = self.atlas.compose(ids[l], ids[k], ids[k])[0]
+                left = atlas.compose(tl, tk, tk)[0]
                 if not np.array_equal(left, np.eye(len(left), dtype=np.int64)):
                     raise IntegrityError("left identity law fails")
+                checked.add((tk, tl))
+
+    def _radical_stack(self, s: int, k: int) -> np.ndarray:
+        """The left multiplications by the radical elements b: k -> l on
+        B e_s, stacked: an array of shape (number of such b, dim B e_s,
+        dim e_k B e_s) whose slice at b maps component k of B e_s into the
+        coordinates of B e_s, component by component, zero outside
+        component l.  The elements of block (k, l) act by post-composition,
+        atlas.compose(T_s, T_k, T_l), all at once.  Built once per pair."""
+        got = self._radical_stacks.get((s, k))
+        if got is not None:
+            return got
+        ids = self.summand_ids
+        offs = list(accumulate(self.block_dims[s], initial=0))
+        # the identity of End(T_k) leads block (k, k) and is no radical element
+        starts = list(accumulate(self.block_dims[k] - (np.arange(self.r) == k), initial=0))
+        got = np.zeros((starts[-1], offs[-1], self.block_dims[s, k]), dtype=np.int64)
+        for l in range(self.r):
+            if got.size and starts[l] < starts[l + 1] and offs[l] < offs[l + 1]:
+                consts = self.atlas.compose(ids[s], ids[k], ids[l])[int(l == k) :]
+                got[starts[l] : starts[l + 1], offs[l] : offs[l + 1]] = consts
+        self._radical_stacks[(s, k)] = got
+        return got
 
     # -- modules ---------------------------------------------------------
 
     def projective(self, k: int) -> "BModule":
         """The left ideal B e_k generated by the k-th idempotent: the image
         Hom(T_k, T) of the summand T_k, read from the memo of hom_image
-        when it is there."""
+        when it is there.  Its summand is k (see BModule)."""
         mid = self.summand_ids[k]
         return self._images.get(mid) or self.hom_image(mid)
 
@@ -109,7 +142,8 @@ class BoundAlgebra:
         if got is not None:
             return got
         atlas, ids = self.atlas, self.summand_ids
-        comp_dims = tuple(len(atlas.hom_basis(mid, t)) for t in ids)
+        # the dimensions from hom_table: no basis is computed for a zero Hom
+        comp_dims = tuple(int(atlas.hom_table[mid, t]) for t in ids)
         blocks = {}
         for (k, l), elems in self.block_elems.items():
             if not elems or comp_dims[k] == 0 or comp_dims[l] == 0:
@@ -118,16 +152,20 @@ class BoundAlgebra:
             for e, idx in enumerate(elems):
                 if consts[e].any() or idx == self.identity_of[k]:
                     blocks[idx] = consts[e]
-        got = self._images[mid] = BModule(self, comp_dims, blocks)
+        summand = self.summand_ids.index(mid) if mid in self.summand_ids else None
+        got = self._images[mid] = BModule(self, comp_dims, blocks, summand)
         return got
 
 
 class BModule:
     """Finite dimensional left module over a BoundAlgebra, graded by the
-    idempotent components; identity idempotents act implicitly."""
+    idempotent components; identity idempotents act implicitly.  summand
+    is k for the image Hom(T_k, T) of a summand of T, which is the
+    projective B e_k (BoundAlgebra.projective), and None otherwise."""
 
-    def __init__(self, algebra: BoundAlgebra, comp_dims, blocks):
+    def __init__(self, algebra: BoundAlgebra, comp_dims, blocks, summand: int | None = None):
         self.algebra = algebra
+        self.summand = summand
         self.comp_dims = tuple(int(d) for d in comp_dims)
         self.blocks = {}
         for idx, blk in blocks.items():
@@ -153,49 +191,56 @@ class BModule:
         return fld.zeros(self.comp_dims[e.tgt], self.comp_dims[e.src])
 
 
-def _radical_image(m: BModule, k: int) -> np.ndarray:
-    """Columns spanning rad(B) m in component k, one block per radical
-    element acting nonzero into k (the identities act implicitly)."""
-    alg = m.algebra
-    images = [
-        blk
-        for idx, blk in m.blocks.items()
-        if alg.elements[idx].tgt == k and idx != alg.identity_of[k] and blk.any()
-    ]
-    if not images:
-        return m.algebra.field.zeros(m.comp_dims[k], 0)
-    return np.concatenate(images, axis=1)
-
-
 def _top_basis(m: BModule) -> list[tuple[int, int]]:
     """(k, c) per top generator of m: the coordinates c of component k
-    left free by rad(B) m, so their unit vectors span a complement of it."""
-    fld = m.algebra.field
-    tops = []
-    for k in range(m.algebra.r):
-        _, pivots = fld.rref(_radical_image(m, k).T)
-        tops.extend((k, c) for c in sorted(set(range(m.comp_dims[k])).difference(pivots)))
-    return tops
+    left free by rad(B) m, so their unit vectors span a complement of it.
+    rad(B) m is spanned by the images of the radical elements, placed as
+    rows over all components of m and eliminated at once; a row lies in
+    one component, so the pivots are those of each component."""
+    alg, fld = m.algebra, m.algebra.field
+    offs = list(accumulate(m.comp_dims, initial=0))
+    images = [
+        (alg.elements[idx].tgt, blk)
+        for idx, blk in m.blocks.items()
+        if idx != alg.identity_of[alg.elements[idx].tgt]
+    ]
+    starts = list(accumulate((blk.shape[1] for _, blk in images), initial=0))
+    rows = fld.zeros(starts[-1], offs[-1])
+    for (k, blk), start, end in zip(images, starts, starts[1:]):
+        rows[start:end, offs[k] : offs[k + 1]] = blk.T
+    _, pivots = fld.rref(rows)
+    comp = np.repeat(np.arange(alg.r), m.comp_dims)
+    free = sorted(set(range(offs[-1])).difference(pivots))
+    return [(int(comp[c]), c - offs[comp[c]]) for c in free]
 
 
 def _cover_kernel(m: BModule):
-    """Returns (copies, kers) for the projective cover P = ⊕_g B e_{k_g} of m.
+    """Returns (copies, ker, poffs, koffs) for the projective cover
+    P = ⊕_g B e_{k_g} of m.
 
     copies lists the summand position k_g of each lifted top generator.
     Component j of P has the basis block_elems[(k_g, j)] copy by copy, and
-    kers[j] is a kernel basis (columns) of the cover map e_j P -> e_j m,
-    so ΩM in component j is spanned by the columns of kers[j]."""
-    alg = m.algebra
-    fld = alg.field
+    the coordinates of P run component by component: component j is rows
+    poffs[j]:poffs[j + 1].  ker is a kernel basis (columns) of the cover
+    map P -> m, so it spans ΩM; the cover map preserves components, so ker
+    is block diagonal, with columns koffs[j]:koffs[j + 1] in component j.
+    The cover map is eliminated once, as one block diagonal matrix."""
+    alg, fld = m.algebra, m.algebra.field
     lifts = _top_basis(m)
-    kers = []
-    for j in range(alg.r):
-        cols = [m.action_block(i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
-        cover = np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0)
-        kers.append(fld.kernel_basis(cover))
-        if cover.shape[1] - kers[j].shape[1] != m.comp_dims[j]:
-            raise StructureError("projective cover is not surjective")
-    return [k for k, _ in lifts], kers
+    # column (j, g, b) of the cover map: b u_g for the top generator u_g
+    cols = [(j, c, i) for j in range(alg.r) for k, c in lifts for i in alg.block_elems[(k, j)]]
+    poffs = [int(v) for v in np.searchsorted([j for j, _, _ in cols], range(alg.r + 1))]
+    moffs = list(accumulate(m.comp_dims, initial=0))
+    cover = fld.zeros(moffs[-1], poffs[-1])
+    for col, (j, c, i) in enumerate(cols):
+        cover[moffs[j] : moffs[j + 1], col] = m.action_block(i)[:, c]
+    ker = fld.kernel_basis(cover)
+    if poffs[-1] - ker.shape[1] != moffs[-1]:
+        raise StructureError("projective cover is not surjective")
+    # a kernel column lies in the component of its first nonzero row
+    firsts = (ker != 0).argmax(axis=0) if len(ker) else []
+    koffs = [int(v) for v in np.searchsorted(firsts, poffs)]
+    return [k for k, _ in lifts], ker, poffs, koffs
 
 
 @dataclass(frozen=True)
@@ -216,64 +261,88 @@ def hom_b(pres: Presentation, n: BModule) -> np.ndarray:
     Hom_B(-, N), as Hom_B(B e_k, N) = e_k N: block (ρ, g) is
     Σ_b c_{ρ,g,b} N.action_block(b).  Its kernel is Hom_B(M, N) and its
     cokernel is Ext^1_B(M, N)."""
-    fld = n.algebra.field
+    p = n.algebra.field.p
     cols = list(accumulate((n.comp_dims[k] for k in pres.copies), initial=0))
     rows = list(accumulate((n.comp_dims[k] for k in pres.relations), initial=0))
-    out = fld.zeros(rows[-1], cols[-1])
-    for (r, g), terms in pres.coords.items():
-        blk = out[rows[r] : rows[r + 1], cols[g] : cols[g + 1]]
-        for idx, c in terms:
-            blk += c * n.action_block(idx)
-            blk %= fld.p
+    out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for (r, g), ((idx, c), *rest) in pres.coords.items():
+        blk = c * n.action_block(idx) % p
+        for idx, c in rest:
+            blk = (blk + c * n.action_block(idx)) % p
+        out[rows[r] : rows[r + 1], cols[g] : cols[g + 1]] = blk
     return out
 
 
 def presentation(m: BModule) -> Presentation | None:
     """The minimal presentation of m, read in the coordinates of its
     projective cover P (see _cover_kernel); None if its syzygy ΩM is not
-    projective, that is, if pd m > 1.
+    projective, that is, if pd m > 1.  The image of a summand, B e_k, is
+    its own cover: its presentation has one copy of B e_k and no relation.
 
-    rad(B) ΩM in component l is spanned by each radical element b: k -> l
-    acting on the columns of kers[k], copy by copy through the action of b
-    on B e_{k_g}.  The columns of kers[l] that are pivots of
-    [rad(B) ΩM | kers[l]] span a complement of it, so they are the top
-    generators ρ of ΩM and their coordinates over P are the columns
-    themselves.  ΩM is projective iff it is as large as the cover of its
-    top: Σ_ρ dim B e_{k_ρ} = dim ΩM = Σ_j (columns of kers[j])."""
+    rad(B) ΩM is spanned by each radical element b: k -> l acting on the
+    kernel columns in component k, copy by copy through the action of b on
+    B e_{k_g}: one product per component k and copy with the stacked
+    actions of BoundAlgebra._radical_stack.  The kernel columns outside
+    the span of rad(B) ΩM and the columns before them span a complement
+    of it, so they are the top generators ρ of ΩM, and their coordinates
+    over P are the columns themselves.  ΩM is projective iff it is as
+    large as the cover of its top: Σ_ρ dim B e_{k_ρ} = dim ΩM, the number
+    of kernel columns."""
+    if m.summand is not None:
+        return Presentation((m.summand,), (), {})
     alg, fld = m.algebra, m.algebra.field
-    copies, kers = _cover_kernel(m)
-    offs = [
-        list(accumulate((len(alg.block_elems[(kg, j)]) for kg in copies), initial=0))
-        for j in range(alg.r)
-    ]
-    rads = [[] for _ in range(alg.r)]
-    for idx in alg.radical_elements:
-        k, l = alg.elements[idx].src, alg.elements[idx].tgt
-        if not kers[k].shape[1] or not kers[l].shape[1]:
+    copies, ker, poffs, koffs = _cover_kernel(m)
+    if not ker.shape[1]:
+        return Presentation(tuple(copies), (), {})
+    size = poffs[-1]
+    # Column i of ker is 1 at its last nonzero coordinate f_i and 0 at
+    # every other f_j, so a vector v of ΩM is Σ_i v[f_i] ker[:, i]: its
+    # coordinates over ker are its entries at f.
+    dim = ker.shape[1]
+    f = size - 1 - (ker[::-1] != 0).argmax(axis=0)
+    # Copy g is rows within[g, j] onward of component j of P.  Stacked
+    # copy after copy (each in the order of the coordinates of B e_{k_g}),
+    # the coordinates of P come in another order: coordinate f_i comes at
+    # position sel[i] there.
+    sizes = alg.block_dims[list(copies)]
+    within = np.cumsum(sizes, axis=0) - sizes
+    copy_major = np.cumsum(sizes.ravel()) - sizes.ravel()
+    shift = copy_major.reshape(sizes.shape) - within - np.array(poffs[:-1])
+    sel = (np.arange(size) + np.repeat(shift.T.ravel(), sizes.T.ravel()))[f]
+    # rad(B) ΩM in the coordinates over ker: one row per radical element
+    # b: k -> l and column of ker in component k, one product per k and copy
+    rad = [fld.zeros(0, dim)]
+    for k in range(alg.r):
+        cols = ker[poffs[k] : poffs[k + 1], koffs[k] : koffs[k + 1]]
+        if not cols.shape[1]:
             continue
-        img = fld.zeros(kers[l].shape[0], kers[k].shape[1])
+        parts = []
         for g, kg in enumerate(copies):
-            blk = alg.projective(kg).blocks.get(idx)
-            if blk is not None:
-                img[offs[l][g] : offs[l][g + 1]] = fld.mul(blk, kers[k][offs[k][g] : offs[k][g + 1]])
-        rads[l].append(img)
-    tops = []
-    for l in range(alg.r):
-        if kers[l].shape[1]:
-            width = sum(img.shape[1] for img in rads[l])
-            _, pivots = fld.rref(np.concatenate(rads[l] + [kers[l]], axis=1))
-            tops.extend((l, c - width) for c in pivots if c >= width)
-    if sum(alg.projective(k).dim for k, _ in tops) != sum(ker.shape[1] for ker in kers):
+            stack = alg._radical_stack(kg, k)
+            count, height, width = stack.shape
+            part = fld.mul(stack.reshape(count * height, width), cols[within[g, k] : within[g, k] + width])
+            parts.append(part.reshape(count, height, -1))
+        imgs = np.concatenate(parts, axis=1)[:, sel]
+        rad.append(imgs.transpose(0, 2, 1).reshape(-1, dim))
+    # column i is a top generator unless some v in rad(B) ΩM has its last
+    # nonzero coordinate at i, a pivot of the echelon form of the columns
+    # in reverse order
+    rows = np.concatenate(rad)
+    _, last = fld.rref(rows[rows.any(axis=1), ::-1])
+    tops = sorted(set(range(dim)).difference(dim - 1 - c for c in last))
+    comp = np.repeat(np.arange(alg.r), np.diff(koffs))
+    if sum(alg.projective(comp[t]).dim for t in tops) != dim:
         return None
     coords = {}
-    for r, (k, c) in enumerate(tops):
-        col = kers[k][:, c]
+    for r, t in enumerate(tops):
+        k = int(comp[t])
+        col = ker[poffs[k] : poffs[k + 1], t]
         for g, kg in enumerate(copies):
             ids = alg.block_elems[(kg, k)]
-            terms = [(idx, int(v)) for idx, v in zip(ids, col[offs[k][g] :]) if v]
+            terms = [(idx, int(v)) for idx, v in zip(ids, col[within[g, k] :]) if v]
             if terms:
                 coords[(r, g)] = terms
-    return Presentation(tuple(copies), tuple(k for k, _ in tops), coords)
+    return Presentation(tuple(copies), tuple(int(comp[t]) for t in tops), coords)
 
 
 class ExtCalculatorB:
@@ -299,7 +368,11 @@ class ExtCalculatorB:
         if None in pres:
             raise InputError(f"candidate {pres.index(None)} has projective dimension > 1")
         size = len(cands)
-        rank = _stacked_ranks(algebra.field, [hom_b(pr, n) for pr in pres for n in cands]).reshape(size, size)
+        # a presentation without relations gives R_N no rows, so rank 0
+        related = [a for a, pr in enumerate(pres) if pr.relations]
+        rank = np.zeros((size, size), dtype=np.int64)
+        mats = [hom_b(pres[a], n) for a in related for n in cands]
+        rank[related] = _stacked_ranks(algebra.field, mats).reshape(len(related), size)
         dims = np.array([n.comp_dims for n in cands], dtype=np.int64).reshape(size, algebra.r)
         # row a, column b: Σ_g n_{k_g} (for hom) or Σ_ρ n_{k_ρ} (for ext) of pres[a] at N = candidates[b]
         copies = np.array([dims[:, list(pr.copies)].sum(axis=1) for pr in pres], dtype=np.int64)
@@ -390,11 +463,8 @@ def verify_graph_correspondence(atlas: Atlas, rigids, graph, t_index: int, calc:
     }
 
 
-@cache
-def _multiplicity_field() -> PrimeField:
-    """F_P for P = 2**31 - 1 (see _multiplicities), built on first use: its
-    primality check takes milliseconds."""
-    return PrimeField(2**31 - 1)
+# F_P for P = 2**31 - 1 (see _multiplicities)
+_MULTIPLICITY_FIELD = PrimeField(2**31 - 1)
 
 
 def _multiplicities(atlas: Atlas, to_m: np.ndarray, m_dims) -> list | None:
@@ -408,7 +478,7 @@ def _multiplicities(atlas: Atlas, to_m: np.ndarray, m_dims) -> list | None:
     dim M, far below P, so its residue is c itself at every atlas p; over
     the atlas's F_p a multiplicity c >= p would come out as c mod p."""
     hom = atlas.hom_table
-    v = _multiplicity_field().solve(hom, to_m)
+    v = _MULTIPLICITY_FIELD.solve(hom, to_m)
     if v is None:
         return None
     v = v[:, 0]
@@ -466,7 +536,8 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> di
         cols = list(accumulate((int(hom[x, i]) for i in pieces), initial=0))
         hom_x_f = fld.zeros(rows[-1], cols[-1])
         for p, (i, j, e) in enumerate(copies):
-            hom_x_f[rows[j] : rows[j + 1], cols[p] : cols[p + 1]] = atlas.compose(x, i, t_ids[j])[e]
+            if rows[j] < rows[j + 1] and cols[p] < cols[p + 1]:  # else Hom(X, T_j) or Hom(X, T'_i) is 0
+                hom_x_f[rows[j] : rows[j + 1], cols[p] : cols[p + 1]] = atlas.compose(x, i, t_ids[j])[e]
         to_k[x] = cols[-1] - fld.rank(hom_x_f)
     dims = np.array([m.dims for m in mods], dtype=np.int64)
     k_dims = dims[pieces].sum(axis=0) - dims[t_ids].sum(axis=0)

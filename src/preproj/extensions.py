@@ -69,19 +69,26 @@ def _cocycle_columns(dq, x_dims, y_dims):
     return shapes, offs
 
 
-def _coboundary_residues(x: Representation, y: Representation, vecs: np.ndarray) -> np.ndarray:
-    """Residues of cocycle coordinate vectors of (x, y), given as columns,
-    modulo coboundaries: the free coordinates left after eliminating against
-    the reduced echelon form of the coboundary space.  The map is linear,
-    and a column's residue is zero exactly when the column is a coboundary.
-    """
-    fld = x.field
+def coboundary_echelon(x: Representation, y: Representation) -> tuple[np.ndarray, list[int]]:
+    """(red, pivots): the nonzero rows and pivot columns of the reduced
+    echelon form of the coboundaries of (x, y), in cocycle coordinates.
+    One elimination; a caller that reduces against the same pair again
+    keeps it (verify._ConnectingMatrices does, per pair)."""
     # coboundaries f -> (Y_a f_s - f_t X_a)_a form the negated Hom system,
     # whose rows are the cocycle coordinates in arrow order: same column space
-    red, pivots = fld.rref(_hom_system(x, y).T)
+    red, pivots = x.field.rref(_hom_system(x, y).T)
+    return red[: len(pivots)], pivots
+
+
+def _coboundary_residues(fld, echelon, vecs: np.ndarray) -> np.ndarray:
+    """Residues of cocycle coordinate vectors of a pair, given as columns,
+    modulo its coboundaries: the free coordinates left after eliminating
+    against echelon, the pair's coboundary_echelon.  The map is linear, and
+    a column's residue is zero exactly when the column is a coboundary."""
+    red, pivots = echelon
     free = np.ones(red.shape[1], dtype=bool)
     free[pivots] = False
-    return (vecs[free] - fld.mul(red[: len(pivots), free].T, vecs[pivots])) % fld.p
+    return (vecs[free] - fld.mul(red[:, free].T, vecs[pivots])) % fld.p
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +215,7 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
 
     # the pivot columns of the residues are the cocycles kept as class
     # representatives: each is outside the span of the columns before it
-    _, pivots = fld.rref(_coboundary_residues(x, y, z_basis))
+    _, pivots = fld.rref(_coboundary_residues(fld, coboundary_echelon(x, y), z_basis))
     reps = [
         tuple(z_basis[offs[k] : offs[k + 1], c].reshape(shapes[k]) for k in range(len(dq.arrows)))
         for c in pivots
@@ -248,28 +255,30 @@ def is_hom_exact(space: ExtSpace, coeffs, n: Representation) -> bool:
         return True
     fld = space.x.field
     coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, 1) % fld.p
-    return not fld.mul(connecting_matrix(space, n, hom_basis(space.y, n)), coeffs).any()
+    matrix = connecting_matrix(space, n, hom_basis(space.y, n), coboundary_echelon(space.x, n))
+    return not fld.mul(matrix, coeffs).any()
 
 
-def _stacked_residues(x: Representation, y: Representation, parts) -> np.ndarray:
-    """Residues of cocycles of (x, y) given per arrow, in arrow order, as
-    arrays indexed (block, class, entry): one row block per block, one
-    column per class."""
+def _stacked_residues(fld, echelon, parts) -> np.ndarray:
+    """Residues of cocycles of a pair with coboundary_echelon echelon,
+    given per arrow, in arrow order, as arrays indexed (block, class,
+    entry): one row block per block, one column per class."""
     h, d = parts[0].shape[:2]
     vecs = np.concatenate(parts, axis=2).reshape(h * d, -1).T
-    res = _coboundary_residues(x, y, vecs)
+    res = _coboundary_residues(fld, echelon, vecs)
     return res.reshape(-1, h, d).transpose(1, 0, 2).reshape(-1, d)
 
 
-def connecting_matrix(space: ExtSpace, n: Representation, homs) -> np.ndarray:
+def connecting_matrix(space: ExtSpace, n: Representation, homs, echelon) -> np.ndarray:
     """Matrix of the connecting maps Hom(y, n) -> Ext^1(x, n) of the classes.
 
     Column i stacks, over the basis homs of Hom(y, n) (tuples of vertex
-    maps), the residue of f C_i modulo the coboundaries of (x, n), where C_i
-    is the i-th class representative.  Its kernel is the space of classes
-    whose sequences 0 -> y -> E -> x -> 0 stay exact under Hom(-, n); a
-    change of basis of Hom(y, n) acts invertibly on the row blocks, so the
-    kernel and the rank do not depend on the basis.
+    maps), the residue of f C_i modulo the coboundaries of (x, n), whose
+    coboundary_echelon is echelon, where C_i is the i-th class
+    representative.  Its kernel is the space of classes whose sequences
+    0 -> y -> E -> x -> 0 stay exact under Hom(-, n); a change of basis of
+    Hom(y, n) acts invertibly on the row blocks, so the kernel and the rank
+    do not depend on the basis.
     """
     x, y = space.x, space.y
     fld = x.field
@@ -285,7 +294,7 @@ def connecting_matrix(space: ExtSpace, n: Representation, homs) -> np.ndarray:
         prod = fld.mul(fs, cs.reshape(y.dims[t], d * x.dims[s]))
         prod = prod.reshape(h, n.dims[t], d, x.dims[s]).transpose(0, 2, 1, 3)
         parts.append(prod.reshape(h, d, n.dims[t] * x.dims[s]))
-    return _stacked_residues(x, n, parts)
+    return _stacked_residues(fld, echelon, parts)
 
 
 def pullback_matrix(space: ExtSpace, maps) -> np.ndarray:
@@ -310,5 +319,5 @@ def pullback_matrix(space: ExtSpace, maps) -> np.ndarray:
         prod = fld.mul(cs.reshape(d * y.dims[t], x.dims[s]), rs)
         prod = prod.reshape(d, y.dims[t], h, x.dims[s]).transpose(2, 0, 1, 3)
         parts.append(prod.reshape(h, d, y.dims[t] * x.dims[s]))
-    return _stacked_residues(x, y, parts)
+    return _stacked_residues(fld, coboundary_echelon(x, y), parts)
 

@@ -148,9 +148,10 @@ def graph_payload(g: MutationGraph, qtype: str, atlas: Atlas | None = None) -> d
 
 def export_graph(g: MutationGraph, fmt: str, path, qtype: str, atlas: Atlas | None = None):
     if fmt == "json":
+        # json.dumps runs the C encoder, json.dump the pure-Python one
+        text = json.dumps(graph_payload(g, qtype, atlas), sort_keys=True, separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(graph_payload(g, qtype, atlas), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(text + "\n")
     elif fmt == "dot":
         labels = _vertex_labels(g, atlas)
         lines = ["graph mutation {"]

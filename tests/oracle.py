@@ -8,7 +8,10 @@ splitting, pullback and pushout of sequences (Auslander-Reiten-Smalø,
 Ch. I), and exactness under Hom(-, N) by the rank identity, against the
 connecting and pullback matrices; Hom
 over End(T) from the intertwining system, and the cover and syzygy modules,
-against the presentations of ExtCalculatorB; the approximation T'' -> T
+against the presentations of ExtCalculatorB; those presentations one
+component and one radical element at a time, and the Hom and Ext tables
+over End(T) from one rank per pair, against the block products, the
+projectives read off and the stacked ranks; the approximation T'' -> T
 as a module map against coresolution_check's vertex-wise ranks; the Hom
 systems and cocycle conditions built by broadcasting, block by block,
 against the index plans of modules.intertwiner_system and
@@ -21,12 +24,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from preproj.endo import BModule, _top_basis, presentation
+from preproj.endo import BModule, Presentation, hom_b, presentation
 from preproj.errors import FormatError, InputError, StructureError
-from preproj.extensions import build_extension, connecting_matrix
+from preproj.extensions import build_extension, coboundary_echelon, connecting_matrix
 from preproj.modules import (
     Representation,
     decompose,
@@ -406,7 +410,10 @@ def exact_classes(space, t_summands) -> np.ndarray:
     stay exact under Hom(-, n) for every n in t_summands."""
     fld = space.x.field
     blocks = [fld.zeros(0, space.dim)]
-    blocks += [connecting_matrix(space, n, hom_basis(space.y, n)) for n in t_summands]
+    blocks += [
+        connecting_matrix(space, n, hom_basis(space.y, n), coboundary_echelon(space.x, n))
+        for n in t_summands
+    ]
     return fld.kernel_basis(np.concatenate(blocks, axis=0))
 
 
@@ -569,7 +576,7 @@ def projective_cover_b(m: BModule):
     """
     alg = m.algebra
     fld = alg.field
-    lifts = _top_basis(m)
+    lifts = reference_top_basis(m)
     copies = [k for k, _ in lifts]
     projs = [alg.projective(k) for k in copies]
     cover_mod = direct_sum_b(projs) if projs else BModule(alg, (0,) * alg.r, {})
@@ -609,7 +616,90 @@ def syzygy_b(m: BModule):
 def oracle_pd_le1(m):
     """pd m <= 1: the syzygy module is as large as the cover of its top."""
     syz, _, _ = syzygy_b(m)
-    return sum(m.algebra.projective(k).dim for k, _ in _top_basis(syz)) == syz.dim
+    return sum(m.algebra.projective(k).dim for k, _ in reference_top_basis(syz)) == syz.dim
+
+
+def reference_top_basis(m: BModule) -> list[tuple[int, int]]:
+    """(k, c) per top generator of m, one component at a time: the
+    coordinates c of component k that are not pivots of rad(B) m there."""
+    alg, fld = m.algebra, m.algebra.field
+    lifts = []
+    for k in range(alg.r):
+        images = [
+            blk
+            for idx, blk in m.blocks.items()
+            if alg.elements[idx].tgt == k and idx != alg.identity_of[k] and blk.any()
+        ]
+        rad = np.concatenate(images, axis=1) if images else fld.zeros(m.comp_dims[k], 0)
+        _, pivots = fld.rref(rad.T)
+        lifts.extend((k, c) for c in sorted(set(range(m.comp_dims[k])).difference(pivots)))
+    return lifts
+
+
+def reference_presentation(m: BModule) -> Presentation | None:
+    """The minimal presentation of m, or None if pd m > 1, computed as
+    presentation once did for every module, projectives included: the top
+    of m and the kernel of the cover map one component at a time, then
+    rad(B) ΩM from one product per radical element and copy, and the top
+    generators of ΩM as the pivots of [rad(B) ΩM | kernel] per component."""
+    alg, fld = m.algebra, m.algebra.field
+    lifts = reference_top_basis(m)
+    copies, kers = [k for k, _ in lifts], []
+    for j in range(alg.r):
+        cols = [m.action_block(i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
+        cover = np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0)
+        kers.append(fld.kernel_basis(cover))
+        if cover.shape[1] - kers[j].shape[1] != m.comp_dims[j]:
+            raise StructureError("projective cover is not surjective")
+    offs = [
+        list(accumulate((len(alg.block_elems[(kg, j)]) for kg in copies), initial=0))
+        for j in range(alg.r)
+    ]
+    rads = [[] for _ in range(alg.r)]
+    for idx in alg.radical_elements:
+        k, l = alg.elements[idx].src, alg.elements[idx].tgt
+        if not kers[k].shape[1] or not kers[l].shape[1]:
+            continue
+        img = fld.zeros(kers[l].shape[0], kers[k].shape[1])
+        for g, kg in enumerate(copies):
+            blk = alg.projective(kg).blocks.get(idx)
+            if blk is not None:
+                img[offs[l][g] : offs[l][g + 1]] = fld.mul(blk, kers[k][offs[k][g] : offs[k][g + 1]])
+        rads[l].append(img)
+    tops = []
+    for l in range(alg.r):
+        if kers[l].shape[1]:
+            width = sum(img.shape[1] for img in rads[l])
+            _, pivots = fld.rref(np.concatenate(rads[l] + [kers[l]], axis=1))
+            tops.extend((l, c - width) for c in pivots if c >= width)
+    if sum(alg.projective(k).dim for k, _ in tops) != sum(ker.shape[1] for ker in kers):
+        return None
+    coords = {}
+    for r, (k, c) in enumerate(tops):
+        col = kers[k][:, c]
+        for g, kg in enumerate(copies):
+            ids = alg.block_elems[(kg, k)]
+            terms = [(idx, int(v)) for idx, v in zip(ids, col[offs[k][g] :]) if v]
+            if terms:
+                coords[(r, g)] = terms
+    return Presentation(tuple(copies), tuple(k for k, _ in tops), coords)
+
+
+def reference_tables(candidates: list[BModule]) -> tuple[np.ndarray, np.ndarray]:
+    """(hom, ext) over End(T) as ExtCalculatorB tabulates them, from
+    reference_presentation and one rank of hom_b per ordered pair, empty
+    R_N included."""
+    fld = candidates[0].algebra.field
+    size = len(candidates)
+    hom = np.zeros((size, size), dtype=np.int64)
+    ext = np.zeros_like(hom)
+    for a, m in enumerate(candidates):
+        pres = reference_presentation(m)
+        for b, n in enumerate(candidates):
+            rank = fld.rank(hom_b(pres, n))
+            hom[a, b] = sum(n.comp_dims[k] for k in pres.copies) - rank
+            ext[a, b] = sum(n.comp_dims[k] for k in pres.relations) - rank
+    return hom, ext
 
 
 # -- the coresolution -------------------------------------------------------------

@@ -34,10 +34,15 @@ from tests.oracle import (
     oracle_projective,
     pd_le1,
     product_coords,
+    reference_presentation,
+    reference_tables,
     simple_b,
     syzygy_b,
 )
 from tests.test_acceptance import A4_NAMED
+
+# eight A4 T: the five the acceptance tests name and three more
+A4_SAMPLE = [0, 215, 245, 287, 305, 400, 621, 671]
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +79,25 @@ def test_identity_laws_are_checked(setup_a3, law):
     tampered._comps[(p2, p2, p2)] = consts
     with pytest.raises(IntegrityError, match=f"{law} identity law"):
         BoundAlgebra(tampered, t)
+
+
+def test_identity_laws_are_checked_once_per_atlas_pair(atlas_a3, rigids_a3, monkeypatch):
+    # the laws read the constants of a pair of atlas modules alone: over the
+    # 14 A3 T each pair of summands is checked once, and End(T) built again
+    # over the same atlas reads no composition constant
+    from dataclasses import replace
+
+    rigids, _ = rigids_a3
+    fresh = replace(atlas_a3)
+    for t in rigids:
+        BoundAlgebra(fresh, t)
+    assert fresh._unital == {(a, b) for t in rigids for a in t.summands for b in t.summands}
+    calls = []
+    monkeypatch.setattr(fresh, "compose", lambda *args: calls.append(args))
+    for t in rigids:
+        BoundAlgebra(fresh, t)
+    assert calls == []
+    assert not replace(fresh)._unital
 
 
 def test_idempotents_orthogonal(setup_a3):
@@ -245,6 +269,66 @@ def test_presentation_matrix_sums_every_term(setup_a3):
     want = np.concatenate([(2 * a0 + 3 * a1) % algebra.field.p, a1], axis=1)
     assert np.any(a0) and np.any(a1)
     assert np.array_equal(hom_b(pres, n), want)
+
+
+def _assert_presentations_match_reference(atlas, t):
+    # the image of a summand is read off as B e_k with no relation; presented
+    # through its cover, as the oracle's B e_k is, it comes out the same
+    algebra = BoundAlgebra(atlas, t)
+    for k in range(algebra.r):
+        want = Presentation((k,), (), {})
+        assert presentation(algebra.projective(k)) == want, (t.summands, k)
+        assert presentation(oracle_projective(algebra, k)) == want, (t.summands, k)
+        assert reference_presentation(algebra.projective(k)) == want, (t.summands, k)
+    for mid in range(atlas.size):
+        image = algebra.hom_image(mid)
+        assert presentation(image) == reference_presentation(image), (t.summands, mid)
+
+
+def test_presentations_match_the_reference_a3(atlas_a3, rigids_a3):
+    for t in rigids_a3[0]:
+        _assert_presentations_match_reference(atlas_a3, t)
+
+
+@pytest.mark.parametrize("t_index", A4_SAMPLE)
+def test_presentations_match_the_reference_a4(atlas_a4, rigids_a4, t_index):
+    _assert_presentations_match_reference(atlas_a4, rigids_a4[0][t_index])
+
+
+def test_tables_match_one_rank_per_pair(atlas_a3, rigids_a3, atlas_a4, rigids_a4):
+    # no R_N for a presentation without relations, and the rest ranked in
+    # stacks: the same tables as presenting every image through its cover
+    # and ranking every pair alone
+    runs = [(atlas_a3, t) for t in rigids_a3[0]]
+    runs += [(atlas_a4, rigids_a4[0][i]) for i in A4_SAMPLE]
+    for atlas, t in runs:
+        calc = ExtCalculatorB.for_rigid(atlas, t)
+        hom, ext = reference_tables(calc.candidates)
+        assert np.array_equal(calc.hom, hom) and np.array_equal(calc.ext, ext), t.summands
+
+
+def test_a3_t_suites_present_only_the_non_projective_images(atlas_a3, rigids_a3, monkeypatch):
+    # each A3 T has 6 summands among its 12 images: the pass over all 14 T
+    # takes 14 * 6 = 84 cover kernels and builds R_N for those presentations
+    # alone, 84 * 12 = 1,008 hom_b calls (168 and 2,016 when every image
+    # was presented through its cover)
+    from collections import Counter
+
+    from preproj import endo
+    from preproj.verify import T_SUITES, run_t_suites
+
+    counts = Counter()
+    for name in ("_cover_kernel", "hom_b"):
+
+        def counting(*args, _real=getattr(endo, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(endo, name, counting)
+    rigids, graph = rigids_a3
+    reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
+    assert all(rep["passed"] for rep in reports.values())
+    assert counts == {"_cover_kernel": 84, "hom_b": 1008}
 
 
 def test_top_of_projective(setup_a3):
@@ -774,6 +858,33 @@ def test_t_suites_rank_each_exactness_key_once(atlas_a3, rigids_a3, monkeypatch)
     reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
     assert all(rep["passed"] for rep in reports.values())
     assert len(ranked) == len(keys) == 122
+
+
+def test_t_suites_reduce_against_each_coboundary_space_once(atlas_a3, rigids_a3, monkeypatch):
+    # a connecting matrix of (X, Y, N) reduces modulo the coboundaries of
+    # (X, N): one echelon form per (X, N) serves every Y and every T
+    from preproj import verify
+    from preproj.extensions import coboundary_echelon
+    from preproj.verify import T_SUITES, run_t_suites
+
+    pairs, blocks = [], []
+    real_block = verify._ConnectingMatrices.block
+
+    def counting(x, n):
+        pairs.append((id(x), id(n)))
+        return coboundary_echelon(x, n)
+
+    def block(self, x, y, n):
+        blocks.append((x, y, n))
+        return real_block(self, x, y, n)
+
+    monkeypatch.setattr(verify, "coboundary_echelon", counting)
+    monkeypatch.setattr(verify._ConnectingMatrices, "block", block)
+    rigids, graph = rigids_a3
+    reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
+    assert all(rep["passed"] for rep in reports.values())
+    assert len(pairs) == len(set(pairs)) == len({(x, n) for x, _, n in blocks})
+    assert len(pairs) < len(set(blocks))
 
 
 def _assert_associative(alg):

@@ -20,6 +20,21 @@ def test_modulus_must_be_odd_prime():
         PrimeField(2)
 
 
+def test_is_prime_matches_trial_division():
+    import math
+
+    from preproj.linalg import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if _is_prime(n)] == [n for n in range(10**5) if trial(n)]
+    assert _is_prime(2**31 - 1)
+    # a Carmichael number, the least strong pseudoprime to base 2, and the
+    # least to bases 2, 3, 5 and 7 together
+    assert not any(_is_prime(n) for n in (561, 2047, 3215031751))
+
+
 def test_rref_identity(f):
     r, pivots = f.rref(f.eye(2))
     assert np.array_equal(r, f.eye(2))
