@@ -32,12 +32,12 @@ from .linalg import PrimeField
 from .extensions import ExtSpace, build_extension, ext1_cocycle, pair_tables, pullback_matrix
 from .modules import (
     Representation,
-    _stable_power,
-    block_diagonal,
+    _flat,
     cosyzygy,
     decompose,
     hom_basis,
     is_isomorphic,
+    local_basis,
     projective_module,
     radical,
     simple,
@@ -67,12 +67,10 @@ class Atlas:
     hom_table: np.ndarray
     ext_table: np.ndarray
     aliases: dict = dc_field(default_factory=dict)  # id -> name
-    # memos of hom_basis and compose, and the pairs of modules whose
-    # identity laws endo.BoundAlgebra has checked on those constants, kept
-    # in memory only: never saved, compared or passed on by dataclasses.replace
+    # memos of hom_basis and compose, kept in memory only: never saved,
+    # compared or passed on by dataclasses.replace
     _homs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _comps: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    _unital: set = dc_field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -99,38 +97,16 @@ class Atlas:
 
     def hom_basis(self, i: int, j: int) -> list:
         """The chosen basis of Hom(modules[i], modules[j]), tuples of vertex
-        maps.  For i != j it is modules.hom_basis.  For i == j the identity
-        comes first and every other element is nilpotent: a maximal set of
-        hom_basis elements independent of the identity, each shifted by the
-        scalar tr(b_v)/dim_v at its first nonzero vertex v.  End of an
-        indecomposable is local, so the shift must leave it nilpotent;
-        IntegrityError if not."""
+        maps: modules.hom_basis for i != j, and for i == j
+        modules.local_basis, the identity first and every other element
+        nilpotent."""
         got = self._homs.get((i, j))
         if got is not None:
             return got
         src, tgt = self.modules[i], self.modules[j]
-        found = hom_basis(src, tgt)
-        if i == j:
-            found = self._local_basis(src, found)
+        found = local_basis(src) if i == j else hom_basis(src, tgt)
         self._homs[(i, j)] = found
         return found
-
-    def _local_basis(self, m: Representation, found: list) -> list:
-        fld = self.field
-        ident = tuple(fld.eye(d) for d in m.dims)
-        # column c of [identity | found...] is a pivot iff it is outside the
-        # span of the columns before it
-        _, pivots = fld.rref(np.stack([_flat(b) for b in [ident, *found]], axis=1))
-        chosen = [found[c - 1] for c in pivots if c]
-        v0 = next(i for i, d in enumerate(m.dims) if d > 0)
-        out = [ident]
-        for b in chosen:
-            lam = int(np.trace(b[v0]) % fld.p) * fld.inv_scalar(m.dims[v0]) % fld.p
-            nb = tuple((b[i] - lam * ident[i]) % fld.p for i in range(len(b)))
-            if any(np.any(_stable_power(fld, x)) for x in nb):
-                raise IntegrityError("diagonal basis element is not scalar plus nilpotent")
-            out.append(nb)
-        return out
 
     def compose(self, i: int, j: int, k: int) -> np.ndarray:
         """Structure constants of composition Hom(j, k) x Hom(i, j) -> Hom(i, k)
@@ -243,11 +219,6 @@ class Atlas:
         )
 
 
-def _flat(mats) -> np.ndarray:
-    """Vertex maps stacked into one vector, in vertex order."""
-    return np.concatenate([m.reshape(-1) for m in mats])
-
-
 # -- enumeration ----------------------------------------------------------
 
 
@@ -273,24 +244,11 @@ def _content(m: Representation) -> tuple:
     return (m.dims, m.flat.tobytes())
 
 
-def _end_radical(m: Representation) -> list[tuple]:
-    """A basis of rad End(m), as tuples of vertex maps."""
-    fld = m.field
-    ends = hom_basis(m, m)
-    coords = fld.trace_form_radical([block_diagonal(m, b) for b in ends])
-    return [
-        tuple(
-            sum(int(c) * b[i] for c, b in zip(col, ends)) % fld.p
-            for i in range(m.dq.nv)
-        )
-        for col in coords.T
-    ]
-
-
 def _ar_socle(space: ExtSpace) -> np.ndarray:
     """A basis (columns) of the socle of Ext^1(M, N) over End(M), M = space.x:
-    the classes killed by pulling back along every map in rad End(M)."""
-    return space.x.field.kernel_basis(pullback_matrix(space, _end_radical(space.x)))
+    the classes killed by pulling back along every map in rad End(M), the
+    span of local_basis(M) after the identity."""
+    return space.x.field.kernel_basis(pullback_matrix(space, local_basis(space.x)[1:]))
 
 
 @dataclass

@@ -19,8 +19,9 @@ the cover's coordinates, with no cover or syzygy module built; the image of
 a summand of T is projective and needs none.  One rank of one small matrix
 per pair of modules, ranked in stacks into full Hom_B and Ext^1_B tables
 per T (ExtCalculatorB); a presentation with no relation needs no rank.  The
-tilting sets are the maximal cliques of Ext^1_B
-(rigidgraph.maximal_cliques), and the coresolution check reads the
+tilting sets are the maximal cliques of the compatibility matrix of the
+Ext^1_B table (rigidgraph.compatibility), the matrix theorem1 compares
+with the atlas's, and the coresolution check reads the
 summands of its kernel off hom_table with one solve over a fixed large
 prime field, checked over the integers.
 """
@@ -36,7 +37,7 @@ from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
 from .extensions import _stacked_ranks
 from .linalg import PrimeField
-from .rigidgraph import RigidModule, maximal_cliques
+from .rigidgraph import RigidModule, compatibility, maximal_cliques
 
 
 @dataclass(frozen=True)
@@ -72,35 +73,12 @@ class BoundAlgebra:
         )
         self._images: dict[int, BModule] = {}
         self._radical_stacks: dict[tuple[int, int], np.ndarray] = {}
-        self._check_structure()
 
     # -- construction ---------------------------------------------------
 
     @property
     def dim(self) -> int:
         return len(self.elements)
-
-    def _check_structure(self):
-        """The identity laws, exactly, on the composition constants of the
-        atlas: b o e_k = b for b in Hom(T_k, T_l), and e_k o b = b for b in
-        Hom(T_l, T_k), where e_k is the first basis element of End(T_k).
-        They depend on the pair of atlas modules (T_k, T_l) alone, so each
-        pair is checked once per atlas and recorded in atlas._unital.
-        Associativity needs no runtime check: the constants come from exact
-        solves over a basis of actual maps, whose composition is
-        associative."""
-        atlas, checked = self.atlas, self.atlas._unital
-        for tk in self.summand_ids:
-            for tl in self.summand_ids:
-                if (tk, tl) in checked:
-                    continue
-                right = atlas.compose(tk, tk, tl)[:, :, 0]
-                if not np.array_equal(right, np.eye(len(right), dtype=np.int64)):
-                    raise IntegrityError("right identity law fails")
-                left = atlas.compose(tl, tk, tk)[0]
-                if not np.array_equal(left, np.eye(len(left), dtype=np.int64)):
-                    raise IntegrityError("left identity law fails")
-                checked.add((tk, tl))
 
     def _radical_stack(self, s: int, k: int) -> np.ndarray:
         """The left multiplications by the radical elements b: k -> l on
@@ -397,10 +375,11 @@ class ExtCalculatorB:
 
 def enumerate_tilting(calc: ExtCalculatorB):
     """All size-r sets of candidate positions that are Ext-orthogonal over
-    B = calc.algebra: the maximal cliques of Ext^1_B, each of size r.  Every
-    candidate has projective dimension at most one (ExtCalculatorB)."""
+    B = calc.algebra: the maximal cliques of the compatibility matrix of
+    calc.ext (rigidgraph.compatibility), each of size r.  Every candidate has
+    projective dimension at most one (ExtCalculatorB)."""
     r = calc.algebra.r
-    cliques = maximal_cliques(range(len(calc.candidates)), calc.ext1)
+    cliques = maximal_cliques(compatibility(calc.ext))
     if len(cliques[0]) != r:
         raise StructureError(f"tilting sets have {len(cliques[0])} summands, expected {r}")
     return cliques
@@ -413,6 +392,15 @@ def verify_graph_correspondence(atlas: Atlas, rigids, graph, t_index: int, calc:
     modules: Ext^1_B is nonzero between its two complements in exactly one
     direction.  With the bijection, these edges are exactly the
     one-summand exchanges between tilting sets.
+
+    rigids are the maximal cliques of the compatibility matrix of
+    atlas.ext_table (rigidgraph.enumerate_maximal_rigid), and the tilting
+    sets those of calc.ext, over the same atlas modules.  Two graphs on one
+    vertex set have the same maximal cliques iff they are equal, as every
+    vertex and edge lies in a maximal clique; so the bijection is the
+    equality of the two compatibility matrices, and no tilting set is
+    enumerated unless it fails.  Then enumerate_tilting names the extra and
+    missing sets, and vertices_B counts the tilting sets.
 
     The functor F = Hom(-, T) is fully faithful, as T contains the
     cogenerator Π, so dim Hom_B(FX, FY) = dim Hom(Y, X): calc.hom must be
@@ -429,36 +417,35 @@ def verify_graph_correspondence(atlas: Atlas, rigids, graph, t_index: int, calc:
             f"Hom(-, T) is not fully faithful: dim Hom_B(FX, FY) != dim Hom(Y, X) "
             f"for {len(unfaithful)} pair(s) (X, Y), first {unfaithful[:8].tolist()}"
         )
-    tilts = enumerate_tilting(calc)
-    lam = sorted(tuple(v.summands) for v in rigids)
-    bijection = tilts == lam
+    bijection = np.array_equal(compatibility(calc.ext), compatibility(atlas.ext_table))
+    vertices_b = len(rigids)
     if not bijection:
-        extra = [list(s) for s in tilts if tuple(s) not in set(map(tuple, lam))]
-        missing = [list(s) for s in lam if tuple(s) not in set(map(tuple, tilts))]
+        tilts = enumerate_tilting(calc)
+        lam = {tuple(v.summands) for v in rigids}
+        vertices_b = len(tilts)
+        extra = [list(s) for s in tilts if s not in lam]
+        missing = [list(s) for s in sorted(lam) if s not in set(tilts)]
         mismatches.append(f"tilting sets extra={extra} missing={missing}")
     # Happel-Unger (1989): the two complements x, y of an almost complete
     # tilting module are joined by a non-split sequence in exactly one
     # direction.  Under the bijection the exchange pairs of the tilting sets
     # are the mutation edges, so the edges are read from graph.
-    edges_preserved = bijection
-    for i, j in graph.edges:
-        a, b = graph.vertices[i].summands, graph.vertices[j].summands
-        (x,) = set(a).difference(b)
-        (y,) = set(b).difference(a)
-        directions = int(calc.ext[x, y] > 0) + int(calc.ext[y, x] > 0)
-        if directions != 1:
-            edges_preserved = False
-            mismatches.append(
-                f"edge {list(a)} -- {list(b)}: complements {x} and {y} "
-                f"have non-split extensions in {directions} directions"
-            )
+    x, y = graph.complements
+    directions = (calc.ext[x, y] > 0).astype(np.int64) + (calc.ext[y, x] > 0)
+    broken = np.flatnonzero(directions != 1).tolist()
+    for e in broken:
+        i, j = graph.edges[e]
+        mismatches.append(
+            f"edge {list(graph.vertices[i].summands)} -- {list(graph.vertices[j].summands)}: "
+            f"complements {x[e]} and {y[e]} have non-split extensions in {directions[e]} directions"
+        )
     return {
         "t_id": t_index,
         "t_summands": list(t.summands),
         "vertices_lambda": len(rigids),
-        "vertices_B": len(tilts),
+        "vertices_B": vertices_b,
         "bijection": bijection,
-        "edges_preserved": edges_preserved,
+        "edges_preserved": bijection and not broken,
         "mismatches": mismatches,
     }
 

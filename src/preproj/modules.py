@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, NonSplitResidueError, StructureError
+from .errors import InputError, IntegrityError, NonSplitResidueError, StructureError
 from .linalg import PrimeField
 from .quivers import DoubleQuiver, PreprojectiveBasis
 
@@ -245,6 +245,36 @@ def hom_basis(x: Representation, y: Representation) -> list[tuple]:
     """A basis of Hom(x, y), tuples of vertex maps: the kernel of all
     intertwining conditions, solved as one stacked system."""
     return kernel_maps(x.field, x.dims, y.dims, _hom_system(x, y))
+
+
+def _flat(mats) -> np.ndarray:
+    """Vertex maps stacked into one vector, in vertex order."""
+    return np.concatenate([m.reshape(-1) for m in mats])
+
+
+def local_basis(m: Representation) -> list[tuple]:
+    """A basis of End(m), tuples of vertex maps, with the identity first and
+    every other element nilpotent: a maximal set of hom_basis(m, m)
+    elements independent of the identity, each shifted by the scalar
+    tr(b_v)/dim_v at its first nonzero vertex v.  For an indecomposable m,
+    End(m) is local, so the shift must leave it nilpotent (IntegrityError
+    if not) and the elements after the identity span rad End(m)."""
+    fld = m.field
+    found = hom_basis(m, m)
+    ident = tuple(fld.eye(d) for d in m.dims)
+    # column c of [identity | found...] is a pivot iff it is outside the
+    # span of the columns before it
+    _, pivots = fld.rref(np.stack([_flat(b) for b in [ident, *found]], axis=1))
+    chosen = [found[c - 1] for c in pivots if c]
+    v0 = next(i for i, d in enumerate(m.dims) if d > 0)
+    out = [ident]
+    for b in chosen:
+        lam = int(np.trace(b[v0]) % fld.p) * fld.inv_scalar(m.dims[v0]) % fld.p
+        nb = tuple((b[i] - lam * ident[i]) % fld.p for i in range(len(b)))
+        if any(np.any(_stable_power(fld, x)) for x in nb):
+            raise IntegrityError("diagonal basis element is not scalar plus nilpotent")
+        out.append(nb)
+    return out
 
 
 def hom_dim(x: Representation, y: Representation) -> int:

@@ -243,11 +243,6 @@ class PreprojectiveBasis:
             self.basis_paths.append(basis_layer)
             self.reducers.append(reducer_layer)
 
-    def component_dim(self, i: int, j: int, deg: int) -> int:
-        if deg >= len(self.basis_paths):
-            return 0
-        return len(self.basis_paths[deg].get((i, j), []))
-
     def classes_from(self, i: int) -> dict[int, list[tuple[int, int]]]:
         """Basis classes with source i, per target vertex, ordered by (degree, path).
 
@@ -264,9 +259,8 @@ class PreprojectiveBasis:
     def reduce_path(self, path: tuple[int, ...], i: int, j: int) -> np.ndarray:
         """Coordinates of a path's class over the chosen basis of its profile."""
         deg = len(path)
-        if deg >= len(self.all_paths):
-            comp = self.component_dim(i, j, deg)
-            return self.field.zeros(comp if comp else 0, 1)
+        if deg >= len(self.all_paths):  # past the top degree every class is zero
+            return self.field.zeros(0, 1)
         paths = self.all_paths[deg].get((i, j), [])
         coords = self.field.zeros(len(self.basis_paths[deg].get((i, j), [])), 1)
         if not paths or path not in paths:

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+
+import numpy as np
 
 from .atlas import Atlas
 from .errors import InputError, StructureError
@@ -44,6 +47,18 @@ class MutationGraph:
     def is_regular(self, k: int) -> bool:
         return all(d == k for d in self.degrees())
 
+    @cached_property
+    def complements(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y), one entry per edge (i, j) in edges order: x[e] is the
+        summand of vertex i missing from vertex j, y[e] the one of j missing
+        from i.  Computed once per graph."""
+        summands = np.array([t.summands for t in self.vertices], dtype=np.int64)
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        a, b = summands[ends[0]], summands[ends[1]]
+        only_a = (a[:, :, None] != b[:, None, :]).all(axis=2)
+        only_b = (b[:, :, None] != a[:, None, :]).all(axis=2)
+        return a[only_a], b[only_b]
+
 
 def _bron_kerbosch(adj, r, p, x, out):
     if not p and not x:
@@ -56,18 +71,22 @@ def _bron_kerbosch(adj, r, p, x, out):
         x.add(v)
 
 
-def maximal_cliques(keys, ext) -> list[tuple]:
-    """Maximal sets of keys without extensions among them, as sorted tuples
-    in sorted order.  The vertices are the keys k with ext(k, k) = 0, and
-    a < b are adjacent iff ext(a, b) = ext(b, a) = 0: each unordered pair is
-    asked once, ext(b, a) only when ext(a, b) vanishes.  StructureError
-    unless all cliques have one size."""
-    verts = [k for k in sorted(keys) if ext(k, k) == 0]
-    adj = {v: set() for v in verts}
-    for a, b in combinations(verts, 2):
-        if ext(a, b) == 0 and ext(b, a) == 0:
-            adj[a].add(b)
-            adj[b].add(a)
+def compatibility(ext) -> np.ndarray:
+    """The Ext-compatibility graph of an (n, n) table ext[a, b] = dim Ext^1(a, b),
+    as a boolean (n, n) matrix: the diagonal marks the vertices, the k with
+    ext[k, k] = 0, and a != b are adjacent iff both are vertices and
+    ext[a, b] = ext[b, a] = 0."""
+    free = np.asarray(ext) == 0
+    verts = np.diag(free)
+    return free & free.T & verts[:, None] & verts[None, :]
+
+
+def maximal_cliques(compat: np.ndarray) -> list[tuple]:
+    """The maximal cliques of a compatibility matrix (see compatibility), as
+    sorted tuples of indices in sorted order.  StructureError unless all
+    cliques have one size."""
+    verts = np.flatnonzero(np.diag(compat)).tolist()
+    adj = {v: set(np.flatnonzero(compat[v]).tolist()) - {v} for v in verts}
     cliques: list[list] = []
     _bron_kerbosch(adj, set(), set(verts), set(), cliques)
     sizes = {len(c) for c in cliques}
@@ -79,8 +98,7 @@ def maximal_cliques(keys, ext) -> list[tuple]:
 def enumerate_maximal_rigid(atlas: Atlas) -> list[RigidModule]:
     """The maximal cliques of rigid indecomposables without extensions
     between them, checked to contain every projective."""
-    ext = atlas.ext_table
-    cliques = maximal_cliques(range(atlas.size), lambda i, j: ext[i, j])
+    cliques = maximal_cliques(compatibility(atlas.ext_table))
     projs = set(atlas.projective_ids)
     if not all(projs <= set(c) for c in cliques):
         raise StructureError("a maximal clique misses a projective summand")

@@ -16,15 +16,17 @@ as a module map against coresolution_check's vertex-wise ranks; the Hom
 systems and cocycle conditions built by broadcasting, block by block,
 against the index plans of modules.intertwiner_system and
 extensions._cocycle_condition; the minimal polynomial from Krylov chains
-against the one elimination of PrimeField.minimal_polynomial.  Nothing
-in src/preproj imports this module.
+against the one elimination of PrimeField.minimal_polynomial; maximal
+cliques asked of an Ext table pair by pair, and edge complements by set
+difference, against rigidgraph.compatibility and MutationGraph.complements.
+Nothing in src/preproj imports this module.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -732,6 +734,44 @@ def approximation_map(atlas, t: RigidModule, t_prime: RigidModule) -> ModuleMap:
 
 
 # -- atlas and graph files ----------------------------------------------------------
+
+
+def reference_maximal_cliques(ext) -> list[tuple]:
+    """The maximal sets of indices without extensions among them, asked of
+    the table ext pair by pair: the vertices are the k with ext[k, k] = 0,
+    and a < b are adjacent iff ext[a, b] = ext[b, a] = 0.  Bron-Kerbosch
+    with a pivot; sorted tuples in sorted order, of whatever sizes occur."""
+    verts = [k for k in range(len(ext)) if ext[k, k] == 0]
+    adj = {v: set() for v in verts}
+    for a, b in combinations(verts, 2):
+        if ext[a, b] == 0 and ext[b, a] == 0:
+            adj[a].add(b)
+            adj[b].add(a)
+    out = []
+
+    def grow(r, p, x):
+        if not p and not x:
+            out.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        for v in sorted(p - adj[pivot]):
+            grow(r | {v}, p & adj[v], x & adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    grow(set(), set(verts), set())
+    return sorted(out)
+
+
+def reference_complements(graph: MutationGraph) -> list[tuple[int, int]]:
+    """(x, y) per edge (i, j) of graph, by set difference of the summands:
+    x in vertex i only, y in vertex j only."""
+    out = []
+    for i, j in graph.edges:
+        a, b = graph.vertices[i].summands, graph.vertices[j].summands
+        ((x,), (y,)) = set(a).difference(b), set(b).difference(a)
+        out.append((x, y))
+    return out
 
 
 def module_by_alias(atlas, name: str) -> Representation:

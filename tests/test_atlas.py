@@ -224,7 +224,7 @@ def test_certificate_refuses_a3_listing_a_module_twice(atlas_a3):
 
 def test_certificate_refuses_a3_when_pullbacks_kill_nothing(atlas_a3, monkeypatch):
     # pulling back along the identity kills no class, so no socle is left
-    monkeypatch.setattr(atlas_mod, "_end_radical", lambda m: [identity_map(m).mats])
+    monkeypatch.setattr(atlas_mod, "local_basis", lambda m: [identity_map(m).mats] * 2)
     assert "socle" in _certify_complete(atlas_a3.modules, atlas_a3.basis)
 
 

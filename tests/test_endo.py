@@ -17,7 +17,7 @@ from preproj.endo import (
 )
 from preproj.errors import InputError, IntegrityError, StructureError
 from preproj.modules import hom_basis, zero_rep
-from preproj.rigidgraph import RigidModule, exchange_pairs
+from preproj.rigidgraph import RigidModule, compatibility, exchange_pairs
 from tests.oracle import (
     ModuleMap,
     approximation_map,
@@ -34,6 +34,8 @@ from tests.oracle import (
     oracle_projective,
     pd_le1,
     product_coords,
+    reference_complements,
+    reference_maximal_cliques,
     reference_presentation,
     reference_tables,
     simple_b,
@@ -59,45 +61,30 @@ def test_dimension_is_hom_table_sum(setup_a3):
     assert algebra.dim == want
 
 
-@pytest.mark.parametrize("law", ["right", "left"])
-def test_identity_laws_are_checked(setup_a3, law):
-    # End(T) refuses composition constants in which the first basis element
-    # of End(T_k) is not a one-sided identity: constants of P2 o P2 with
-    # b_1 o e_k, or e_k o b_1, set to zero
+def test_identity_laws_hold_by_construction(atlas_a3, rigids_a3, atlas_a4, rigids_a4, monkeypatch):
+    # hom_basis(k, k)[0] is the identity and compose solves exact
+    # coordinates, so b o e_k = b and e_k o b = b need no check at run time:
+    # End(T) reads no composition constant to build
     from dataclasses import replace
 
-    atlas, rigids, _, _ = setup_a3
-    p2 = atlas.id_by_alias("P2")
-    t = next(r for r in rigids if p2 in r.summands)
-    tampered = replace(atlas)
-    consts = atlas.compose(p2, p2, p2).copy()
-    assert consts.shape[0] == 2
-    if law == "right":
-        consts[1, :, 0] = 0
-    else:
-        consts[0, :, 1] = 0
-    tampered._comps[(p2, p2, p2)] = consts
-    with pytest.raises(IntegrityError, match=f"{law} identity law"):
-        BoundAlgebra(tampered, t)
+    def laws_hold(atlas, ids):
+        for a in ids:
+            for b in ids:
+                right = atlas.compose(a, a, b)[:, :, 0]
+                left = atlas.compose(b, a, a)[0]
+                assert np.array_equal(right, np.eye(len(right), dtype=np.int64)), (a, b)
+                assert np.array_equal(left, np.eye(len(left), dtype=np.int64)), (a, b)
 
-
-def test_identity_laws_are_checked_once_per_atlas_pair(atlas_a3, rigids_a3, monkeypatch):
-    # the laws read the constants of a pair of atlas modules alone: over the
-    # 14 A3 T each pair of summands is checked once, and End(T) built again
-    # over the same atlas reads no composition constant
-    from dataclasses import replace
-
-    rigids, _ = rigids_a3
+    laws_hold(atlas_a3, range(atlas_a3.size))
+    rigids, _ = rigids_a4
+    for ti in (245, 621):
+        laws_hold(atlas_a4, rigids[ti].summands)
     fresh = replace(atlas_a3)
-    for t in rigids:
-        BoundAlgebra(fresh, t)
-    assert fresh._unital == {(a, b) for t in rigids for a in t.summands for b in t.summands}
     calls = []
     monkeypatch.setattr(fresh, "compose", lambda *args: calls.append(args))
-    for t in rigids:
+    for t in rigids_a3[0]:
         BoundAlgebra(fresh, t)
     assert calls == []
-    assert not replace(fresh)._unital
 
 
 def test_idempotents_orthogonal(setup_a3):
@@ -433,6 +420,77 @@ def test_theorem1_lists_a_perturbed_hom_entry(setup_a3, monkeypatch):
     assert not report["passed"] and report["failures"][0]["mismatches"] == want
 
 
+def _perturbed_tables(ext, rng, count):
+    """count copies of ext with one entry changed each, in turn: raised by
+    one, zeroed, or set to one."""
+    nonzero, zero = np.argwhere(ext != 0), np.argwhere(ext == 0)
+    out = []
+    for k in range(count):
+        pert = ext.copy()
+        if k % 3 == 0 and len(nonzero):
+            pert[tuple(nonzero[rng.integers(len(nonzero))])] += 1
+        elif k % 3 == 1 and len(nonzero):
+            pert[tuple(nonzero[rng.integers(len(nonzero))])] = 0
+        else:
+            pert[tuple(zero[rng.integers(len(zero))])] = 1
+        out.append(pert)
+    return out
+
+
+def test_compatibility_equality_decides_the_tilting_bijection(atlas_a3, rigids_a3, atlas_a4, rigids_a4):
+    # two compatibility matrices are equal iff their clique families are,
+    # cliques asked pair by pair (the reference): on every A3 T, two A4 T,
+    # and seeded one-entry perturbations of each Ext^1_B table, some of
+    # which change the graph and some of which do not
+    outcomes = []
+    for atlas, (rigids, _), t_ids in (
+        (atlas_a3, rigids_a3, range(14)),
+        (atlas_a4, rigids_a4, (245, 621)),
+    ):
+        want = compatibility(atlas.ext_table)
+        cliques = reference_maximal_cliques(atlas.ext_table)
+        assert cliques == sorted(t.summands for t in rigids)
+        for ti in t_ids:
+            ext = ExtCalculatorB.for_rigid(atlas, rigids[ti]).ext
+            rng = np.random.default_rng(ti)
+            for table in [ext, *_perturbed_tables(ext, rng, 9)]:
+                same = np.array_equal(compatibility(table), want)
+                assert same == (reference_maximal_cliques(table) == cliques)
+                outcomes.append(same)
+    assert outcomes[0] and True in outcomes[1:] and False in outcomes
+
+
+def test_theorem1_reports_a_broken_bijection(setup_a3):
+    # two mutable summands x, y of one tilting set made to extend each
+    # other: the sets holding both are lost, their neighbours stay, and
+    # theorem1 names the lost sets and counts the tilting sets left
+    atlas, rigids, graph, _ = setup_a3
+    calc = ExtCalculatorB.for_rigid(atlas, rigids[7])
+    j = 3
+    edges = zip(graph.edges, reference_complements(graph))
+    x, y = sorted({a if i == j else b for (i, k), (a, b) in edges if j in (i, k)})[:2]
+    calc.ext[x, y] = calc.ext[y, x] = 1
+    rep = verify_graph_correspondence(atlas, rigids, graph, 7, calc)
+    lost = [list(t.summands) for t in rigids if {x, y} <= set(t.summands)]
+    assert not rep["bijection"] and not rep["edges_preserved"]
+    assert rep["mismatches"] == [f"tilting sets extra=[] missing={lost}"]
+    assert rep["vertices_B"] == len(reference_maximal_cliques(calc.ext)) == 14 - len(lost)
+    assert rep["vertices_lambda"] == 14
+
+
+def test_passing_theorem1_enumerates_no_tilting_set(atlas_a3, rigids_a3, monkeypatch):
+    from preproj import endo
+    from preproj.verify import run_t_suites
+
+    calls = []
+    real = endo.enumerate_tilting
+    monkeypatch.setattr(endo, "enumerate_tilting", lambda calc: calls.append(calc) or real(calc))
+    rigids, graph = rigids_a3
+    report = run_t_suites(("theorem1",), atlas_a3, rigids, graph, range(len(rigids)))["theorem1"]
+    assert report["passed"] and calls == []
+    assert [rep["vertices_B"] for rep in report["details"]["reports"]] == [14] * 14
+
+
 def test_lemma22_lists_perturbed_ext_entries_in_row_major_order(setup_a3, monkeypatch):
     # lemma22 compares the whole Ext^1_B table with the relative Ext array
     from preproj import verify
@@ -762,25 +820,6 @@ def test_coresolution_finds_multiplicities_of_p_and_above(qtype, p, n_edges):
     assert _check_kernel_multiplicities(shared_atlas(qtype, p), rigids, graph.edges[:n_edges]) >= p
 
 
-def test_enumerate_tilting_asks_ext1_no_more_than_before(atlas_a3, rigids_a3, monkeypatch):
-    # over all 14 A3 T, the clique builder asks ExtCalculatorB.ext1 once per
-    # vertex and once per unordered pair, the reverse only when the first
-    # direction vanishes: 1,914 calls in all
-    real = ExtCalculatorB.ext1
-    calls = []
-
-    def counting(self, a, b):
-        calls.append((a, b))
-        return real(self, a, b)
-
-    rigids, _ = rigids_a3
-    calcs = [ExtCalculatorB.for_rigid(atlas_a3, t) for t in rigids]
-    monkeypatch.setattr(ExtCalculatorB, "ext1", counting)
-    for calc in calcs:
-        assert len(enumerate_tilting(calc)) == 14
-    assert len(calls) <= 1914
-
-
 def test_t_suites_take_hom_bases_from_the_atlas_once(atlas_a3, rigids_a3, monkeypatch):
     # every Hom basis End(T), Hom(-, T) and the coresolution use is computed
     # once per run, by the atlas: at most one modules.hom_basis call per
@@ -788,7 +827,7 @@ def test_t_suites_take_hom_bases_from_the_atlas_once(atlas_a3, rigids_a3, monkey
     from dataclasses import replace
 
     from preproj import atlas as atlas_mod
-    from preproj import endo, extensions
+    from preproj import endo, extensions, modules
     from preproj.verify import T_SUITES, run_t_suites
 
     calls = []
@@ -802,6 +841,8 @@ def test_t_suites_take_hom_bases_from_the_atlas_once(atlas_a3, rigids_a3, monkey
     # take Hom(Y, N) from the atlas; count any binding either gains or keeps
     monkeypatch.setattr(endo, "hom_basis", counting, raising=False)
     monkeypatch.setattr(extensions, "hom_basis", counting, raising=False)
+    # the atlas takes the bases of End(X) from modules.local_basis
+    monkeypatch.setattr(modules, "hom_basis", counting)
     rigids, graph = rigids_a3
     reports = run_t_suites(T_SUITES, replace(atlas_a3), rigids, graph, range(len(rigids)))
     assert all(rep["passed"] for rep in reports.values())

@@ -26,6 +26,7 @@ ALLOWED = {
     "verify.suite_lemma37": TRACED,
     "verify.suite_lemma22": TRACED,
     "verify.suite_theorem1": TRACED,
+    "endo.ExtCalculatorB.ext1": TRACED,
     "linalg.PrimeField.__repr__": PROTOCOL,
     "linalg.PrimeField.__eq__": PROTOCOL,
     "linalg.PrimeField.__hash__": PROTOCOL,

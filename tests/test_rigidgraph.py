@@ -2,11 +2,13 @@ import itertools
 import json
 from math import comb
 
+import numpy as np
 import pytest
 
 from preproj.errors import InputError
 from preproj.rigidgraph import (
     A3_RIGID_LABELS,
+    compatibility,
     enumerate_maximal_rigid,
     exchange_pairs,
     export_graph,
@@ -15,7 +17,7 @@ from preproj.rigidgraph import (
     mutation_graph,
     resolve_rigid_label,
 )
-from tests.oracle import load_graph_json
+from tests.oracle import load_graph_json, reference_complements, reference_maximal_cliques
 
 # one-summand-exchange edges of the fourteen A3 vertices, by label
 A3_EDGES = {
@@ -34,22 +36,29 @@ def label_summands(atlas, label):
 
 def test_maximal_cliques_a3(atlas_a3):
     # every indecomposable is rigid and the projectives extend with nothing,
-    # so each clique holds them; each unordered pair is asked once, its
-    # reverse only when the first direction vanishes
-    ext = atlas_a3.ext_table
-    asked = []
-
-    def counting(i, j):
-        asked.append((i, j))
-        return ext[i, j]
-
-    cliques = maximal_cliques(range(12), counting)
+    # so each clique holds them
+    cliques = maximal_cliques(compatibility(atlas_a3.ext_table))
     assert cliques == [t.summands for t in enumerate_maximal_rigid(atlas_a3)]
+    assert cliques == reference_maximal_cliques(atlas_a3.ext_table)
+    assert len(cliques) == 14
     assert all(set(atlas_a3.projective_ids) <= set(c) for c in cliques)
-    pairs = list(itertools.combinations(range(12), 2))
-    want = [(k, k) for k in range(12)]
-    want += [(i, j) for i, j in pairs] + [(j, i) for i, j in pairs if ext[i, j] == 0]
-    assert sorted(asked) == sorted(want)
+
+
+def test_compatibility_rule():
+    # 0 and 1 extend each other one way, 2 has a self-extension, 3 is free
+    ext = np.array([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    want = np.array(
+        [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1]], dtype=bool
+    )
+    assert np.array_equal(compatibility(ext), want)
+    assert maximal_cliques(want) == [(0, 3), (1, 3)] == reference_maximal_cliques(ext)
+
+
+def test_edge_complements_match_set_differences(rigids_a3, rigids_a4):
+    for _, graph in (rigids_a3, rigids_a4):
+        x, y = graph.complements
+        assert list(zip(x.tolist(), y.tolist())) == reference_complements(graph)
+        assert graph.complements is graph.complements
 
 
 def test_counts(rigids_a2, rigids_a3, rigids_a4):
