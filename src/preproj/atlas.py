@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .linalg import PrimeField
 from .extensions import ExtSpace, build_extension, ext1_cocycle, pair_tables, pullback_matrix
 from .modules import (
     Representation,
-    _flat,
     cosyzygy,
     decompose,
     hom_basis,
@@ -57,6 +57,17 @@ from .quivers import (
 ATLAS_FORMAT_VERSION = 1
 
 
+class Gamma(NamedTuple):
+    """The Auslander algebra Γ = End(⊕ atlas modules), with Cartan matrix
+    hom_table: hom_basis(j, k)[e] is basis element starts[j, k] + e, and
+    consts[i, b], zero-padded to a square of the largest Hom dimension, is
+    the action of b: j -> k on Hom(modules[i], -): its column e holds the
+    coordinates of b o hom_basis(i, j)[e] over hom_basis(i, k)."""
+
+    starts: np.ndarray
+    consts: np.ndarray
+
+
 @dataclass
 class Atlas:
     qtype: str
@@ -67,10 +78,10 @@ class Atlas:
     hom_table: np.ndarray
     ext_table: np.ndarray
     aliases: dict = dc_field(default_factory=dict)  # id -> name
-    # memos of hom_basis and compose, kept in memory only: never saved,
+    # memos of hom_basis and gamma, kept in memory only: never saved,
     # compared or passed on by dataclasses.replace
     _homs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    _comps: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _gamma: Gamma | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -91,9 +102,9 @@ class Atlas:
 
     # -- the category of the atlas modules --------------------------------
     #
-    # Every End(T) is a full subcategory of the atlas modules with their Hom
-    # spaces and composition, so the End(T) layer reads its bases and
-    # structure constants from these two memos.
+    # Every End(T) is a corner of the Auslander algebra Γ of the atlas
+    # modules, so the End(T) layer reads its bases and structure constants
+    # from the hom_basis memo and from gamma.
 
     def hom_basis(self, i: int, j: int) -> list:
         """The chosen basis of Hom(modules[i], modules[j]), tuples of vertex
@@ -108,33 +119,55 @@ class Atlas:
         self._homs[(i, j)] = found
         return found
 
+    def gamma(self) -> Gamma:
+        """Γ, built on first use from the hom_basis of every ordered pair, the
+        vertex maps zero-padded to one square so that all products g o f are
+        one einsum.  Those of each pair (i, k), over every middle module j,
+        are one solve against hom_basis(i, k) on rows where it is independent,
+        checked on all rows: IntegrityError if a composite leaves Hom(i, k)."""
+        if self._gamma is not None:
+            return self._gamma
+        fld, n, nv = self.field, self.size, self.dq.nv
+        sizes = self.hom_table.ravel()
+        firsts = np.cumsum(sizes) - sizes
+        block = np.repeat(np.arange(n * n), sizes)  # j * n + k for an element of Hom(j, k)
+        src, tgt = np.divmod(block, n)
+        dims = np.array([m.dims for m in self.modules], dtype=np.int64)
+        maps = np.zeros((len(block), nv, dims.max(), dims.max()), dtype=np.int64)
+        for j, k in np.ndindex(n, n):
+            for b, mats in enumerate(self.hom_basis(j, k), start=firsts[j * n + k]):
+                for v, mat in enumerate(mats):
+                    maps[b, v, : dims[k, v], : dims[j, v]] = mat
+        # every composable g: j -> k after f: i -> j, grouped by the block (i, k) of g o f
+        pairs = [(np.flatnonzero(src == j), np.flatnonzero(tgt == j)) for j in range(n)]
+        g = np.concatenate([np.repeat(gs, len(fs)) for gs, fs in pairs])
+        f = np.concatenate([np.tile(fs, len(gs)) for gs, fs in pairs])
+        order = np.argsort(src[f] * n + tgt[g], kind="stable")
+        g, f = g[order], f[order]
+        ik = src[f] * n + tgt[g]
+        prods = np.einsum("pvab,pvbc->pvac", maps[g], maps[f]).reshape(len(g), -1) % fld.p
+        consts = np.zeros((n, len(block), sizes.max(), sizes.max()), dtype=np.int64)
+        cuts = np.flatnonzero(np.diff(ik)) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(g)]):
+            (i, k), first, size = divmod(int(ik[lo]), n), firsts[ik[lo]], sizes[ik[lo]]
+            basis, rhs = maps[first : first + size].reshape(-1, prods.shape[1]).T, prods[lo:hi].T
+            rows = fld.rref(basis.T)[1]
+            sol = fld.solve(basis[rows], rhs[rows])
+            if np.any((fld.mul(basis, sol) - rhs) % fld.p):
+                raise IntegrityError(f"a composite {i} -> {k} leaves Hom({i}, {k})")
+            consts[i, g[lo:hi], :size, f[lo:hi] - firsts[block[f[lo:hi]]]] = sol.T
+        self._gamma = Gamma(firsts.reshape(n, n), consts)
+        return self._gamma
+
     def compose(self, i: int, j: int, k: int) -> np.ndarray:
         """Structure constants of composition Hom(j, k) x Hom(i, j) -> Hom(i, k)
         over the hom_basis bases: an array c of shape (dim Hom(j, k),
         dim Hom(i, k), dim Hom(i, j)) in which c[e1][:, e2] holds the
-        coordinates of hom_basis(j, k)[e1] o hom_basis(i, j)[e2].  One solve
-        per triple; IntegrityError if a composite leaves Hom(i, k)."""
-        got = self._comps.get((i, j, k))
-        if got is not None:
-            return got
-        fld = self.field
-        firsts, seconds, targets = self.hom_basis(j, k), self.hom_basis(i, j), self.hom_basis(i, k)
-        out = np.zeros((len(firsts), len(targets), len(seconds)), dtype=np.int64)
-        if firsts and seconds:
-            nv = self.dq.nv
-            prods = np.stack(
-                [_flat([fld.mul(g[v], f[v]) for v in range(nv)]) for g in firsts for f in seconds],
-                axis=1,
-            )
-            if targets:
-                sol = fld.solve(np.stack([_flat(h) for h in targets], axis=1), prods)
-            else:
-                sol = None if np.any(prods) else fld.zeros(0, prods.shape[1])
-            if sol is None:
-                raise IntegrityError(f"a composite {i} -> {j} -> {k} leaves its Hom space")
-            out[:] = sol.reshape(len(targets), len(firsts), len(seconds)).transpose(1, 0, 2)
-        self._comps[(i, j, k)] = out
-        return out
+        coordinates of hom_basis(j, k)[e1] o hom_basis(i, j)[e2].  A view of
+        gamma's constants, solved once per pair (i, k), not per triple."""
+        gam, h = self.gamma(), self.hom_table
+        first = gam.starts[j, k]
+        return gam.consts[i, first : first + h[j, k], : h[i, k], : h[i, j]]
 
     # -- persistence ----------------------------------------------------
 

@@ -1,29 +1,25 @@
 """The endomorphism algebra of a maximal rigid module, its finite
 dimensional modules, and classical tilting combinatorics over it.
 
-Every End(T) is a full subcategory of one small category, the atlas
-modules with their Hom spaces and composition (finite because the algebra
-has finite type), so this layer computes no Hom space of its own: the
-bases and structure constants are slices of Atlas.hom_basis and
-Atlas.compose, computed once per run.  B = End(T) has, for each ordered
-pair of summands (k, l), the basis atlas.hom_basis(T_k, T_l) of
-Hom(T_k, T_l): on the diagonal the identity of End(T_k) comes first and
-the other elements are nilpotent.  A B-module is graded by the
-idempotents: one component per summand, with one action block per basis
-element.  The image Hom(X, T) of an atlas module X has components
-Hom(X, T_j) and acts by post-composition, atlas.compose(X, T_k, T_l).
-Hom and Ext over B from a module M with pd M <= 1 (that is, dim ΩM equals
-the dimension of the projective cover of the top of ΩM) come from its
-minimal projective presentation, read from the kernel of its cover map in
-the cover's coordinates, with no cover or syzygy module built; the image of
-a summand of T is projective and needs none.  One rank of one small matrix
-per pair of modules, ranked in stacks into full Hom_B and Ext^1_B tables
-per T (ExtCalculatorB); a presentation with no relation needs no rank.  The
-tilting sets are the maximal cliques of the compatibility matrix of the
-Ext^1_B table (rigidgraph.compatibility), the matrix theorem1 compares
-with the atlas's, and the coresolution check reads the
-summands of its kernel off hom_table with one solve over a fixed large
-prime field, checked over the integers.
+Every End(T) is a corner of one algebra, Γ = End(⊕ atlas modules), the
+Auslander algebra of the atlas (Atlas.gamma, built once per run on first
+use): with e_T the idempotent of the summands of T, B = End(T) = e_T Γ e_T,
+and the image F X = Hom(X, T) of an atlas module X is e_T Γ e_X, on which
+B acts by post-composition (Auslander-Reiten-Smalø, Ch. II).  So this
+layer computes no Hom space or structure constant: B's basis indexes Γ's,
+and a B-module keeps its action as one array of padded blocks, one per
+basis element; F X is one gather of Γ's constants.  Hom and Ext over B
+from a module M with pd M <= 1 come from its minimal projective
+presentation, read from the kernel of its cover map in the cover's
+coordinates; the image of a summand of T is projective and needs none.
+One rank of one small matrix per pair of modules: those of a T are summed
+at once (hom_b) and ranked in one stack into full Hom_B and Ext^1_B tables
+(ExtCalculatorB).  The tilting sets are the maximal cliques of the
+compatibility matrix of the Ext^1_B table (rigidgraph.compatibility), the
+matrix theorem1 compares with the atlas's, and the coresolution check
+ranks one gather of Γ per T and reads the summands of its kernel off
+hom_table with one solve over a fixed large prime field, checked over the
+integers.
 """
 
 from __future__ import annotations
@@ -35,58 +31,47 @@ import numpy as np
 
 from .atlas import Atlas
 from .errors import InputError, IntegrityError, StructureError
-from .extensions import _stacked_ranks
 from .linalg import PrimeField
 from .rigidgraph import RigidModule, compatibility, maximal_cliques
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    index: int
-    src: int  # summand position k: the element is a map T_k -> T_l
-    tgt: int
-
-
 class BoundAlgebra:
+    """B = End(T) = e_T Γ e_T for T = rigid.  Basis element b is the map
+    gamma_ids[b] of Γ from T_src[b] to T_tgt[b]; block_elems[(k, l)] lists
+    those of Hom(T_k, T_l), led on the diagonal by the identity
+    identity_of[k], and every other element is in radical_elements."""
+
     def __init__(self, atlas: Atlas, rigid: RigidModule):
         self.atlas = atlas
         self.field: PrimeField = atlas.field
-        self.rigid = rigid
         self.summand_ids = rigid.summands
-        self.r = len(rigid.summands)
-        self.elements: list[BasisElement] = []
-        self.block_elems: dict[tuple[int, int], list[int]] = {}
-        self.identity_of: dict[int, int] = {}
-        for k, tk in enumerate(self.summand_ids):
-            for l, tl in enumerate(self.summand_ids):
-                ids = []
-                for _ in atlas.hom_basis(tk, tl):
-                    ids.append(len(self.elements))
-                    self.elements.append(BasisElement(ids[-1], k, l))
-                self.block_elems[(k, l)] = ids
-            self.identity_of[k] = self.block_elems[(k, k)][0]
-        idents = set(self.identity_of.values())
-        self.radical_elements = [e.index for e in self.elements if e.index not in idents]
+        self.r = r = len(rigid.summands)
+        ids = np.array(rigid.summands)
         # block_dims[k, l] = dim Hom(T_k, T_l), the dimension of component l of B e_k
-        self.block_dims = np.array(
-            [[len(self.block_elems[(k, l)]) for l in range(self.r)] for k in range(self.r)]
-        )
+        self.block_dims = atlas.hom_table[np.ix_(ids, ids)]
+        sizes = self.block_dims.ravel()
+        firsts = np.cumsum(sizes) - sizes
+        block = np.repeat(np.arange(r * r), sizes)
+        self.src, self.tgt = np.divmod(block, r)
+        self.gamma_ids = atlas.gamma().starts[ids[self.src], ids[self.tgt]] + np.arange(len(block)) - firsts[block]
+        self.block_elems = {
+            divmod(kl, r): list(range(first, first + size)) for kl, (first, size) in enumerate(zip(firsts, sizes))
+        }
+        self.identity_of = {k: int(firsts[k * (r + 1)]) for k in range(r)}
+        self.radical_elements = np.delete(np.arange(len(block)), firsts[:: r + 1])
         self._images: dict[int, BModule] = {}
         self._radical_stacks: dict[tuple[int, int], np.ndarray] = {}
 
-    # -- construction ---------------------------------------------------
-
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self.src)
 
     def _radical_stack(self, s: int, k: int) -> np.ndarray:
         """The left multiplications by the radical elements b: k -> l on
-        B e_s, stacked: an array of shape (number of such b, dim B e_s,
-        dim e_k B e_s) whose slice at b maps component k of B e_s into the
-        coordinates of B e_s, component by component, zero outside
-        component l.  The elements of block (k, l) act by post-composition,
-        atlas.compose(T_s, T_k, T_l), all at once.  Built once per pair."""
+        B e_s, stacked: an array (number of such b, dim B e_s, dim e_k B e_s)
+        whose slice at b maps component k of B e_s into its coordinates,
+        zero outside component l: by post-composition, the slice
+        atlas.compose(T_s, T_k, T_l) of Γ's constants.  Built once per pair."""
         got = self._radical_stacks.get((s, k))
         if got is not None:
             return got
@@ -102,93 +87,71 @@ class BoundAlgebra:
         self._radical_stacks[(s, k)] = got
         return got
 
-    # -- modules ---------------------------------------------------------
-
     def projective(self, k: int) -> "BModule":
         """The left ideal B e_k generated by the k-th idempotent: the image
-        Hom(T_k, T) of the summand T_k, read from the memo of hom_image
-        when it is there.  Its summand is k (see BModule)."""
-        mid = self.summand_ids[k]
-        return self._images.get(mid) or self.hom_image(mid)
+        Hom(T_k, T) of the summand T_k.  Its summand is k (see BModule)."""
+        return self.hom_image(self.summand_ids[k])
 
     def hom_image(self, mid: int) -> "BModule":
-        """Image of atlas module mid under Hom(-, T): component j is
-        Hom(mid, T_j) on the basis atlas.hom_basis(mid, T_j), and basis
-        element e of block (k, l) acts by post-composition, the matrix
-        atlas.compose(mid, T_k, T_l)[e].  Built once per mid."""
+        """The image F X = Hom(X, T) = e_T Γ e_X of atlas module X = mid:
+        component j is Hom(X, T_j) on the basis atlas.hom_basis(X, T_j), and
+        B acts by post-composition, so its action is one gather of Γ's
+        constants at X and at the basis of B.  Built once per mid."""
         got = self._images.get(mid)
-        if got is not None:
-            return got
-        atlas, ids = self.atlas, self.summand_ids
-        # the dimensions from hom_table: no basis is computed for a zero Hom
-        comp_dims = tuple(int(atlas.hom_table[mid, t]) for t in ids)
-        blocks = {}
-        for (k, l), elems in self.block_elems.items():
-            if not elems or comp_dims[k] == 0 or comp_dims[l] == 0:
-                continue
-            consts = atlas.compose(mid, ids[k], ids[l])
-            for e, idx in enumerate(elems):
-                if consts[e].any() or idx == self.identity_of[k]:
-                    blocks[idx] = consts[e]
-        summand = self.summand_ids.index(mid) if mid in self.summand_ids else None
-        got = self._images[mid] = BModule(self, comp_dims, blocks, summand)
+        if got is None:
+            comp_dims = self.atlas.hom_table[mid, list(self.summand_ids)]
+            summand = self.summand_ids.index(mid) if mid in self.summand_ids else None
+            action = self.atlas.gamma().consts[mid, self.gamma_ids]
+            got = self._images[mid] = BModule(self, comp_dims, action, summand)
         return got
 
 
 class BModule:
     """Finite dimensional left module over a BoundAlgebra, graded by the
-    idempotent components; identity idempotents act implicitly.  summand
-    is k for the image Hom(T_k, T) of a summand of T, which is the
-    projective B e_k (BoundAlgebra.projective), and None otherwise."""
+    idempotents: comp_dims[j] = dim e_j M.  action[b] holds the action of
+    basis element b from component src[b] to tgt[b], identities included,
+    in the top left corner of a square zero-padded to the largest component
+    or more.  summand is k for the image Hom(T_k, T), the projective B e_k
+    (BoundAlgebra.projective), and None otherwise."""
 
-    def __init__(self, algebra: BoundAlgebra, comp_dims, blocks, summand: int | None = None):
+    def __init__(self, algebra: BoundAlgebra, comp_dims, action: np.ndarray, summand: int | None = None):
         self.algebra = algebra
         self.summand = summand
         self.comp_dims = tuple(int(d) for d in comp_dims)
-        self.blocks = {}
-        for idx, blk in blocks.items():
-            e = algebra.elements[idx]
-            want = (self.comp_dims[e.tgt], self.comp_dims[e.src])
-            blk = np.asarray(blk, dtype=np.int64) % algebra.field.p
-            if blk.shape != want:
-                raise InputError(f"action block for element {idx} has shape {blk.shape}, want {want}")
-            self.blocks[idx] = blk
+        self.action = action
+        shape = np.shape(action)
+        if len(shape) != 3 or shape[0] != algebra.dim or shape[1] != shape[2] or shape[1] < max(self.comp_dims):
+            raise InputError(f"action of shape {shape} for components {self.comp_dims} of {algebra.dim} elements")
 
     @property
     def dim(self) -> int:
         return sum(self.comp_dims)
 
-    def action_block(self, idx: int) -> np.ndarray:
-        e = self.algebra.elements[idx]
-        got = self.blocks.get(idx)
-        if got is not None:
-            return got
-        fld = self.algebra.field
-        if idx == self.algebra.identity_of.get(e.src, -1) and e.src == e.tgt:
-            return fld.eye(self.comp_dims[e.src])
-        return fld.zeros(self.comp_dims[e.tgt], self.comp_dims[e.src])
+
+def _columns(m: BModule, elems, coords) -> np.ndarray:
+    """The vectors b u over all of m, one column per q, for b = elems[q]
+    and u the unit vector at coordinate coords[q] of component src[b]: a
+    column of b's padded block, placed at component tgt[b], where its
+    padding lands on zeros of the same column."""
+    width, offs = m.action.shape[1], np.cumsum((0,) + m.comp_dims)
+    out = np.zeros((m.dim + width, len(elems)), dtype=np.int64)
+    rows = offs[m.algebra.tgt[elems], None] + np.arange(width)
+    out[rows, np.arange(len(elems))[:, None]] = m.action[elems, :, coords]
+    return out[: m.dim]
 
 
 def _top_basis(m: BModule) -> list[tuple[int, int]]:
-    """(k, c) per top generator of m: the coordinates c of component k
-    left free by rad(B) m, so their unit vectors span a complement of it.
-    rad(B) m is spanned by the images of the radical elements, placed as
-    rows over all components of m and eliminated at once; a row lies in
-    one component, so the pivots are those of each component."""
-    alg, fld = m.algebra, m.algebra.field
+    """(k, c) per top generator of m: the coordinates c of component k left
+    free by rad(B) m, spanned by the columns of the radical elements'
+    blocks, eliminated at once as rows; a row lies in one component, so the
+    pivots are those of each component."""
+    alg, fld, width = m.algebra, m.algebra.field, m.action.shape[1]
+    rad = alg.radical_elements[m.action[alg.radical_elements].any(axis=(1, 2))]
+    rows = _columns(m, np.repeat(rad, width), np.tile(np.arange(width), len(rad))).T
+    _, pivots = fld.rref(rows[rows.any(axis=1)])
     offs = list(accumulate(m.comp_dims, initial=0))
-    images = [
-        (alg.elements[idx].tgt, blk)
-        for idx, blk in m.blocks.items()
-        if idx != alg.identity_of[alg.elements[idx].tgt]
-    ]
-    starts = list(accumulate((blk.shape[1] for _, blk in images), initial=0))
-    rows = fld.zeros(starts[-1], offs[-1])
-    for (k, blk), start, end in zip(images, starts, starts[1:]):
-        rows[start:end, offs[k] : offs[k + 1]] = blk.T
-    _, pivots = fld.rref(rows)
     comp = np.repeat(np.arange(alg.r), m.comp_dims)
-    free = sorted(set(range(offs[-1])).difference(pivots))
+    free = sorted(set(range(m.dim)).difference(pivots))
     return [(int(comp[c]), c - offs[comp[c]]) for c in free]
 
 
@@ -202,18 +165,15 @@ def _cover_kernel(m: BModule):
     poffs[j]:poffs[j + 1].  ker is a kernel basis (columns) of the cover
     map P -> m, so it spans ΩM; the cover map preserves components, so ker
     is block diagonal, with columns koffs[j]:koffs[j + 1] in component j.
-    The cover map is eliminated once, as one block diagonal matrix."""
+    The cover map is one gather of the action, eliminated once."""
     alg, fld = m.algebra, m.algebra.field
     lifts = _top_basis(m)
     # column (j, g, b) of the cover map: b u_g for the top generator u_g
     cols = [(j, c, i) for j in range(alg.r) for k, c in lifts for i in alg.block_elems[(k, j)]]
-    poffs = [int(v) for v in np.searchsorted([j for j, _, _ in cols], range(alg.r + 1))]
-    moffs = list(accumulate(m.comp_dims, initial=0))
-    cover = fld.zeros(moffs[-1], poffs[-1])
-    for col, (j, c, i) in enumerate(cols):
-        cover[moffs[j] : moffs[j + 1], col] = m.action_block(i)[:, c]
-    ker = fld.kernel_basis(cover)
-    if poffs[-1] - ker.shape[1] != moffs[-1]:
+    comps, coords, elems = np.array(cols, dtype=np.intp).reshape(-1, 3).T
+    poffs = [int(v) for v in np.searchsorted(comps, range(alg.r + 1))]
+    ker = fld.kernel_basis(_columns(m, elems, coords))
+    if poffs[-1] - ker.shape[1] != m.dim:
         raise StructureError("projective cover is not surjective")
     # a kernel column lies in the component of its first nonzero row
     firsts = (ker != 0).argmax(axis=0) if len(ker) else []
@@ -234,21 +194,26 @@ class Presentation:
     coords: dict
 
 
-def hom_b(pres: Presentation, n: BModule) -> np.ndarray:
-    """R_N, the map ⊕_g e_{k_g} N -> ⊕_ρ e_{k_ρ} N that pres induces under
-    Hom_B(-, N), as Hom_B(B e_k, N) = e_k N: block (ρ, g) is
-    Σ_b c_{ρ,g,b} N.action_block(b).  Its kernel is Hom_B(M, N) and its
-    cokernel is Ext^1_B(M, N)."""
-    p = n.algebra.field.p
-    cols = list(accumulate((n.comp_dims[k] for k in pres.copies), initial=0))
-    rows = list(accumulate((n.comp_dims[k] for k in pres.relations), initial=0))
-    out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
-    for (r, g), ((idx, c), *rest) in pres.coords.items():
-        blk = c * n.action_block(idx) % p
-        for idx, c in rest:
-            blk = (blk + c * n.action_block(idx)) % p
-        out[rows[r] : rows[r + 1], cols[g] : cols[g + 1]] = blk
-    return out
+def hom_b(pres: list[Presentation], targets: list[BModule]) -> np.ndarray:
+    """R_N, for every presentation of pres and N of targets, the map
+    ⊕_g e_{k_g} N -> ⊕_ρ e_{k_ρ} N induced under Hom_B(-, N), with kernel
+    Hom_B(M, N) and cokernel Ext^1_B(M, N): block (ρ, g) is
+    Σ_b c_{ρ,g,b} N.action[b], all terms summed by one np.add.at.  An array
+    (len(pres), len(targets), rows, cols), zero-padded to the widest action
+    and the most relations and copies, which leaves every rank as it is."""
+    alg = targets[0].algebra
+    width = max(n.action.shape[1] for n in targets)
+    acts = np.zeros((alg.dim, len(targets), width, width), dtype=np.int64)
+    for t, n in enumerate(targets):
+        acts[:, t, : n.action.shape[1], : n.action.shape[2]] = n.action
+    terms = [(a, r, g, idx, c) for a, pr in enumerate(pres) for (r, g), cs in pr.coords.items() for idx, c in cs]
+    at, rel, copy, elem, coeff = np.array(terms, dtype=np.int64).reshape(-1, 5).T
+    nrel, ncopy = (max(len(getattr(pr, kind)) for pr in pres) for kind in ("relations", "copies"))
+    out = np.zeros((len(pres), nrel, ncopy, len(targets), width, width), dtype=np.int64)
+    # each term reduced before the sum, so no int64 sum of (p - 1)**2 terms overflows
+    np.add.at(out, (at, rel, copy), coeff[:, None, None, None] * acts[elem] % alg.field.p)
+    out %= alg.field.p
+    return out.transpose(0, 3, 1, 4, 2, 5).reshape(len(pres), len(targets), nrel * width, ncopy * width)
 
 
 def presentation(m: BModule) -> Presentation | None:
@@ -336,8 +301,7 @@ class ExtCalculatorB:
     ⊕_ρ e_{k_ρ} N -> Ext^1(M, N) -> 0 (see hom_b), and with n_k = dim e_k N
         dim Hom_B(M, N) = Σ_g n_{k_g} - rank R_N,
         dim Ext^1_B(M, N) = Σ_ρ n_{k_ρ} - rank R_N,
-    both from one rank per pair, all ranked in stacks by
-    extensions._stacked_ranks."""
+    one rank per pair, from one hom_b call and one PrimeField.ranks stack."""
 
     def __init__(self, algebra: BoundAlgebra, candidates: list[BModule]):
         self.algebra = algebra
@@ -349,8 +313,9 @@ class ExtCalculatorB:
         # a presentation without relations gives R_N no rows, so rank 0
         related = [a for a, pr in enumerate(pres) if pr.relations]
         rank = np.zeros((size, size), dtype=np.int64)
-        mats = [hom_b(pres[a], n) for a in related for n in cands]
-        rank[related] = _stacked_ranks(algebra.field, mats).reshape(len(related), size)
+        if related:
+            mats = hom_b([pres[a] for a in related], cands)
+            rank[related] = algebra.field.ranks(mats.reshape(-1, *mats.shape[2:])).reshape(len(related), size)
         dims = np.array([n.comp_dims for n in cands], dtype=np.int64).reshape(size, algebra.r)
         # row a, column b: Σ_g n_{k_g} (for hom) or Σ_ρ n_{k_ρ} (for ext) of pres[a] at N = candidates[b]
         copies = np.array([dims[:, list(pr.copies)].sum(axis=1) for pr in pres], dtype=np.int64)
@@ -482,57 +447,50 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> di
     f: T'' -> T, which stays exact under Hom(-, T) because T has no
     self-extensions.
 
-    T'' has one copy of T'_i per basis map atlas.hom_basis(T'_i, T_j), and
-    f sends it by that map into the summand T_j.  f is a module map by
-    construction, and is checked to be onto at each vertex v: the basis
-    maps into T_j, concatenated, have rank dim T_{j,v}, so f_v has rank
-    dim T_v (StructureError if not).  K is identified by its atlas
-    summands without being built; dim K = dim T'' - dim T.  Hom(X, -) is
-    left exact, so 0 -> Hom(X, K) -> Hom(X, T'') -> Hom(X, T) is exact and
-        dim Hom(X, K) = Σ_p dim Hom(X, T''_p) - rank Hom(X, f),
-    where the block of Hom(X, f) from copy p (the map with index e into
-    T_j) is post-composition, atlas.compose(X, T'_i, T_j)[e].  The
-    multiplicities v of the atlas modules in K then solve hom_table v = that
-    column over all X.  hom_table is the Cartan matrix of the Auslander
-    algebra, which has finite global dimension, so its determinant is +-1
-    and v is unique; it is solved over one fixed large prime field,
-    whatever the atlas's p (_multiplicities), and checked exactly over the
-    integers and against dim K, and IntegrityError is raised if either
-    fails.  Exactness under Hom(-, T) is the count
+    T'' has one copy p of T'_i per basis map atlas.hom_basis(T'_i, T_j), the
+    Γ basis element g_p by which f sends it into T_j, so f is a module map.
+    Hom(X, f) is post-composition: its block from copy p into component j
+    is Γ's constants at (X, g_p), so the matrices of all atlas X are one
+    gather, each ranked without its padding (a padded stack ranked slower).  As Hom(P_v, -) is the vertex space at v,
+    f is onto iff rank Hom(P_v, f) = dim T_v at each indecomposable
+    projective P_v (StructureError if not).  K is identified by its atlas
+    summands without being built; dim K = dim T'' - dim T, and by left
+    exactness of Hom(X, -)
+        dim Hom(X, K) = Σ_p dim Hom(X, T''_p) - rank Hom(X, f).
+    The multiplicities v of the atlas modules in K solve hom_table v = that
+    column over all X.  hom_table is the Cartan matrix of Γ, which has
+    finite global dimension, so its determinant is +-1 and v is unique; it
+    is solved over one fixed large prime field, whatever the atlas's p
+    (_multiplicities), and checked exactly over the integers and against
+    dim K, and IntegrityError is raised if either fails.  Exactness under Hom(-, T) is the count
     dim Hom(K, T) + dim Hom(T, T) = dim Hom(T'', T), each term a sum of
     hom_table entries over the summands.
     """
-    fld, dq, mods = atlas.field, atlas.dq, atlas.modules
-    t_ids = list(t.summands)
-    copies = [  # (i, j, e): T'_i mapped by hom_basis(i, T_j)[e]
-        (i, j, e)
-        for i in t_prime.summands
-        for j, tj in enumerate(t_ids)
-        for e in range(len(atlas.hom_basis(i, tj)))
-    ]
-    pieces = [i for i, _, _ in copies]
-    for tj in t_ids:
-        for v in range(dq.nv):
-            maps = [b[v] for i in t_prime.summands for b in atlas.hom_basis(i, tj)]
-            if (fld.rank(np.concatenate(maps, axis=1)) if maps else 0) != mods[tj].dims[v]:
-                raise StructureError("approximation onto T is not surjective")
-    hom = atlas.hom_table
-    to_k = np.zeros(atlas.size, dtype=np.int64)  # dim Hom(X, K) per atlas X
-    for x in range(atlas.size):
-        rows = list(accumulate((int(hom[x, j]) for j in t_ids), initial=0))
-        cols = list(accumulate((int(hom[x, i]) for i in pieces), initial=0))
-        hom_x_f = fld.zeros(rows[-1], cols[-1])
-        for p, (i, j, e) in enumerate(copies):
-            if rows[j] < rows[j + 1] and cols[p] < cols[p + 1]:  # else Hom(X, T_j) or Hom(X, T'_i) is 0
-                hom_x_f[rows[j] : rows[j + 1], cols[p] : cols[p + 1]] = atlas.compose(x, i, t_ids[j])[e]
-        to_k[x] = cols[-1] - fld.rank(hom_x_f)
-    dims = np.array([m.dims for m in mods], dtype=np.int64)
+    gam, hom = atlas.gamma(), atlas.hom_table
+    t_ids, r = np.array(t.summands), len(t.summands)
+    # copy p: T'_i = pieces[p] mapped into summand into[p] by Γ basis element maps[p]
+    sizes = hom[np.ix_(t_prime.summands, t_ids)].ravel()
+    pair = np.repeat(np.arange(len(sizes)), sizes)
+    pieces, into = np.array(t_prime.summands)[pair // r], pair % r
+    maps = gam.starts[pieces, t_ids[into]] + np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
+    width = gam.consts.shape[-1]
+    hom_x_f = np.zeros((atlas.size, r, width, len(pair), width), dtype=np.int64)
+    hom_x_f[:, into, :, np.arange(len(pair))] = gam.consts[:, maps].transpose(1, 0, 2, 3)
+    mats = hom_x_f.reshape(atlas.size, r * width, -1)
+    # each X's matrix less the padding of its blocks: rows of Hom(X, T), columns of Hom(X, T'')
+    rows, cols = ((np.arange(width) < hom[:, ids, None]).reshape(atlas.size, -1) for ids in (t_ids, pieces))
+    rank = np.array([atlas.field.rank(m[np.ix_(rw, cl)]) for m, rw, cl in zip(mats, rows, cols)], dtype=np.int64)
+    to_t = hom[:, t_ids].sum(axis=1)  # dim Hom(X, T) per atlas X
+    projs = list(atlas.projective_ids)
+    if np.any(rank[projs] != to_t[projs]):
+        raise StructureError("approximation onto T is not surjective")
+    to_k = hom[:, pieces].sum(axis=1) - rank  # dim Hom(X, K) per atlas X
+    dims = np.array([m.dims for m in atlas.modules], dtype=np.int64)
     k_dims = dims[pieces].sum(axis=0) - dims[t_ids].sum(axis=0)
     kernel_ids = _multiplicities(atlas, to_k, k_dims)
     if kernel_ids is None:
         raise IntegrityError("the kernel's Hom column has no multiplicities over the atlas")
     in_add = {mid for mid, _ in kernel_ids} <= set(t_prime.summands)
-    to_t = hom[:, t_ids].sum(axis=1)  # dim Hom(X, T) per atlas X
     dims_ok = in_add and (
         sum(c * int(to_t[mid]) for mid, c in kernel_ids) + int(to_t[t_ids].sum())
         == int(to_t[pieces].sum())

@@ -126,21 +126,26 @@ class _ConnectingMatrices:
             got = self.blocks[(x, y, n)] = connecting_matrix(space, mods[n], homs, echelon)
         return got
 
-    def exact_dim(self, x: int, y: int, summands) -> int:
-        """Dimension of the classes exact under Hom(-, T); a summand n with
-        Ext^1(x, n) = 0 or Hom(y, n) = 0 adds no condition.  Memoised by
-        (x, y, the summands that add one), on which alone it depends."""
-        ext, hom = self.atlas.ext_table, self.atlas.hom_table
-        d = int(ext[x, y])
-        adding = tuple(n for n in summands if d and ext[x, n] and hom[y, n])
-        if not adding:
+    def exact_dim(self, x: int, y: int, adding: int) -> int:
+        """Dimension of the classes exact under Hom(-, T), where adding is the
+        bitmask of the summands of T that add a condition (condition_masks):
+        memoised by (x, y, adding), on which alone it depends."""
+        d = int(self.atlas.ext_table[x, y])
+        if not (d and adding):
             return d
-        key = (x, y, *adding)  # flat: the memo holds ~117,000 keys on A4
+        key = (x, y, adding)  # the memo holds ~117,000 keys on A4
         got = self.dims.get(key)
         if got is None:
-            blocks = [self.block(x, y, n) for n in adding]
+            blocks = [self.block(x, y, n) for n in range(self.atlas.size) if adding >> n & 1]
             got = self.dims[key] = d - self.atlas.field.rank(np.concatenate(blocks))
         return got
+
+    def condition_masks(self, summands) -> np.ndarray:
+        """masks[x, y] has bit n for each summand n of T with Ext^1(x, n) != 0
+        and Hom(y, n) != 0 (at most 40 atlas modules, so int64 holds them)."""
+        ids = np.arange(self.atlas.size)
+        bits = np.where(np.isin(ids, summands), 1 << ids, 0)
+        return ((self.atlas.ext_table != 0) @ bits)[:, None] & ((self.atlas.hom_table != 0) @ bits)
 
 
 T_SUITES = ("lemma37", "lemma22", "theorem1")
@@ -171,9 +176,10 @@ def run_t_suites(names, atlas: Atlas, rigids, graph: MutationGraph | None, t_ind
     reports = []
     for ti in t_indices:
         t = rigids[ti]
+        masks = conn.condition_masks(t.summands).tolist()
         if "lemma37" in names:
             for x, y in pairs:
-                if not (conn.exact_dim(x, y, t.summands) or conn.exact_dim(y, x, t.summands)):
+                if not (conn.exact_dim(x, y, masks[x][y]) or conn.exact_dim(y, x, masks[y][x])):
                     failures["lemma37"].append({"pair": [x, y], "t_index": ti, "verdict": "NONE"})
         if "lemma22" not in names and "theorem1" not in names:
             continue
@@ -183,7 +189,7 @@ def run_t_suites(names, atlas: Atlas, rigids, graph: MutationGraph | None, t_ind
             # none unless Ext^1(y, x) != 0
             rel = np.zeros_like(ext)
             for y, x in extending:
-                rel[x, y] = conn.exact_dim(y, x, t.summands)
+                rel[x, y] = conn.exact_dim(y, x, masks[y][x])
             for x, y in np.argwhere(calc.ext != rel).tolist():
                 lhs, rhs = int(calc.ext[x, y]), int(rel[x, y])
                 failures["lemma22"].append({"t_index": ti, "pair": [x, y], "ext_B": lhs, "relative": rhs})

@@ -30,7 +30,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from preproj.endo import BModule, Presentation, hom_b, presentation
+from preproj.endo import BModule, Presentation, presentation
 from preproj.errors import FormatError, InputError, StructureError
 from preproj.extensions import build_extension, coboundary_echelon, connecting_matrix
 from preproj.modules import (
@@ -422,18 +422,63 @@ def exact_classes(space, t_summands) -> np.ndarray:
 # -- End(T) and its modules ------------------------------------------------------
 
 
+def reference_compose(atlas, i: int, j: int, k: int) -> np.ndarray:
+    """The composition constants of Hom(j, k) x Hom(i, j) -> Hom(i, k) in the
+    layout of Atlas.compose, from one solve per triple: every product
+    g o f over the hom_basis bases expressed in hom_basis(i, k)."""
+    fld = atlas.field
+    firsts, seconds, targets = atlas.hom_basis(j, k), atlas.hom_basis(i, j), atlas.hom_basis(i, k)
+    out = np.zeros((len(firsts), len(targets), len(seconds)), dtype=np.int64)
+    if firsts and seconds:
+        nv = atlas.dq.nv
+        prods = np.stack(
+            [_flat([fld.mul(g[v], f[v]) for v in range(nv)]) for g in firsts for f in seconds], axis=1
+        )
+        if targets:
+            sol = fld.solve(np.stack([_flat(h) for h in targets], axis=1), prods)
+        else:
+            sol = None if np.any(prods) else fld.zeros(0, prods.shape[1])
+        assert sol is not None, f"a composite {i} -> {j} -> {k} leaves its Hom space"
+        out[:] = sol.reshape(len(targets), len(firsts), len(seconds)).transpose(1, 0, 2)
+    return out
+
+
 def product_coords(algebra, i1: int, i2: int) -> tuple[tuple[int, int], np.ndarray]:
-    """Coefficients of elements[i1] o elements[i2] over its block basis,
-    read from the atlas's composition constants."""
-    e1, e2 = algebra.elements[i1], algebra.elements[i2]
-    block = (e2.src, e1.tgt)
-    if e1.src != e2.tgt:
+    """Coefficients of element i1 o element i2 over its block basis, read
+    from the atlas's composition constants."""
+    src, tgt = algebra.src, algebra.tgt
+    block = (int(src[i2]), int(tgt[i1]))
+    if src[i1] != tgt[i2]:
         return block, np.zeros(len(algebra.block_elems[block]), dtype=np.int64)
     ids = algebra.summand_ids
-    consts = algebra.atlas.compose(ids[e2.src], ids[e1.src], ids[e1.tgt])
-    pos1 = algebra.block_elems[(e1.src, e1.tgt)].index(i1)
-    pos2 = algebra.block_elems[(e2.src, e2.tgt)].index(i2)
+    consts = algebra.atlas.compose(ids[src[i2]], ids[src[i1]], ids[tgt[i1]])
+    pos1 = algebra.block_elems[(src[i1], tgt[i1])].index(i1)
+    pos2 = algebra.block_elems[(src[i2], tgt[i2])].index(i2)
     return block, consts[pos1, :, pos2]
+
+
+def action_block(m: BModule, idx: int) -> np.ndarray:
+    """The action of basis element idx from component src to component tgt,
+    the unpadded corner of m.action[idx]."""
+    alg = m.algebra
+    return m.action[idx, : m.comp_dims[alg.tgt[idx]], : m.comp_dims[alg.src[idx]]]
+
+
+def module_from_blocks(algebra, comp_dims, blocks: dict) -> BModule:
+    """The B-module with these components and action blocks, keyed by basis
+    element; an identity left out acts as the identity, any other element
+    as zero.  Each block is reduced mod p and its shape checked."""
+    comp_dims = tuple(int(d) for d in comp_dims)
+    width = max(comp_dims)
+    action = np.zeros((algebra.dim, width, width), dtype=np.int64)
+    for k, idx in algebra.identity_of.items():
+        action[idx, : comp_dims[k], : comp_dims[k]] = np.eye(comp_dims[k], dtype=np.int64)
+    for idx, blk in blocks.items():
+        want = (comp_dims[algebra.tgt[idx]], comp_dims[algebra.src[idx]])
+        if np.shape(blk) != want:
+            raise InputError(f"action block for element {idx} has shape {np.shape(blk)}, want {want}")
+        action[idx, : want[0], : want[1]] = np.asarray(blk, dtype=np.int64) % algebra.field.p
+    return BModule(algebra, comp_dims, action)
 
 
 def oracle_projective(algebra, k: int) -> BModule:
@@ -443,30 +488,27 @@ def oracle_projective(algebra, k: int) -> BModule:
     blocks_of = algebra.block_elems
     comp_dims = tuple(len(blocks_of[(k, j)]) for j in range(algebra.r))
     blocks = {}
-    for b in algebra.elements:
-        cols = blocks_of[(k, b.src)]
-        if not cols or not blocks_of[(k, b.tgt)]:
-            continue
-        block = algebra.field.zeros(len(blocks_of[(k, b.tgt)]), len(cols))
+    for b in range(algebra.dim):
+        cols, rows = blocks_of[(k, algebra.src[b])], blocks_of[(k, algebra.tgt[b])]
+        block = algebra.field.zeros(len(rows), len(cols))
         for c, i2 in enumerate(cols):
-            block[:, c] = product_coords(algebra, b.index, i2)[1]
-        if block.any() or b.index == algebra.identity_of[b.src]:
-            blocks[b.index] = block
-    return BModule(algebra, comp_dims, blocks)
+            block[:, c] = product_coords(algebra, b, i2)[1]
+        blocks[b] = block
+    return module_from_blocks(algebra, comp_dims, blocks)
 
 
 def simple_b(algebra, k: int) -> BModule:
     """The simple B-module at summand position k."""
-    return BModule(algebra, tuple(int(j == k) for j in range(algebra.r)), {})
+    return module_from_blocks(algebra, tuple(int(j == k) for j in range(algebra.r)), {})
 
 
 def dense_action(m: BModule, idx: int) -> np.ndarray:
     """Action of basis element idx on the full underlying space of m."""
-    fld = m.algebra.field
+    fld, alg = m.algebra.field, m.algebra
     offs = np.concatenate([[0], np.cumsum(m.comp_dims)])
     out = fld.zeros(m.dim, m.dim)
-    e = m.algebra.elements[idx]
-    out[offs[e.tgt] : offs[e.tgt + 1], offs[e.src] : offs[e.src + 1]] = m.action_block(idx)
+    s, t = alg.src[idx], alg.tgt[idx]
+    out[offs[t] : offs[t + 1], offs[s] : offs[s + 1]] = action_block(m, idx)
     return out
 
 
@@ -482,11 +524,10 @@ def _system(m, n):
     alg = m.algebra
     actions = []
     for idx in alg.radical_elements:
-        b = alg.elements[idx]
-        mb = m.action_block(idx)
-        nb = n.action_block(idx)
+        mb = action_block(m, idx)
+        nb = action_block(n, idx)
         if np.any(mb) or np.any(nb):
-            actions.append((b.src, b.tgt, mb, nb))
+            actions.append((alg.src[idx], alg.tgt[idx], mb, nb))
     return planned_system(alg.field, m.comp_dims, n.comp_dims, actions)
 
 
@@ -503,26 +544,25 @@ def oracle_hom_image(algebra, m):
     """Image of any representation m under Hom(-, T), from a fresh
     modules.hom_basis of each component Hom(m, T_j) and one solve per
     (basis element, component): the construction that the atlas's Hom
-    bases and composition constants replace.  The image carries hom_bases,
-    the component bases, for oracle_hom_image_map."""
+    bases and Γ's constants replace.  The image carries hom_bases, the
+    component bases, for oracle_hom_image_map."""
     fld = algebra.field
     nv = len(m.dims)
     ids = algebra.summand_ids
     bases = [hom_basis(m, algebra.atlas.modules[t]) for t in ids]
     comp_dims = tuple(len(b) for b in bases)
     blocks = {}
-    for b in algebra.elements:
-        k, l = b.src, b.tgt
+    for b in range(algebra.dim):
+        k, l = algebra.src[b], algebra.tgt[b]
         if comp_dims[k] == 0 or comp_dims[l] == 0:
             continue
-        pos = algebra.block_elems[(k, l)].index(b.index)
+        pos = algebra.block_elems[(k, l)].index(b)
         mats = algebra.atlas.hom_basis(ids[k], ids[l])[pos]
         rhs = np.stack([_flat([fld.mul(mats[v], f[v]) for v in range(nv)]) for f in bases[k]], axis=1)
         sol = fld.solve(np.stack([_flat(g) for g in bases[l]], axis=1), rhs)
         assert sol is not None, "post-composition left its Hom component"
-        if np.any(sol) or b.index == algebra.identity_of[k]:
-            blocks[b.index] = sol
-    out = BModule(algebra, comp_dims, blocks)
+        blocks[b] = sol
+    out = module_from_blocks(algebra, comp_dims, blocks)
     out.hom_bases = bases
     return out
 
@@ -557,17 +597,16 @@ def direct_sum_b(mods: list[BModule]) -> BModule:
     r = alg.r
     comp_dims = tuple(sum(m.comp_dims[k] for m in mods) for k in range(r))
     blocks = {}
-    for idx in {i for m in mods for i in m.blocks}:
-        e = alg.elements[idx]
-        blk = fld.zeros(comp_dims[e.tgt], comp_dims[e.src])
+    for idx in range(alg.dim):
+        blk = fld.zeros(comp_dims[alg.tgt[idx]], comp_dims[alg.src[idx]])
         ro = co = 0
         for m in mods:
-            piece = m.action_block(idx)
+            piece = action_block(m, idx)
             blk[ro : ro + piece.shape[0], co : co + piece.shape[1]] = piece
             ro += piece.shape[0]
             co += piece.shape[1]
         blocks[idx] = blk
-    return BModule(alg, comp_dims, blocks)
+    return module_from_blocks(alg, comp_dims, blocks)
 
 
 def projective_cover_b(m: BModule):
@@ -581,11 +620,11 @@ def projective_cover_b(m: BModule):
     lifts = reference_top_basis(m)
     copies = [k for k, _ in lifts]
     projs = [alg.projective(k) for k in copies]
-    cover_mod = direct_sum_b(projs) if projs else BModule(alg, (0,) * alg.r, {})
+    cover_mod = direct_sum_b(projs) if projs else module_from_blocks(alg, (0,) * alg.r, {})
     # columns of the cover: basis element b of (k, j) block maps to b . u
     cover_mats = []
     for j in range(alg.r):
-        cols = [m.action_block(i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
+        cols = [action_block(m, i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
         cover_mats.append(np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0))
         if fld.rank(cover_mats[j]) != m.comp_dims[j]:
             raise StructureError("projective cover is not surjective")
@@ -602,17 +641,15 @@ def syzygy_b(m: BModule):
     kers = [fld.kernel_basis(cover_mats[j]) for j in range(alg.r)]
     comp_dims = tuple(k.shape[1] for k in kers)
     blocks = {}
-    for idx, blk in cover_mod.blocks.items():
-        e = alg.elements[idx]
-        k, l = e.src, e.tgt
+    for idx in range(alg.dim):
+        k, l = alg.src[idx], alg.tgt[idx]
         if comp_dims[k] == 0 or comp_dims[l] == 0:
             continue
-        coords = fld.solve(kers[l], fld.mul(blk, kers[k]))
+        coords = fld.solve(kers[l], fld.mul(action_block(cover_mod, idx), kers[k]))
         if coords is None:
             raise StructureError("syzygy is not closed under the action")
-        if coords.any():
-            blocks[idx] = coords
-    return BModule(alg, comp_dims, blocks), copies, kers
+        blocks[idx] = coords
+    return module_from_blocks(alg, comp_dims, blocks), copies, kers
 
 
 def oracle_pd_le1(m):
@@ -627,11 +664,7 @@ def reference_top_basis(m: BModule) -> list[tuple[int, int]]:
     alg, fld = m.algebra, m.algebra.field
     lifts = []
     for k in range(alg.r):
-        images = [
-            blk
-            for idx, blk in m.blocks.items()
-            if alg.elements[idx].tgt == k and idx != alg.identity_of[k] and blk.any()
-        ]
+        images = [action_block(m, idx) for idx in alg.radical_elements if alg.tgt[idx] == k]
         rad = np.concatenate(images, axis=1) if images else fld.zeros(m.comp_dims[k], 0)
         _, pivots = fld.rref(rad.T)
         lifts.extend((k, c) for c in sorted(set(range(m.comp_dims[k])).difference(pivots)))
@@ -648,7 +681,7 @@ def reference_presentation(m: BModule) -> Presentation | None:
     lifts = reference_top_basis(m)
     copies, kers = [k for k, _ in lifts], []
     for j in range(alg.r):
-        cols = [m.action_block(i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
+        cols = [action_block(m, i)[:, c : c + 1] for k, c in lifts for i in alg.block_elems[(k, j)]]
         cover = np.concatenate(cols, axis=1) if cols else fld.zeros(m.comp_dims[j], 0)
         kers.append(fld.kernel_basis(cover))
         if cover.shape[1] - kers[j].shape[1] != m.comp_dims[j]:
@@ -659,14 +692,13 @@ def reference_presentation(m: BModule) -> Presentation | None:
     ]
     rads = [[] for _ in range(alg.r)]
     for idx in alg.radical_elements:
-        k, l = alg.elements[idx].src, alg.elements[idx].tgt
+        k, l = alg.src[idx], alg.tgt[idx]
         if not kers[k].shape[1] or not kers[l].shape[1]:
             continue
         img = fld.zeros(kers[l].shape[0], kers[k].shape[1])
         for g, kg in enumerate(copies):
-            blk = alg.projective(kg).blocks.get(idx)
-            if blk is not None:
-                img[offs[l][g] : offs[l][g + 1]] = fld.mul(blk, kers[k][offs[k][g] : offs[k][g + 1]])
+            blk = action_block(alg.projective(kg), idx)
+            img[offs[l][g] : offs[l][g + 1]] = fld.mul(blk, kers[k][offs[k][g] : offs[k][g + 1]])
         rads[l].append(img)
     tops = []
     for l in range(alg.r):
@@ -687,10 +719,25 @@ def reference_presentation(m: BModule) -> Presentation | None:
     return Presentation(tuple(copies), tuple(k for k, _ in tops), coords)
 
 
+def reference_hom_b(pres: Presentation, n: BModule) -> np.ndarray:
+    """R_N of one presentation and one N, unpadded, block by block: block
+    (ρ, g) is Σ_b c_{ρ,g,b} times the action block of b on N."""
+    p = n.algebra.field.p
+    cols = list(accumulate((n.comp_dims[k] for k in pres.copies), initial=0))
+    rows = list(accumulate((n.comp_dims[k] for k in pres.relations), initial=0))
+    out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for (r, g), ((idx, c), *rest) in pres.coords.items():
+        blk = c * action_block(n, idx) % p
+        for idx, c in rest:
+            blk = (blk + c * action_block(n, idx)) % p
+        out[rows[r] : rows[r + 1], cols[g] : cols[g + 1]] = blk
+    return out
+
+
 def reference_tables(candidates: list[BModule]) -> tuple[np.ndarray, np.ndarray]:
     """(hom, ext) over End(T) as ExtCalculatorB tabulates them, from
-    reference_presentation and one rank of hom_b per ordered pair, empty
-    R_N included."""
+    reference_presentation and one rank of reference_hom_b per ordered
+    pair, empty R_N included."""
     fld = candidates[0].algebra.field
     size = len(candidates)
     hom = np.zeros((size, size), dtype=np.int64)
@@ -698,7 +745,7 @@ def reference_tables(candidates: list[BModule]) -> tuple[np.ndarray, np.ndarray]
     for a, m in enumerate(candidates):
         pres = reference_presentation(m)
         for b, n in enumerate(candidates):
-            rank = fld.rank(hom_b(pres, n))
+            rank = fld.rank(reference_hom_b(pres, n))
             hom[a, b] = sum(n.comp_dims[k] for k in pres.copies) - rank
             ext[a, b] = sum(n.comp_dims[k] for k in pres.relations) - rank
     return hom, ext

@@ -20,6 +20,7 @@ from preproj.modules import hom_basis, zero_rep
 from preproj.rigidgraph import RigidModule, compatibility, exchange_pairs
 from tests.oracle import (
     ModuleMap,
+    action_block,
     approximation_map,
     compose_maps,
     dense_action,
@@ -27,6 +28,7 @@ from tests.oracle import (
     extension_sequence,
     hom_exact_by_dims,
     module_by_alias,
+    module_from_blocks,
     oracle_hom_dim,
     oracle_hom_image,
     oracle_hom_image_map,
@@ -35,6 +37,8 @@ from tests.oracle import (
     pd_le1,
     product_coords,
     reference_complements,
+    reference_compose,
+    reference_hom_b,
     reference_maximal_cliques,
     reference_presentation,
     reference_tables,
@@ -85,15 +89,18 @@ def test_identity_laws_are_checked(atlas_a3, atlas_a4, rigids_a4, law):
 
 def test_identity_laws_are_checked_once_per_atlas_pair(atlas_a3, rigids_a3, monkeypatch):
     # the constants of a pair of atlas modules are solved once and kept by
-    # the atlas; End(T) reads none of them to build, over all 14 A3 T
+    # the atlas, as views of Γ's one array; End(T) reads none of them
+    # through compose to build, over all 14 A3 T
     from dataclasses import replace
 
     rigids, _ = rigids_a3
     fresh = replace(atlas_a3)
+    consts = fresh.gamma().consts
     for a in range(fresh.size):
         for b in range(fresh.size):
-            assert fresh.compose(a, a, b) is fresh.compose(a, a, b)
-            assert fresh.compose(b, a, a) is fresh.compose(b, a, a)
+            assert fresh.compose(a, a, b).base is consts
+            assert fresh.compose(b, a, a).base is consts
+    assert fresh.gamma() is fresh.gamma()
     calls = []
     monkeypatch.setattr(fresh, "compose", lambda *args: calls.append(args))
     for t in rigids:
@@ -137,9 +144,8 @@ def test_action_respects_multiplication(setup_a3):
     rng = np.random.default_rng(4)
     for _ in range(60):
         i1, i2 = (int(v) for v in rng.integers(0, algebra.dim, size=2))
-        e1, e2 = algebra.elements[i1], algebra.elements[i2]
         lhs = algebra.field.mul(dense_action(mod, i1), dense_action(mod, i2))
-        if e1.src != e2.tgt:
+        if algebra.src[i1] != algebra.tgt[i2]:
             assert not np.any(lhs)
             continue
         block, coeffs = product_coords(algebra, i1, i2)
@@ -156,8 +162,7 @@ def _assert_images_of_summands_are_projectives(algebra):
     for k in range(algebra.r):
         image, want = algebra.projective(k), oracle_projective(algebra, k)
         assert image.comp_dims == want.comp_dims
-        assert image.blocks.keys() == want.blocks.keys()
-        assert all(np.array_equal(image.blocks[i], want.blocks[i]) for i in want.blocks)
+        assert all(np.array_equal(action_block(image, i), action_block(want, i)) for i in range(algebra.dim))
 
 
 def test_images_of_summands_are_projectives(setup_a3, rigids_a3, atlas_a4, rigids_a4):
@@ -254,22 +259,54 @@ def test_zero_and_projectives_have_empty_presentation_matrix(setup_a3):
         pres = presentation(m)
         assert pres.relations == () and pres.copies == ((a,) if a < r else ())
         for b, n in enumerate(targets, start=r + 1):
-            assert hom_b(pres, n).size == 0
+            assert reference_hom_b(pres, n).size == 0
             assert calc.ext[a, b] == 0
             assert calc.hom[a, b] == (n.comp_dims[a] if a < r else 0)
             assert calc.hom[a, b] == oracle_hom_dim(m, n)
 
 
 def test_presentation_matrix_sums_every_term(setup_a3):
-    # the atlas presentations have one term per block; R_N must add them all
+    # the atlas presentations have one term per block; R_N must add them all,
+    # and hom_b's padded R_N holds the same blocks at its padded offsets
     _, _, _, algebra = setup_a3
     (k, l), ids = next((kl, ids) for kl, ids in algebra.block_elems.items() if len(ids) >= 2)
     n = algebra.projective(k)
-    a0, a1 = n.action_block(ids[0]), n.action_block(ids[1])
+    a0, a1 = action_block(n, ids[0]), action_block(n, ids[1])
     pres = Presentation((k, k), (l,), {(0, 0): [(ids[0], 2), (ids[1], 3)], (0, 1): [(ids[1], 1)]})
     want = np.concatenate([(2 * a0 + 3 * a1) % algebra.field.p, a1], axis=1)
     assert np.any(a0) and np.any(a1)
-    assert np.array_equal(hom_b(pres, n), want)
+    assert np.array_equal(reference_hom_b(pres, n), want)
+    w = n.action.shape[1]
+    padded = hom_b([pres], [n])[0, 0]
+    assert padded.shape == (w, 2 * w) and np.count_nonzero(padded) == np.count_nonzero(want)
+    for g, block in enumerate((want[:, : a0.shape[1]], want[:, a0.shape[1] :])):
+        assert np.array_equal(padded[: block.shape[0], g * w : g * w + block.shape[1]], block)
+
+
+def _assert_hom_b_matches_reference(atlas, t):
+    # the R_N of all presentations with relations and all images of T from
+    # one hom_b call: each is reference_hom_b's, block for block, in padding
+    algebra = BoundAlgebra(atlas, t)
+    images = [algebra.hom_image(mid) for mid in range(atlas.size)]
+    pres = [pr for pr in map(presentation, images) if pr.relations]
+    w = images[0].action.shape[1]
+    stack = hom_b(pres, images)
+    assert stack.shape[:2] == (len(pres), len(images))
+    for a, pr in enumerate(pres):
+        for b, n in enumerate(images):
+            rows = [r * w + i for r, k in enumerate(pr.relations) for i in range(n.comp_dims[k])]
+            cols = [g * w + i for g, k in enumerate(pr.copies) for i in range(n.comp_dims[k])]
+            assert np.array_equal(stack[a, b][np.ix_(rows, cols)], reference_hom_b(pr, n)), (t.summands, a, b)
+            rest = stack[a, b].copy()
+            rest[np.ix_(rows, cols)] = 0
+            assert not rest.any(), (t.summands, a, b)
+
+
+def test_hom_b_matches_the_reference_block_for_block(atlas_a3, rigids_a3, atlas_a4, rigids_a4):
+    for t in rigids_a3[0]:
+        _assert_hom_b_matches_reference(atlas_a3, t)
+    for ti in (245, 621):
+        _assert_hom_b_matches_reference(atlas_a4, rigids_a4[0][ti])
 
 
 def _assert_presentations_match_reference(atlas, t):
@@ -311,8 +348,8 @@ def test_tables_match_one_rank_per_pair(atlas_a3, rigids_a3, atlas_a4, rigids_a4
 def test_a3_t_suites_present_only_the_non_projective_images(atlas_a3, rigids_a3, monkeypatch):
     # each A3 T has 6 summands among its 12 images: the pass over all 14 T
     # takes 14 * 6 = 84 cover kernels and builds R_N for those presentations
-    # alone, 84 * 12 = 1,008 hom_b calls (168 and 2,016 when every image
-    # was presented through its cover)
+    # alone, in one hom_b call per T (168 cover kernels and 2,016 calls, one
+    # per pair, when every image was presented through its cover)
     from collections import Counter
 
     from preproj import endo
@@ -329,7 +366,7 @@ def test_a3_t_suites_present_only_the_non_projective_images(atlas_a3, rigids_a3,
     rigids, graph = rigids_a3
     reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
     assert all(rep["passed"] for rep in reports.values())
-    assert counts == {"_cover_kernel": 84, "hom_b": 1008}
+    assert counts == {"_cover_kernel": 84, "hom_b": 14}
 
 
 def test_top_of_projective(setup_a3):
@@ -617,9 +654,15 @@ def test_coresolution_table_sums_match_direct_sums(setup_a3):
 
 
 def test_bmodule_shape_validation(setup_a3):
+    # the action is one padded block per basis element, at least as wide as
+    # every component; a block given on its own must have its block's shape
     _, _, _, algebra = setup_a3
-    with pytest.raises(Exception):
-        BModule(algebra, (1,) * algebra.r, {0: np.zeros((5, 7), dtype=np.int64)})
+    with pytest.raises(InputError):
+        BModule(algebra, (2,) * algebra.r, np.zeros((algebra.dim, 1, 1), dtype=np.int64))
+    with pytest.raises(InputError):
+        BModule(algebra, (1,) * algebra.r, np.zeros((algebra.dim + 1, 1, 1), dtype=np.int64))
+    with pytest.raises(InputError):
+        module_from_blocks(algebra, (1,) * algebra.r, {0: np.zeros((5, 7), dtype=np.int64)})
 
 
 def test_hom_image_is_contravariantly_functorial(setup_a3):
@@ -740,6 +783,40 @@ def test_atlas_compose_recomposes_noncommuting_a4_triples(atlas_a4):
     _recomposes(atlas_a4, wide[::8])
 
 
+def test_gamma_matches_the_per_triple_solve(atlas_a3, atlas_a4, rigids_a4):
+    # Γ's constants, solved once per pair, against one solve per triple: on
+    # every A3 triple and every triple among the summands of two A4 T
+    rigids, _ = rigids_a4
+    cases = [(atlas_a3, range(atlas_a3.size))]
+    cases += [(atlas_a4, rigids[ti].summands) for ti in (245, 621)]
+    for atlas, ids in cases:
+        for i in ids:
+            for j in ids:
+                for k in ids:
+                    assert np.array_equal(atlas.compose(i, j, k), reference_compose(atlas, i, j, k)), (i, j, k)
+
+
+def test_build_path_solves_no_composition_constant(tmp_path, monkeypatch):
+    # Γ is built on the first End(T) request only: the atlas closure, its
+    # file, the maximal rigid modules and the mutation graph never ask
+    from preproj.atlas import Atlas, enumerate_indecomposables
+    from preproj.linalg import PrimeField
+    from preproj.rigidgraph import enumerate_maximal_rigid, mutation_graph
+
+    def refuse(self):
+        raise AssertionError("Γ built")
+
+    monkeypatch.setattr(Atlas, "gamma", refuse)
+    monkeypatch.setattr(Atlas, "compose", refuse)
+    fld = PrimeField(32003)
+    atlas = enumerate_indecomposables("A3", fld)
+    atlas.save(tmp_path / "atlas.json")
+    loaded = Atlas.load(tmp_path / "atlas.json", fld)
+    for a in (atlas, loaded):
+        graph = mutation_graph(enumerate_maximal_rigid(a), a.dq.nv)
+        assert graph.size == 14 and a._gamma is None
+
+
 def test_atlas_end_bases_are_identity_then_nilpotent(atlas_a3):
     fld = atlas_a3.field
     for mid, m in enumerate(atlas_a3.modules):
@@ -761,7 +838,7 @@ def test_atlas_memos_stay_out_of_payload(atlas_a3):
     fresh = replace(atlas_a3)
     before = fresh.to_payload()
     fresh.compose(0, 5, 7)
-    assert fresh._homs and fresh._comps
+    assert fresh._homs and fresh._gamma is not None
     assert fresh.to_payload() == before
     assert compare_atlases(fresh, atlas_a3) == []
     assert not replace(fresh)._homs
@@ -900,12 +977,10 @@ def test_t_suites_rank_each_exactness_key_once(atlas_a3, rigids_a3, monkeypatch)
             ranked.append(m.shape)
         return real_rank(self, m)
 
-    def exact_dim(self, x, y, summands):
-        ext, hom = atlas_a3.ext_table, atlas_a3.hom_table
-        adding = tuple(n for n in summands if ext[x, y] and ext[x, n] and hom[y, n])
-        if adding:
+    def exact_dim(self, x, y, adding):
+        if adding and atlas_a3.ext_table[x, y]:
             keys.add((x, y, adding))
-        return real_exact_dim(self, x, y, summands)
+        return real_exact_dim(self, x, y, adding)
 
     monkeypatch.setattr(PrimeField, "rank", rank)
     monkeypatch.setattr(_ConnectingMatrices, "exact_dim", exact_dim)
@@ -913,6 +988,19 @@ def test_t_suites_rank_each_exactness_key_once(atlas_a3, rigids_a3, monkeypatch)
     reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
     assert all(rep["passed"] for rep in reports.values())
     assert len(ranked) == len(keys) == 122
+
+
+def test_condition_masks_name_the_summands_that_add_a_condition(atlas_a3, rigids_a3):
+    from preproj.verify import _ConnectingMatrices
+
+    ext, hom = atlas_a3.ext_table, atlas_a3.hom_table
+    conn = _ConnectingMatrices(atlas_a3)
+    for t in rigids_a3[0]:
+        masks = conn.condition_masks(t.summands)
+        for x in range(atlas_a3.size):
+            for y in range(atlas_a3.size):
+                adding = [n for n in t.summands if ext[x, n] and hom[y, n]]
+                assert masks[x, y] == sum(1 << n for n in adding), (t.summands, x, y)
 
 
 def test_t_suites_reduce_against_each_coboundary_space_once(atlas_a3, rigids_a3, monkeypatch):

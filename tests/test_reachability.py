@@ -33,7 +33,6 @@ ALLOWED = {
     "modules.Representation.__repr__": PROTOCOL,
     "modules.zero_rep": FALLBACK,  # direct_sum of no modules
     "linalg.PrimeField.mat": CONSTRUCTOR,
-    "endo.BoundAlgebra.dim": CONSTRUCTOR,
 }
 
 
