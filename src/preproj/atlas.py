@@ -3,7 +3,10 @@
 Enumeration runs a closure from simples and projectives.  Each pass adds
 the summands of the radicals, syzygies and cosyzygies of the modules it
 has not yet seen, and of the middle terms of the basis classes of Ext^1
-between the modules known at its start.  Work is keyed by content, the
+between the modules known at its start.  It first grows the Hom and Ext
+tables to those modules by extensions.pair_tables, two ranks per new
+pair, and builds cocycles only for the new pairs with Ext^1 != 0; the
+last growth gives the atlas's tables.  Work is keyed by content, the
 dimension vector and matrix bytes: a module whose content was decomposed
 is not decomposed again, and a summand whose content was placed is not
 located again.  Then the pass asks for an Auslander-Reiten certificate
@@ -15,9 +18,7 @@ cosyzygy, the Ext space of each visited pair and the summands of each
 decomposed module, so the certificate computes afresh only for the
 modules the pass added.  The closure stops at the first pass that
 certifies, and a pass that adds nothing without certifying is an error.
-Expected counts are asserted by callers, not used for termination.  The
-Hom and Ext tables then come from one call of extensions.pair_tables: two
-ranks per pair, taken in stacks.
+Expected counts are asserted by callers, not used for termination.
 """
 
 from __future__ import annotations
@@ -292,7 +293,8 @@ class PassFacts:
     summands, as (id in mods, multiplicity) pairs, with id None for a
     summand the closure did not place; tau maps the id of each module a
     unary step visited to the cosyzygy it computed; spaces maps each
-    visited pair (i, j) to the ExtSpace of (mods[i], mods[j])."""
+    visited pair (i, j) with Ext^1 != 0 to the ExtSpace of (mods[i],
+    mods[j]); a pair missing from it had Ext^1 = 0 or was not visited."""
 
     summands: dict = dc_field(default_factory=dict)
     tau: dict = dc_field(default_factory=dict)
@@ -370,19 +372,20 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, facts: PassFacts | 
 
 
 def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
-    """Run the closure of the module docstring, then tabulate Hom and Ext.
+    """Run the closure of the module docstring, with its Hom and Ext tables.
 
-    Each pass computes Ext^1 for every ordered pair of the modules known
-    at its start, absorbs the middle term of each basis class, and ends
-    with _certify_complete, to which it hands its PassFacts.  Work is
-    keyed by content: a module whose content was decomposed before is not
-    decomposed again, and a piece whose content was placed before is not
-    located again.  The closure stops at the first pass that certifies; a
-    pass that adds nothing and does not certify raises EnumerationError.
-    Then one call of extensions.pair_tables gives Hom and Ext of every pair
-    from two ranks: the Hom table, the Ext of the pairs no pass visited,
-    and a cross-check of the Ext the passes computed (IntegrityError on a
-    mismatch)."""
+    Each pass extends the tables to the modules known at its start, by
+    pair_tables of the new columns and then of the new rows, so every
+    ordered pair is ranked once.  Then, in row-major order, it builds the
+    cocycles of each pair not visited before whose ranked Ext^1 is nonzero
+    (IntegrityError if the basis and the rank differ in length), absorbs
+    the middle term of each basis class, and ends with _certify_complete,
+    to which it hands its PassFacts.  Work is keyed by content: a module
+    whose content was decomposed before is not decomposed again, and a
+    piece whose content was placed before is not located again.  The
+    closure stops at the first pass that certifies; a pass that adds
+    nothing and does not certify raises EnumerationError.  A last growth
+    takes in the modules the certifying pass added."""
     dq = double(preset_quiver(qtype))
     basis = PreprojectiveBasis(dq, field)
     cap = 4 * dq.nv
@@ -419,8 +422,19 @@ def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
     for v in dq.vertices:
         place(projective_module(basis, v))
 
+    homs = exts = np.zeros((0, 0), dtype=np.int64)
+
+    def grow(n: int) -> None:
+        """Extend homs and exts to mods[:n] by pair_tables of the new
+        columns, then of the new rows: each ordered pair is ranked once."""
+        nonlocal homs, exts
+        k = len(homs)
+        cols, rows = pair_tables(mods[:k], mods[k:n]), pair_tables(mods[k:n], mods[:n])
+        homs, exts = (np.block([[t, c], [r]]) for t, c, r in zip((homs, exts), cols, rows))
+
     while True:
         n0 = len(mods)
+        grow(n0)
         for idx in range(n0):
             if idx in facts.tau:  # unary step done
                 continue
@@ -430,24 +444,22 @@ def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
             for rep in (radical(m), syzygy(m, basis), facts.tau[idx]):
                 if rep.total_dim:
                     absorb(rep)
-        for i in range(n0):
-            for j in range(n0):
-                if (i, j) in facts.spaces:
-                    continue
-                space = ext1_cocycle(mods[i], mods[j])
-                for coeffs in np.eye(space.dim, dtype=np.int64):
-                    absorb(build_extension(space, coeffs))
-                facts.spaces[i, j] = space
+        for i, j in np.argwhere(exts).tolist():  # row-major, Ext^1 != 0 only
+            if (i, j) in facts.spaces:  # visited by an earlier pass
+                continue
+            space = ext1_cocycle(mods[i], mods[j])
+            if space.dim != exts[i, j]:
+                raise IntegrityError(f"Ext^1 of closure modules {i}, {j}: cocycles and ranks disagree")
+            for coeffs in np.eye(space.dim, dtype=np.int64):
+                absorb(build_extension(space, coeffs))
+            facts.spaces[i, j] = space
         failure = _certify_complete(mods, basis, facts)
         if failure is None:
             break
         if len(mods) == n0:
             raise EnumerationError(f"closure stopped without a completeness certificate: {failure}")
     n = len(mods)
-    homs, exts = pair_tables(mods, mods)
-    for (i, j), space in facts.spaces.items():
-        if exts[i, j] != space.dim:
-            raise IntegrityError(f"Ext^1 of closure modules {i}, {j}: cocycles and ranks disagree")
+    grow(n)  # the modules the certifying pass added, if any
 
     # canonical order: (total dim, dim vector, hom fingerprint)
     provisional = sorted(range(n), key=lambda i: (mods[i].total_dim, mods[i].dims, i))

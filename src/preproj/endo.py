@@ -144,10 +144,13 @@ def _top_basis(m: BModule) -> list[tuple[int, int]]:
     """(k, c) per top generator of m: the coordinates c of component k left
     free by rad(B) m, spanned by the columns of the radical elements'
     blocks, eliminated at once as rows; a row lies in one component, so the
-    pivots are those of each component."""
-    alg, fld, width = m.algebra, m.algebra.field, m.action.shape[1]
+    pivots are those of each component.  Only the columns of a block below
+    the dimension of its source component are taken: the rest is padding."""
+    alg, fld = m.algebra, m.algebra.field
     rad = alg.radical_elements[m.action[alg.radical_elements].any(axis=(1, 2))]
-    rows = _columns(m, np.repeat(rad, width), np.tile(np.arange(width), len(rad))).T
+    counts = np.asarray(m.comp_dims)[alg.src[rad]]
+    coords = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = _columns(m, np.repeat(rad, counts), coords).T
     _, pivots = fld.rref(rows[rows.any(axis=1)])
     offs = list(accumulate(m.comp_dims, initial=0))
     comp = np.repeat(np.arange(alg.r), m.comp_dims)

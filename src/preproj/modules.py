@@ -334,12 +334,14 @@ def socle_dims(rep: Representation) -> tuple[int, ...]:
 # -- projectives, covers, syzygies --------------------------------------
 
 
+@lru_cache(maxsize=None)
 def projective_module(basis: PreprojectiveBasis, i: int) -> Representation:
     """Left module on the path classes starting at vertex i.
 
     The component at vertex j is spanned by the basis classes i -> j,
     ordered by (degree, path); the class of the empty path is position 0
-    of the vertex-i component, and generates.
+    of the vertex-i component, and generates.  Built once per basis object
+    and vertex: a Representation is read-only, so callers share it.
     """
     dq, fld = basis.dq, basis.field
     if i not in dq.vertices:

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 import json
 
@@ -344,12 +346,15 @@ def test_a3_closure_extends_by_basis_classes(monkeypatch):
 def test_a4_closure_builds_few_extensions(monkeypatch):
     # confirming completeness by one more sampled pass built 1,200 middle
     # terms on A4; the certificate builds one almost split sequence per
-    # non-projective module.  The passes and the certificate build 507
-    # extension spaces; the 1,116 pairs no pass visited get Ext from
-    # pair_tables, without cocycles.  Each content is decomposed once, each
-    # placed piece located once, and the certificate reuses the passes'
+    # non-projective module.  Each pass ranks Ext^1 of its new pairs by
+    # pair_tables first and builds cocycles only where Ext^1 != 0: the
+    # passes and the certificate build 121 extension spaces, where building
+    # one for every visited pair took 507.  Each content is decomposed once,
+    # each placed piece located once, and the certificate reuses the passes'
     # cosyzygies, Ext spaces and decompositions: 215 decompositions, 703
     # Hom bases, 389 isomorphism tests, 63 cosyzygies and 8,430 rrefs before
+    # those reuses; 5,611 rrefs before cocycles waited for the ranks and
+    # projectives were built once per basis
     names = ["build_extension", "ext1_cocycle", "decompose", "hom_basis", "is_isomorphic", "cosyzygy"]
     calls = _count_calls(monkeypatch, names)
     classes = _record_classes(monkeypatch)
@@ -358,12 +363,12 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
     assert len(classes) == calls["build_extension"]
     assert all(_is_unit_vector(c) for c in classes), classes
     assert calls["build_extension"] <= 200
-    assert calls["ext1_cocycle"] <= 507
+    assert calls["ext1_cocycle"] <= 121
     assert calls["decompose"] <= 106
     assert calls["hom_basis"] <= 382
     assert calls["is_isomorphic"] <= 179
     assert calls["cosyzygy"] <= 40
-    assert calls["rref"] <= 6442
+    assert calls["rref"] <= 4445
     assert compare_atlases(built, shared_atlas("A4")) == []
 
 
@@ -395,6 +400,46 @@ def test_closure_ext_is_checked_against_ranks(monkeypatch):
     monkeypatch.setattr(atlas_mod, "pair_tables", lambda xs, ys: (real(xs, ys)[0], np.full((len(xs), len(ys)), 99)))
     with pytest.raises(IntegrityError):
         enumerate_indecomposables("A2", PrimeField(32003))
+
+
+def test_closure_ranks_each_pair_once_and_builds_cocycles_only_where_ext_is_nonzero(monkeypatch):
+    # the passes grow the tables through pair_tables, new columns then new
+    # rows, so every ordered pair is ranked once and the last growth is the
+    # atlas's table; an ExtSpace is built only for a pair ranked nonzero
+    real_tables, real_certify = atlas_mod.pair_tables, atlas_mod._certify_complete
+    ranked, certified = collections.Counter(), []
+
+    def tables(xs, ys):
+        ranked.update((id(x), id(y)) for x in xs for y in ys)
+        return real_tables(xs, ys)
+
+    def certify(mods, basis, facts=None):
+        certified.append((list(mods), facts))
+        return real_certify(mods, basis, facts)
+
+    monkeypatch.setattr(atlas_mod, "pair_tables", tables)
+    monkeypatch.setattr(atlas_mod, "_certify_complete", certify)
+    built = enumerate_indecomposables("A3", PrimeField(32003))
+    assert set(ranked.values()) == {1}
+    assert set(ranked) == {(id(x), id(y)) for x in built.modules for y in built.modules}
+    mods, facts = certified[-1]
+    _, exts = real_tables(mods, mods)
+    assert facts.spaces
+    for (i, j), space in facts.spaces.items():
+        assert space.dim == len(space.representatives) == exts[i, j] > 0
+    assert compare_atlases(built, shared_atlas("A3")) == []
+
+
+def test_closure_refuses_a_cocycle_basis_shorter_than_the_rank(monkeypatch):
+    real = atlas_mod.ext1_cocycle
+
+    def short(x, y):
+        space = real(x, y)
+        return dataclasses.replace(space, dim=space.dim - 1, representatives=space.representatives[:-1])
+
+    monkeypatch.setattr(atlas_mod, "ext1_cocycle", short)
+    with pytest.raises(IntegrityError, match="cocycles and ranks disagree"):
+        enumerate_indecomposables("A3", PrimeField(32003))
 
 
 # -- persistence ------------------------------------------------------------------

@@ -83,6 +83,23 @@ def test_projective_dim_vectors(a3):
     assert check_relations(projective_module(basis, 2))
 
 
+def test_projective_module_is_built_once_per_basis_and_vertex(a3):
+    # projective_cover asks for P_v once per top generator: one read-only
+    # module per basis object and vertex, never shared across primes
+    dq, basis = a3
+    other = PreprojectiveBasis(dq, PrimeField(101))
+    for v in dq.vertices:
+        got = projective_module(basis, v)
+        assert projective_module(basis, v) is got
+        assert not any(m.flags.writeable for m in got.mats)
+        there = projective_module(other, v)
+        assert there is not got and there.field.p == 101
+        for b, built in ((basis, got), (other, there)):
+            fresh = projective_module.__wrapped__(b, v)
+            assert fresh is not built and fresh.dims == built.dims
+            assert all(np.array_equal(x, y) for x, y in zip(fresh.mats, built.mats))
+
+
 def test_a2_projective_has_no_long_paths(a2):
     _, basis = a2
     assert projective_module(basis, 1).dims == (1, 1)
