@@ -461,18 +461,12 @@ def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
     n = len(mods)
     grow(n)  # the modules the certifying pass added, if any
 
-    # canonical order: (total dim, dim vector, hom fingerprint)
-    provisional = sorted(range(n), key=lambda i: (mods[i].total_dim, mods[i].dims, i))
-    pmods = [mods[i] for i in provisional]
-    hom1 = homs[np.ix_(provisional, provisional)]
-    final = sorted(
-        range(n),
-        key=lambda i: (pmods[i].total_dim, pmods[i].dims, tuple(hom1[i])),
-    )
-    modules = [pmods[i] for i in final]
-    hom_table = hom1[np.ix_(final, final)]
-    order = [provisional[i] for i in final]  # canonical position -> closure id
-    ext_table = exts[np.ix_(order, order)]
+    # canonical order: (total dim, dim vector, Hom row read in the order by
+    # (total dim, dim vector, closure id)), ties kept in that order
+    first = sorted(range(n), key=lambda i: (mods[i].total_dim, mods[i].dims, i))
+    order = sorted(first, key=lambda i: (mods[i].total_dim, mods[i].dims, tuple(homs[i, first])))
+    modules = [mods[i] for i in order]
+    hom_table, ext_table = (table[np.ix_(order, order)] for table in (homs, exts))
     atlas = Atlas(
         qtype=qtype,
         field=field,

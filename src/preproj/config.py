@@ -16,9 +16,9 @@ from .errors import FieldSizeError, InputError
 from .linalg import _is_prime
 
 # Inner dimension up to which products over F_p must stay exact in int64.
-# The largest `verify --suite all --type A4` reaches over all 672 T is 205,
-# in theorem1's coresolution_check; the connecting matrices of lemma37 and
-# lemma22 stay at 9 and Ext over End(T) at 10.
+# The largest `verify --suite all --type A4` reaches is 49, in the trace
+# form of modules.decompose while it builds the atlases; over all 672 T the
+# suites stay at 3, as they count exact classes by ranks, not products.
 EXACT_INNER_DIM = 4096
 
 

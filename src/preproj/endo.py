@@ -19,7 +19,10 @@ compatibility matrix of the Ext^1_B table (rigidgraph.compatibility), the
 matrix theorem1 compares with the atlas's, and the coresolution check
 ranks one gather of Γ per T and reads the summands of its kernel off
 hom_table with one solve over a fixed large prime field, checked over the
-integers.
+integers.  relative_ext reads the classes of Ext^1 exact under Hom(-, T),
+which lemma37 and lemma22 need, the same way from the cokernels of the
+left add-T approximations: one gather of Γ, one stack of ranks and one
+solve per T.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .rigidgraph import RigidModule, compatibility, maximal_cliques
 class BoundAlgebra:
     """B = End(T) = e_T Γ e_T for T = rigid.  Basis element b is the map
     gamma_ids[b] of Γ from T_src[b] to T_tgt[b]; block_elems[(k, l)] lists
-    those of Hom(T_k, T_l), led on the diagonal by the identity
-    identity_of[k], and every other element is in radical_elements."""
+    those of Hom(T_k, T_l), led on the diagonal by the identity of T_k,
+    and every other element is in radical_elements."""
 
     def __init__(self, atlas: Atlas, rigid: RigidModule):
         self.atlas = atlas
@@ -57,7 +60,6 @@ class BoundAlgebra:
         self.block_elems = {
             divmod(kl, r): list(range(first, first + size)) for kl, (first, size) in enumerate(zip(firsts, sizes))
         }
-        self.identity_of = {k: int(firsts[k * (r + 1)]) for k in range(r)}
         self.radical_elements = np.delete(np.arange(len(block)), firsts[:: r + 1])
         self._images: dict[int, BModule] = {}
         self._radical_stacks: dict[tuple[int, int], np.ndarray] = {}
@@ -422,25 +424,64 @@ def verify_graph_correspondence(atlas: Atlas, rigids, graph, t_index: int, calc:
 _MULTIPLICITY_FIELD = PrimeField(2**31 - 1)
 
 
-def _multiplicities(atlas: Atlas, to_m: np.ndarray, m_dims) -> list | None:
-    """[(id, multiplicity), ...] of the atlas modules in a module M with
-    dim Hom(X, M) = to_m[X] and dimension vector m_dims: the solution v of
-    hom_table v = to_m over F_P for the fixed prime P = 2**31 - 1 (not the
-    atlas's p), or None unless it satisfies both over the integers.  Its
-    entries are residues in [0, P), so v >= 0.  hom_table has determinant
-    +-1 (coresolution_check), so it is invertible mod every prime and an
-    integer solution is the only one.  A multiplicity c of M is at most
-    dim M, far below P, so its residue is c itself at every atlas p; over
-    the atlas's F_p a multiplicity c >= p would come out as c mod p."""
-    hom = atlas.hom_table
-    v = _MULTIPLICITY_FIELD.solve(hom, to_m)
-    if v is None:
+def _multiplicities(table: np.ndarray, dims: np.ndarray, to_m: np.ndarray, m_dims: np.ndarray) -> np.ndarray | None:
+    """The multiplicities of the atlas modules in modules M, one column per
+    M: the solution v of table v = to_m over F_P for the fixed prime
+    P = 2**31 - 1 (not the atlas's p), or None unless it satisfies both
+    table v = to_m and v.T dims = m_dims over the integers, where the rows
+    of dims and m_dims are the dimension vectors of the atlas modules and
+    of the M.  table is hom_table, with to_m[X] = dim Hom(X, M), or its
+    transpose, with to_m[X] = dim Hom(M, X).  Its entries are residues in
+    [0, P), so v >= 0.  hom_table has determinant +-1 (coresolution_check),
+    so it is invertible mod every prime and an integer solution is the
+    only one.  A multiplicity c of M is at most dim M, far below P, so its
+    residue is c itself at every atlas p; over the atlas's F_p a
+    multiplicity c >= p would come out as c mod p."""
+    v = _MULTIPLICITY_FIELD.solve(table, to_m)
+    if v is None or not np.array_equal(table @ v, to_m) or not np.array_equal(v.T @ dims, m_dims):
         return None
-    v = v[:, 0]
+    return v
+
+
+def relative_ext(atlas: Atlas, t: RigidModule) -> np.ndarray:
+    """rel[x, y] = the dimension of the classes of Ext^1(x, y), sequences
+    0 -> y -> E -> x -> 0, that stay exact under Hom(-, T), for every pair
+    of atlas modules at once: an int64 array (size, size).
+
+    Let a: y -> T_y be the universal map into add T, with one copy of T_j
+    per basis map f of Hom(y, T_j), and C_y its cokernel; a is injective,
+    as T contains the injective cogenerator Π.  A sequence stays exact
+    under Hom(-, T) iff every map y -> T extends to E, iff a does, iff its
+    pushout along a splits.  So the exact classes are the kernel of
+    Ext^1(x, a), the image of the connecting map of Hom(x, -) on
+    0 -> y -> T_y -> C_y -> 0 (Auslander-Solberg, relative homology), and
+        rel[x, y] = dim Hom(x, C_y) - dim Hom(x, T_y) + dim Hom(x, y).
+    C_y is identified by its atlas summands without being built.  By left
+    exactness of Hom(-, Z), dim Hom(C_y, Z) = dim Hom(T_y, Z) - r(y, Z),
+    with r(y, Z) the rank of the composites g o f over the basis maps
+    g: T_j -> Z: Γ's constants at (y, g), one gather for all pairs, ranked
+    in one stack.  r(y, Z) is all of Hom(y, Z) when y or Z is a summand of
+    T, as f or g can be an identity, and is not ranked there.  The
+    multiplicities of the atlas modules in C_y solve hom_table.T v = that
+    row (_multiplicities), checked over the integers and against
+    dim C_y = dim T_y - dim y; IntegrityError if either fails."""
+    gam, hom, n = atlas.gamma(), atlas.hom_table, atlas.size
+    s, e = list(t.summands), np.arange(gam.consts.shape[-1])
+    # the basis maps g: T_j -> Z at elems[Z, j, :hom[j, Z]] of Γ's basis, zero-padded
+    filled = e < hom[s].T[:, :, None]
+    elems = np.where(filled, gam.starts[s].T[:, :, None] + e, 0)
+    outside = ~np.isin(np.arange(n), s)
+    ys, zs = np.nonzero((hom != 0) & outside[:, None] & outside)
+    # consts[y, g] holds g o f over hom_basis(y, Z), one column per f
+    comps = gam.consts[ys[:, None, None], elems[zs]] * filled[zs][..., None, None]
+    r = hom.copy()
+    r[ys, zs] = atlas.field.ranks(comps.swapaxes(3, 4).reshape(len(ys), len(s) * len(e) ** 2, len(e)))
     dims = np.array([m.dims for m in atlas.modules], dtype=np.int64)
-    if not np.array_equal(hom @ v, to_m) or not np.array_equal(v @ dims, m_dims):
-        return None
-    return [(mid, int(c)) for mid, c in enumerate(v) if c]
+    to_t = hom[:, s]  # dim Hom(y, T_j), the copies of T_j in T_y
+    v = _multiplicities(hom.T, dims, (to_t @ hom[s] - r).T, to_t @ dims[s] - dims)
+    if v is None:
+        raise IntegrityError("a cokernel's Hom row has no multiplicities over the atlas")
+    return hom @ v - to_t @ to_t.T + hom
 
 
 def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> dict:
@@ -490,9 +531,10 @@ def coresolution_check(atlas: Atlas, t: RigidModule, t_prime: RigidModule) -> di
     to_k = hom[:, pieces].sum(axis=1) - rank  # dim Hom(X, K) per atlas X
     dims = np.array([m.dims for m in atlas.modules], dtype=np.int64)
     k_dims = dims[pieces].sum(axis=0) - dims[t_ids].sum(axis=0)
-    kernel_ids = _multiplicities(atlas, to_k, k_dims)
-    if kernel_ids is None:
+    v = _multiplicities(hom, dims, to_k[:, None], k_dims[None])
+    if v is None:
         raise IntegrityError("the kernel's Hom column has no multiplicities over the atlas")
+    kernel_ids = [(mid, int(c)) for mid, c in enumerate(v[:, 0]) if c]
     in_add = {mid for mid, _ in kernel_ids} <= set(t_prime.summands)
     dims_ok = in_add and (
         sum(c * int(to_t[mid]) for mid, c in kernel_ids) + int(to_t[t_ids].sum())

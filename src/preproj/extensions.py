@@ -9,8 +9,10 @@ coming from arbitrary vertex maps f: x -> y.
 Hom(-, N) keeps such a sequence exact if and only if its connecting map
 Hom(y, N) -> Ext^1(x, N), f -> [f C], is zero (Auslander-Solberg): f C
 must be a coboundary for every f in a basis of Hom(y, N).  That map is
-linear in the class, so the classes exact under Hom(-, T) are the kernel
-of one matrix, `connecting_matrix` stacked over the summands N of T.
+linear in the class, so the classes exact under Hom(-, N) are the kernel
+of one matrix, `connecting_matrix`; is_hom_exact tests one class with it.
+The suites over maximal rigid T need only the dimension of the classes
+exact under Hom(-, T), which endo.relative_ext reads from Hom dimensions.
 """
 
 from __future__ import annotations
@@ -71,9 +73,8 @@ def _cocycle_columns(dq, x_dims, y_dims):
 
 def coboundary_echelon(x: Representation, y: Representation) -> tuple[np.ndarray, list[int]]:
     """(red, pivots): the nonzero rows and pivot columns of the reduced
-    echelon form of the coboundaries of (x, y), in cocycle coordinates.
-    One elimination; a caller that reduces against the same pair again
-    keeps it (verify._ConnectingMatrices does, per pair)."""
+    echelon form of the coboundaries of (x, y), in cocycle coordinates,
+    from one elimination."""
     # coboundaries f -> (Y_a f_s - f_t X_a)_a form the negated Hom system,
     # whose rows are the cocycle coordinates in arrow order: same column space
     red, pivots = x.field.rref(_hom_system(x, y).T)
@@ -255,8 +256,7 @@ def is_hom_exact(space: ExtSpace, coeffs, n: Representation) -> bool:
         return True
     fld = space.x.field
     coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, 1) % fld.p
-    matrix = connecting_matrix(space, n, hom_basis(space.y, n), coboundary_echelon(space.x, n))
-    return not fld.mul(matrix, coeffs).any()
+    return not fld.mul(connecting_matrix(space, n), coeffs).any()
 
 
 def _stacked_residues(fld, echelon, parts) -> np.ndarray:
@@ -269,12 +269,11 @@ def _stacked_residues(fld, echelon, parts) -> np.ndarray:
     return res.reshape(-1, h, d).transpose(1, 0, 2).reshape(-1, d)
 
 
-def connecting_matrix(space: ExtSpace, n: Representation, homs, echelon) -> np.ndarray:
+def connecting_matrix(space: ExtSpace, n: Representation) -> np.ndarray:
     """Matrix of the connecting maps Hom(y, n) -> Ext^1(x, n) of the classes.
 
-    Column i stacks, over the basis homs of Hom(y, n) (tuples of vertex
-    maps), the residue of f C_i modulo the coboundaries of (x, n), whose
-    coboundary_echelon is echelon, where C_i is the i-th class
+    Column i stacks, over the hom_basis of Hom(y, n), the residue of f C_i
+    modulo the coboundaries of (x, n), where C_i is the i-th class
     representative.  Its kernel is the space of classes whose sequences
     0 -> y -> E -> x -> 0 stay exact under Hom(-, n); a change of basis of
     Hom(y, n) acts invertibly on the row blocks, so the kernel and the rank
@@ -282,6 +281,7 @@ def connecting_matrix(space: ExtSpace, n: Representation, homs, echelon) -> np.n
     """
     x, y = space.x, space.y
     fld = x.field
+    homs = hom_basis(y, n)
     if not homs or not space.dim:
         return fld.zeros(0, space.dim)
     h, d = len(homs), space.dim
@@ -294,7 +294,7 @@ def connecting_matrix(space: ExtSpace, n: Representation, homs, echelon) -> np.n
         prod = fld.mul(fs, cs.reshape(y.dims[t], d * x.dims[s]))
         prod = prod.reshape(h, n.dims[t], d, x.dims[s]).transpose(0, 2, 1, 3)
         parts.append(prod.reshape(h, d, n.dims[t] * x.dims[s]))
-    return _stacked_residues(fld, echelon, parts)
+    return _stacked_residues(fld, coboundary_echelon(x, n), parts)
 
 
 def pullback_matrix(space: ExtSpace, maps) -> np.ndarray:

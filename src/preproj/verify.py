@@ -8,8 +8,9 @@ over End(T)), theorem1 (mutation/tilting graph correspondence), connected
 (graph shape and connectivity), remark-a4 (the fixed counterexample).
 lemma37, lemma22 and theorem1 quantify over the basic maximal rigid T;
 the CLI runs them on every T in one pass of run_t_suites.  lemma37 and
-lemma22 decide exactness under Hom(-, T) for every class at once, as the
-kernel of the stacked connecting matrices.
+lemma22 read the dimension of the classes exact under Hom(-, T) of every
+pair at once from one table per T, endo.relative_ext, which takes it
+from Hom dimensions through the add-T approximation sequence.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .atlas import Atlas, compare_atlases
-from .endo import ExtCalculatorB, coresolution_check, verify_graph_correspondence
+from .endo import ExtCalculatorB, coresolution_check, relative_ext, verify_graph_correspondence
 from .errors import InputError
-from .extensions import (
-    build_extension,
-    coboundary_echelon,
-    connecting_matrix,
-    ext1_cocycle,
-    is_hom_exact,
-)
+from .extensions import build_extension, ext1_cocycle, is_hom_exact
 from .modules import is_isomorphic
 from .quivers import symmetric_form
 from .rigidgraph import MutationGraph, is_connected
@@ -97,76 +92,19 @@ def suite_extbounds(atlas: Atlas) -> dict:
 # -- lemma37, lemma22, theorem1: the suites over maximal rigid T -----------
 
 
-class _ConnectingMatrices:
-    """Connecting matrices of the atlas's extension spaces, one per
-    (x, y, n), each built on first use over the atlas's basis
-    atlas.hom_basis(y, n), computed once per run, as are the Ext spaces
-    per (x, y) and the coboundary echelon forms per (x, n) they reduce
-    against.  The classes of 0 -> y -> E -> x -> 0 that stay exact under
-    Hom(-, T) are the kernel of their stack over the summands n of T."""
-
-    def __init__(self, atlas: Atlas):
-        self.atlas = atlas
-        self.spaces: dict[tuple[int, int], object] = {}
-        self.echelons: dict[tuple[int, int], tuple] = {}
-        self.blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        self.dims: dict[tuple, int] = {}
-
-    def block(self, x: int, y: int, n: int) -> np.ndarray:
-        got = self.blocks.get((x, y, n))
-        if got is None:
-            mods = self.atlas.modules
-            space = self.spaces.get((x, y))
-            if space is None:
-                space = self.spaces[(x, y)] = ext1_cocycle(mods[x], mods[y])
-            echelon = self.echelons.get((x, n))
-            if echelon is None:
-                echelon = self.echelons[(x, n)] = coboundary_echelon(mods[x], mods[n])
-            homs = self.atlas.hom_basis(y, n)
-            got = self.blocks[(x, y, n)] = connecting_matrix(space, mods[n], homs, echelon)
-        return got
-
-    def exact_dim(self, x: int, y: int, adding: int) -> int:
-        """Dimension of the classes exact under Hom(-, T), where adding is the
-        bitmask of the summands of T that add a condition (condition_masks):
-        memoised by (x, y, adding), on which alone it depends."""
-        d = int(self.atlas.ext_table[x, y])
-        if not (d and adding):
-            return d
-        key = (x, y, adding)  # the memo holds ~117,000 keys on A4
-        got = self.dims.get(key)
-        if got is None:
-            blocks = [self.block(x, y, n) for n in range(self.atlas.size) if adding >> n & 1]
-            got = self.dims[key] = d - self.atlas.field.rank(np.concatenate(blocks))
-        return got
-
-    def condition_masks(self, summands) -> np.ndarray:
-        """masks[x, y] has bit n for each summand n of T with Ext^1(x, n) != 0
-        and Hom(y, n) != 0 (at most 40 atlas modules, so int64 holds them)."""
-        ids = np.arange(self.atlas.size)
-        bits = np.where(np.isin(ids, summands), 1 << ids, 0)
-        return ((self.atlas.ext_table != 0) @ bits)[:, None] & ((self.atlas.hom_table != 0) @ bits)
-
-
 T_SUITES = ("lemma37", "lemma22", "theorem1")
 
 
 def run_t_suites(names, atlas: Atlas, rigids, graph: MutationGraph | None, t_indices) -> dict:
     """Reports of the named suites of T_SUITES, keyed by name, from one pass
-    with T on the outside.  Each T builds End(T) at most once, when lemma22
-    or theorem1 is named, and drops it before the next T.  One set of
-    connecting matrices serves the whole pass, as a block depends only on
-    the pair and the summand.  theorem1 needs graph."""
+    with T on the outside.  lemma37 and lemma22 compare arrays of one
+    relative_ext table per T; each T builds End(T) at most once, when
+    lemma22 or theorem1 is named, and drops it before the next T.  No
+    state passes from one T to the next.  theorem1 needs graph."""
     t_indices = list(t_indices)
     ext = atlas.ext_table
-    pairs = [
-        (x, y)
-        for x in range(atlas.size)
-        for y in range(x + 1, atlas.size)
-        if ext[x, y] != 0
-    ]
-    extending = np.argwhere(ext).tolist()
-    conn = _ConnectingMatrices(atlas)
+    pairs = np.argwhere(np.triu(ext != 0, 1))  # x < y, row-major
+    xs, ys = pairs.T
     # each vertex's first neighbour in graph.edges, the T' of its coresolution check
     neighbour: dict[int, int] = {}
     for i, j in graph.edges if "theorem1" in names else ():
@@ -176,22 +114,19 @@ def run_t_suites(names, atlas: Atlas, rigids, graph: MutationGraph | None, t_ind
     reports = []
     for ti in t_indices:
         t = rigids[ti]
-        masks = conn.condition_masks(t.summands).tolist()
+        if "lemma37" in names or "lemma22" in names:
+            rel = relative_ext(atlas, t)
         if "lemma37" in names:
-            for x, y in pairs:
-                if not (conn.exact_dim(x, y, masks[x][y]) or conn.exact_dim(y, x, masks[y][x])):
-                    failures["lemma37"].append({"pair": [x, y], "t_index": ti, "verdict": "NONE"})
+            for x, y in pairs[(rel[xs, ys] == 0) & (rel[ys, xs] == 0)].tolist():
+                failures["lemma37"].append({"pair": [x, y], "t_index": ti, "verdict": "NONE"})
         if "lemma22" not in names and "theorem1" not in names:
             continue
         calc = ExtCalculatorB.for_rigid(atlas, t)
         if "lemma22" in names:
-            # classes of 0 -> x -> E -> y -> 0 staying exact under Hom(-, T);
-            # none unless Ext^1(y, x) != 0
-            rel = np.zeros_like(ext)
-            for y, x in extending:
-                rel[x, y] = conn.exact_dim(y, x, masks[y][x])
-            for x, y in np.argwhere(calc.ext != rel).tolist():
-                lhs, rhs = int(calc.ext[x, y]), int(rel[x, y])
+            # Ext^1_B(FX, FY) against the classes of 0 -> x -> E -> y -> 0
+            # staying exact under Hom(-, T), rel[y, x]
+            for x, y in np.argwhere(calc.ext != rel.T).tolist():
+                lhs, rhs = int(calc.ext[x, y]), int(rel[y, x])
                 failures["lemma22"].append({"t_index": ti, "pair": [x, y], "ext_B": lhs, "relative": rhs})
         if "theorem1" in names:
             rep = verify_graph_correspondence(atlas, rigids, graph, ti, calc)

@@ -32,7 +32,7 @@ import numpy as np
 
 from preproj.endo import BModule, Presentation, presentation
 from preproj.errors import FormatError, InputError, StructureError
-from preproj.extensions import build_extension, coboundary_echelon, connecting_matrix
+from preproj.extensions import build_extension, connecting_matrix
 from preproj.modules import (
     Representation,
     decompose,
@@ -412,10 +412,7 @@ def exact_classes(space, t_summands) -> np.ndarray:
     stay exact under Hom(-, n) for every n in t_summands."""
     fld = space.x.field
     blocks = [fld.zeros(0, space.dim)]
-    blocks += [
-        connecting_matrix(space, n, hom_basis(space.y, n), coboundary_echelon(space.x, n))
-        for n in t_summands
-    ]
+    blocks += [connecting_matrix(space, n) for n in t_summands]
     return fld.kernel_basis(np.concatenate(blocks, axis=0))
 
 
@@ -464,6 +461,12 @@ def action_block(m: BModule, idx: int) -> np.ndarray:
     return m.action[idx, : m.comp_dims[alg.tgt[idx]], : m.comp_dims[alg.src[idx]]]
 
 
+def identity_of(algebra, k: int) -> int:
+    """The basis element of B = End(T) that is the identity of T_k: it
+    leads the diagonal block (k, k)."""
+    return algebra.block_elems[(k, k)][0]
+
+
 def module_from_blocks(algebra, comp_dims, blocks: dict) -> BModule:
     """The B-module with these components and action blocks, keyed by basis
     element; an identity left out acts as the identity, any other element
@@ -471,7 +474,8 @@ def module_from_blocks(algebra, comp_dims, blocks: dict) -> BModule:
     comp_dims = tuple(int(d) for d in comp_dims)
     width = max(comp_dims)
     action = np.zeros((algebra.dim, width, width), dtype=np.int64)
-    for k, idx in algebra.identity_of.items():
+    for k in range(algebra.r):
+        idx = identity_of(algebra, k)
         action[idx, : comp_dims[k], : comp_dims[k]] = np.eye(comp_dims[k], dtype=np.int64)
     for idx, blk in blocks.items():
         want = (comp_dims[algebra.tgt[idx]], comp_dims[algebra.src[idx]])

@@ -13,9 +13,11 @@ from preproj.endo import (
     _top_basis,
     hom_b,
     presentation,
+    relative_ext,
     verify_graph_correspondence,
 )
 from preproj.errors import InputError, IntegrityError, StructureError
+from preproj.extensions import ext1_cocycle
 from preproj.modules import hom_basis, zero_rep
 from preproj.rigidgraph import RigidModule, compatibility, exchange_pairs
 from tests.oracle import (
@@ -25,8 +27,10 @@ from tests.oracle import (
     compose_maps,
     dense_action,
     direct_sum_b,
+    exact_classes,
     extension_sequence,
     hom_exact_by_dims,
+    identity_of,
     module_by_alias,
     module_from_blocks,
     oracle_hom_dim,
@@ -112,7 +116,7 @@ def test_idempotents_orthogonal(setup_a3):
     _, _, _, algebra = setup_a3
     for k in range(algebra.r):
         for l in range(algebra.r):
-            ek, el = algebra.identity_of[k], algebra.identity_of[l]
+            ek, el = identity_of(algebra, k), identity_of(algebra, l)
             block, coeffs = product_coords(algebra, ek, el)
             if k != l:
                 assert not np.any(coeffs)
@@ -928,8 +932,8 @@ def test_t_suites_take_hom_bases_from_the_atlas_once(atlas_a3, rigids_a3, monkey
         return hom_basis(x, y)
 
     monkeypatch.setattr(atlas_mod, "hom_basis", counting)
-    # endo must not compute Hom bases itself, and the connecting matrices
-    # take Hom(Y, N) from the atlas; count any binding either gains or keeps
+    # endo must not compute Hom bases itself, nor may the T pass reach the
+    # cocycle layer; count any binding either gains or keeps
     monkeypatch.setattr(endo, "hom_basis", counting, raising=False)
     monkeypatch.setattr(extensions, "hom_basis", counting, raising=False)
     # the atlas takes the bases of End(X) from modules.local_basis
@@ -960,74 +964,93 @@ def test_t_suites_read_the_exchange_edges_from_the_graph(atlas_a3, rigids_a3, mo
     assert calls == []
 
 
-def test_t_suites_rank_each_exactness_key_once(atlas_a3, rigids_a3, monkeypatch):
-    # exact_dim depends only on (x, y, the summands of T that add a
-    # condition), so the pass over all 14 A3 T ranks each such key once:
-    # 122 ranks, where ranking at every call made 332
-    import sys
-
-    from preproj.linalg import PrimeField
-    from preproj.verify import T_SUITES, _ConnectingMatrices, run_t_suites
-
-    keys, ranked = set(), []
-    real_rank, real_exact_dim = PrimeField.rank, _ConnectingMatrices.exact_dim
-
-    def rank(self, m):
-        if sys._getframe(1).f_code.co_name == "exact_dim":
-            ranked.append(m.shape)
-        return real_rank(self, m)
-
-    def exact_dim(self, x, y, adding):
-        if adding and atlas_a3.ext_table[x, y]:
-            keys.add((x, y, adding))
-        return real_exact_dim(self, x, y, adding)
-
-    monkeypatch.setattr(PrimeField, "rank", rank)
-    monkeypatch.setattr(_ConnectingMatrices, "exact_dim", exact_dim)
-    rigids, graph = rigids_a3
-    reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
-    assert all(rep["passed"] for rep in reports.values())
-    assert len(ranked) == len(keys) == 122
+def _check_relative_ext(atlas, rigids) -> set:
+    """relative_ext at each T equals, for every ordered pair, the dimension
+    of the kernel of the stacked connecting matrices over T's summands.
+    Returns the (Ext dimension, exact dimension) pairs seen."""
+    spaces, seen = {}, set()
+    for t in rigids:
+        rel = relative_ext(atlas, t)
+        summands = [atlas.modules[n] for n in t.summands]
+        for x, y in np.ndindex(rel.shape):
+            d = int(atlas.ext_table[x, y])
+            if d:
+                if (x, y) not in spaces:
+                    spaces[x, y] = ext1_cocycle(atlas.modules[x], atlas.modules[y])
+                want = exact_classes(spaces[x, y], summands).shape[1]
+            else:
+                want = 0
+            assert rel[x, y] == want, (t.summands, x, y)
+            seen.add((d, want))
+    return seen
 
 
-def test_condition_masks_name_the_summands_that_add_a_condition(atlas_a3, rigids_a3):
-    from preproj.verify import _ConnectingMatrices
+@pytest.mark.parametrize("p", [32003, 5])
+def test_relative_ext_matches_the_connecting_matrices_a3(p):
+    from tests.conftest import shared_atlas, shared_rigids
 
-    ext, hom = atlas_a3.ext_table, atlas_a3.hom_table
-    conn = _ConnectingMatrices(atlas_a3)
-    for t in rigids_a3[0]:
-        masks = conn.condition_masks(t.summands)
-        for x in range(atlas_a3.size):
-            for y in range(atlas_a3.size):
-                adding = [n for n in t.summands if ext[x, n] and hom[y, n]]
-                assert masks[x, y] == sum(1 << n for n in adding), (t.summands, x, y)
+    rigids, _ = shared_rigids("A3", p)
+    assert len(rigids) == 14
+    _check_relative_ext(shared_atlas("A3", p), rigids)
 
 
-def test_t_suites_reduce_against_each_coboundary_space_once(atlas_a3, rigids_a3, monkeypatch):
-    # a connecting matrix of (X, Y, N) reduces modulo the coboundaries of
-    # (X, N): one echelon form per (X, N) serves every Y and every T
-    from preproj import verify
-    from preproj.extensions import coboundary_echelon
+def test_relative_ext_matches_the_connecting_matrices_a4(atlas_a4, rigids_a4):
+    rigids, _ = rigids_a4
+    seen = _check_relative_ext(atlas_a4, [rigids[245], rigids[621]])
+    # some 2-dim Ext spaces have a single exact line
+    assert (2, 1) in seen
+
+
+def test_t_suites_build_no_extension_space(atlas_a3, rigids_a3, monkeypatch):
+    # lemma37 and lemma22 read relative_ext, which takes Hom dimensions and
+    # Γ's constants only: no cocycle, coboundary or connecting matrix
+    from dataclasses import replace
+
+    from preproj import endo, extensions, verify
     from preproj.verify import T_SUITES, run_t_suites
 
-    pairs, blocks = [], []
-    real_block = verify._ConnectingMatrices.block
+    def refuse(*args):
+        raise AssertionError("the T pass built an extension space")
 
-    def counting(x, n):
-        pairs.append((id(x), id(n)))
-        return coboundary_echelon(x, n)
-
-    def block(self, x, y, n):
-        blocks.append((x, y, n))
-        return real_block(self, x, y, n)
-
-    monkeypatch.setattr(verify, "coboundary_echelon", counting)
-    monkeypatch.setattr(verify._ConnectingMatrices, "block", block)
+    for name in ("ext1_cocycle", "coboundary_echelon", "connecting_matrix"):
+        monkeypatch.setattr(extensions, name, refuse)
+        for module in (endo, verify):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     rigids, graph = rigids_a3
-    reports = run_t_suites(T_SUITES, atlas_a3, rigids, graph, range(len(rigids)))
+    reports = run_t_suites(T_SUITES, replace(atlas_a3), rigids, graph, range(len(rigids)))
     assert all(rep["passed"] for rep in reports.values())
-    assert len(pairs) == len(set(pairs)) == len({(x, n) for x, _, n in blocks})
-    assert len(pairs) < len(set(blocks))
+
+
+def test_relative_ext_without_multiplicities_raises(setup_a3, monkeypatch):
+    # the multiplicities are the only way relative_ext identifies a cokernel
+    from preproj import endo
+
+    atlas, rigids, _, _ = setup_a3
+    monkeypatch.setattr(endo, "_multiplicities", lambda *args: None)
+    with pytest.raises(IntegrityError):
+        relative_ext(atlas, rigids[0])
+
+
+def test_lemma37_lists_pairs_without_an_exact_orientation_in_row_major_order(setup_a3, monkeypatch):
+    # a pair fails when neither orientation has an exact class
+    from preproj import verify
+
+    atlas, rigids, _, _ = setup_a3
+    pairs = np.argwhere(np.triu(atlas.ext_table != 0, 1)).tolist()
+    dropped = [pairs[5], pairs[2]]
+
+    def relative(atlas, t):
+        rel = relative_ext(atlas, t)
+        for x, y in dropped:
+            rel[x, y] = rel[y, x] = 0
+        return rel
+
+    monkeypatch.setattr(verify, "relative_ext", relative)
+    report = verify.run_t_suites(("lemma37",), atlas, rigids, None, [3, 7])["lemma37"]
+    assert not report["passed"] and report["checks"] == 2 * len(pairs)
+    assert report["failures"] == [
+        {"pair": pair, "t_index": ti, "verdict": "NONE"} for ti in (3, 7) for pair in (pairs[2], pairs[5])
+    ]
 
 
 def _assert_associative(alg):
