@@ -4,21 +4,23 @@ Enumeration runs a closure from simples and projectives.  Each pass adds
 the summands of the radicals, syzygies and cosyzygies of the modules it
 has not yet seen, and of the middle terms of the basis classes of Ext^1
 between the modules known at its start.  It first grows the Hom and Ext
-tables to those modules by extensions.pair_tables, two ranks per new
-pair, and builds cocycles only for the new pairs with Ext^1 != 0; the
-last growth gives the atlas's tables.  Work is keyed by content, the
-dimension vector and matrix bytes: a module whose content was decomposed
-is not decomposed again, and a summand whose content was placed is not
-located again.  Then the pass asks for an Auslander-Reiten certificate
-(_certify_complete): the known modules are closed under tau = cosyzygy
-and under the almost split sequences, and their AR quiver is connected,
-so by Auslander's theorem they are all the indecomposables.  The pass
-hands the certificate what it computed (PassFacts): each visited module's
-cosyzygy, the Ext space of each visited pair and the summands of each
-decomposed module, so the certificate computes afresh only for the
-modules the pass added.  The closure stops at the first pass that
-certifies, and a pass that adds nothing without certifying is an error.
-Expected counts are asserted by callers, not used for termination.
+tables to those modules by one extensions.pair_tables call over the
+pairs with a new module, whose systems are scattered in one step and
+ranked in one stack per width, and builds cocycles only for the new
+pairs with Ext^1 != 0; the last growth gives the atlas's tables.  Work
+is keyed by content, the dimension vector and matrix bytes: a module
+whose content was decomposed is not decomposed again, and a summand
+whose content was placed is not located again.  Then the pass asks for
+an Auslander-Reiten certificate (_certify_complete): the known modules
+are closed under tau = cosyzygy and under the almost split sequences,
+and their AR quiver is connected, so by Auslander's theorem they are
+all the indecomposables.  The pass hands the certificate what it
+computed (PassFacts): each visited module's cosyzygy, the Ext space of
+each visited pair and the summands of each decomposed module, so the
+certificate computes afresh only for the modules the pass added.  The
+closure stops at the first pass that certifies, and a pass that adds
+nothing without certifying is an error.  Expected counts are asserted
+by callers, not used for termination.
 """
 
 from __future__ import annotations
@@ -375,8 +377,8 @@ def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
     """Run the closure of the module docstring, with its Hom and Ext tables.
 
     Each pass extends the tables to the modules known at its start, by
-    pair_tables of the new columns and then of the new rows, so every
-    ordered pair is ranked once.  Then, in row-major order, it builds the
+    one pair_tables call over old x new and new x all, so every ordered
+    pair is ranked once.  Then, in row-major order, it builds the
     cocycles of each pair not visited before whose ranked Ext^1 is nonzero
     (IntegrityError if the basis and the rank differ in length), absorbs
     the middle term of each basis class, and ends with _certify_complete,
@@ -425,12 +427,14 @@ def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
     homs = exts = np.zeros((0, 0), dtype=np.int64)
 
     def grow(n: int) -> None:
-        """Extend homs and exts to mods[:n] by pair_tables of the new
-        columns, then of the new rows: each ordered pair is ranked once."""
+        """Extend homs and exts to mods[:n] by one pair_tables call over
+        the pairs with a new module: each ordered pair is ranked once."""
         nonlocal homs, exts
         k = len(homs)
-        cols, rows = pair_tables(mods[:k], mods[k:n]), pair_tables(mods[k:n], mods[:n])
-        homs, exts = (np.block([[t, c], [r]]) for t, c, r in zip((homs, exts), cols, rows))
+        grown = pair_tables(mods[:n], mods[:n], k)
+        for new, old in zip(grown, (homs, exts)):
+            new[:k, :k] = old
+        homs, exts = grown
 
     while True:
         n0 = len(mods)

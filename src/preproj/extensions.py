@@ -18,21 +18,20 @@ exact under Hom(-, T), which endo.relative_ext reads from Hom dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError
 from .modules import (
     Representation,
-    ScatterPlan,
+    _before,
     _hom_system,
-    _map_offsets,
-    _scatter_plan,
+    _intertwiner_terms,
+    _terms,
     arrow_pairs,
     hom_basis,
     hom_dim,
-    intertwiner_system,
+    scatter_plans,
 )
 
 
@@ -63,14 +62,6 @@ class ExtSpace:
         return mats
 
 
-def _cocycle_columns(dq, x_dims, y_dims):
-    """Shapes and offsets for the stacked cocycle coordinate vector."""
-    shapes = [(y_dims[a.target - 1], x_dims[a.source - 1]) for a in dq.arrows]
-    sizes = [r * c for r, c in shapes]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    return shapes, offs
-
-
 def coboundary_echelon(x: Representation, y: Representation) -> tuple[np.ndarray, list[int]]:
     """(red, pivots): the nonzero rows and pivot columns of the reduced
     echelon form of the coboundaries of (x, y), in cocycle coordinates,
@@ -92,116 +83,125 @@ def _coboundary_residues(fld, echelon, vecs: np.ndarray) -> np.ndarray:
     return (vecs[free] - fld.mul(red[:, free].T, vecs[pivots])) % fld.p
 
 
-@lru_cache(maxsize=None)
-def _cocycle_plan(dq, x_dims: tuple, y_dims: tuple) -> ScatterPlan:
-    """ScatterPlan of _cocycle_condition, built on first use per (double
-    quiver, x dims, y dims), with X and Y the per-arrow matrices of x and y.
+def _cocycle_terms(dq, xd: np.ndarray, yd: np.ndarray) -> tuple:
+    """Shapes and scatter terms of the transposed _cocycle_condition for
+    the dimension vectors in the rows of xd and yd, vectorised over rows
+    and arrows; its shape is that of the pair's Hom system.
 
     Each arrow b: v -> w, with its partner b*: w -> v, gives the term
     sgn (Y_b* C_b + C_b* X_b) of the relation at v, sgn = +1 for a base
-    arrow and -1 for a starred one."""
-    _, offs = _cocycle_columns(dq, x_dims, y_dims)
-    # offsets of the arrow matrices of x and of y in their flat vectors
-    (_, xo), (_, yo) = _cocycle_columns(dq, x_dims, x_dims), _cocycle_columns(dq, y_dims, y_dims)
-    row0 = _map_offsets(x_dims, y_dims)  # the block of vertex v
-    x_terms, y_terms = [], []
-    for b, a in enumerate(dq.arrows):
-        v, w, pb = a.source - 1, a.target - 1, dq.partner[b]
-        xv, yv, xw, yw = x_dims[v], y_dims[v], x_dims[w], y_dims[w]
-        sgn = 1 if b < dq.n_base else -1
-        # row (i, j) of Y C is Σ_k Y[i, k] C[k, j], of C X is Σ_k C[i, k] X[k, j]
-        y_terms.append((yv, xv, yw, row0[v], offs[b], 0, 1, xv, yo[pb], yw, 0, 1, sgn))
-        x_terms.append((yv, xv, xw, row0[v], offs[pb], xw, 0, 1, xo[b], 0, 1, xv, sgn))
-    return _scatter_plan(row0[-1], offs[-1], x_terms, y_terms)
+    arrow and -1 for a starred one, where (Y_b* C_b)[i, j] is
+    Σ_k Y_b*[i, k] C_b[k, j] and (C_b* X_b)[i, j] is Σ_k C_b*[i, k] X_b[k, j].
+    In the transpose, the cell of condition row row0[v] + x_v i + j and
+    cocycle coordinate c is c * width + row0[v] + x_v i + j."""
+    v, w = np.array(arrow_pairs(dq)).T
+    pb, sgn = list(dq.partner), np.where(np.arange(len(v)) < dq.n_base, 1, -1)
+    sizes = xd * yd
+    width, row0 = sizes.sum(axis=1)[:, None], _before(sizes)[:, v]
+    xv, yv, xw, yw = xd[:, v], yd[:, v], xd[:, w], yd[:, w]
+    offs, xo, yo = _before(yw * xv) * width, _before(xw * xv), _before(yw * yv)  # offs: C_b starts, times width
+    y_side = (yv, xv, yw, offs + row0, xv, width + 1, xv * width, yo[:, pb], yw, 0, 1, sgn)
+    x_side = (yv, xv, xw, offs[:, pb] + row0, xw * width + xv, 1, width, xo, 0, 1, xv, sgn)
+    return np.stack([(yw * xv).sum(axis=1), width[:, 0]], axis=1), _terms(x_side, y_side)
 
 
 def _cocycle_condition(fld, dq, x_dims, y_dims, xs, ys) -> np.ndarray:
     """The cocycle condition of a pair (x, y), given by dimension vectors
     and per-arrow matrices flattened as Representation.flat holds them: a
-    matrix whose kernel is the cocycle space Z^1 in the stacked coordinates
-    of _cocycle_columns; the defining relation linearized at each vertex.
-
-    The entries are scattered by the cached _cocycle_plan.  xs and ys may
-    carry leading batch axes as in modules.ScatterPlan.apply: x stacked
-    as (kx, 1, n) against y as (1, ky, m) gives the conditions of all
-    kx * ky pairs, of shape (kx, ky, rows, columns)."""
-    return _cocycle_plan(dq, tuple(x_dims), tuple(y_dims)).apply(fld, xs, ys)
+    matrix whose kernel is the cocycle space Z^1 in the coordinates of the
+    C_a flattened row-major and stacked in arrow order; the defining
+    relation linearized at each vertex.  The entries are scattered by the
+    cached plan of _cocycle_terms."""
+    plan = scatter_plans([(_cocycle_terms, dq, tuple(x_dims), tuple(y_dims))])[0]
+    return np.ascontiguousarray(plan.apply(fld, xs, ys).T)
 
 
-# padded cells of one stacked rank in pair_tables: stacks of this size keep
-# the elimination's temporaries small; a larger matrix is ranked alone
-STACK_CELLS = 8192
+def _pair_systems(xs: list, ys: list, known: int) -> tuple:
+    """The Hom system and the transposed cocycle condition of each pair
+    (xs[i], ys[j]) outside the leading known x known block, scattered in
+    one step from the modules' concatenated Representation.flat into
+    zero-padded stacks.
+
+    Returns (i, j, shapes, stacks): the pairs, as two index arrays; the
+    shape of each system, the Hom systems of the pairs first, then their
+    cocycle conditions; and one (members, stack) per width, the stack of
+    the systems listed in members, zero rows padding each to the largest
+    height.  The plans of all the pairs' dimension vectors come from one
+    scatter_plans call."""
+    mods = xs + ys
+    ids: dict[tuple, int] = {}
+    group = np.array([ids.setdefault(m.dims, len(ids)) for m in mods])
+    dims, g = list(ids), len(ids)
+    i, j = np.nonzero((np.arange(len(xs)) >= known)[:, None] | (np.arange(len(ys)) >= known))
+    keys, key = np.unique(group[i] * g + group[len(xs) + j], return_inverse=True)
+    kinds = ((_intertwiner_terms, arrow_pairs(xs[0].dq)), (_cocycle_terms, xs[0].dq))
+    plans = scatter_plans([(*kind, dims[q // g], dims[q % g]) for kind in kinds for q in keys.tolist()])
+    plan = np.concatenate([key, key + len(keys)])  # of each system
+    shapes = np.array([p.shape for p in plans], dtype=np.int64)[plan]
+    # a stack per width, its systems in order, each padded to its height
+    order = np.argsort(shapes[:, 1], kind="stable")
+    widths, starts, counts = np.unique(shapes[order, 1], return_index=True, return_counts=True)
+    heights = np.maximum.reduceat(shapes[order, 0], starts)
+    cells = heights * widths  # of each padded system
+    firsts = np.cumsum(counts * cells) - counts * cells
+    base = np.empty(len(plan), dtype=np.int64)  # where each system starts
+    base[order] = np.repeat(firsts - starts * cells, counts) + np.arange(len(plan)) * np.repeat(cells, counts)
+    flat = np.concatenate([m.flat for m in mods])
+    lens = np.array([m.flat.size for m in mods])
+    begins = np.cumsum(lens) - lens  # where each module's entries start in flat
+    out = np.zeros(int((counts * cells).sum()), dtype=np.int64)
+    for side, owner in enumerate(begins[np.tile([i, len(xs) + j], 2)]):  # x's, then y's
+        # every entry of this side of every system, read off its plan
+        parts = [p.y if side else p.x for p in plans]
+        n = np.array([e.shape[1] for e in parts])
+        per = n[plan]
+        system = np.repeat(np.arange(len(plan)), per)
+        at = np.arange(len(system)) + np.repeat((np.cumsum(n) - n)[plan] - (np.cumsum(per) - per), per)
+        dst, src, sign = np.concatenate(parts, axis=1)[:, at]
+        vals = flat[owner[system] + src] * sign
+        if side:
+            out[base[system] + dst] += vals
+        else:
+            out[base[system] + dst] = vals
+    out %= xs[0].field.p
+    stacks = [
+        (order[s : s + c], out[f : f + c * h * w].reshape(c, h, w))
+        for s, c, f, h, w in zip(starts, counts, firsts, heights, widths)
+    ]
+    return i, j, shapes, stacks
 
 
-def _stacked_ranks(fld, mats) -> np.ndarray:
-    """Rank of each 2-D matrix in mats, from PrimeField.ranks on stacks of
-    matrices sorted by shape and zero-padded to a common shape of at most
-    STACK_CELLS cells in all.  Zero rows and columns leave a rank as it is."""
-    out = np.zeros(len(mats), dtype=np.int64)
-    order = sorted(range(len(mats)), key=lambda i: mats[i].shape)
-    start = 0
-    while start < len(order):
-        end, (r, c) = start + 1, mats[order[start]].shape
-        while end < len(order):
-            nr, nc = (max(u, v) for u, v in zip((r, c), mats[order[end]].shape))
-            if (end - start + 1) * nr * nc > STACK_CELLS:
-                break
-            end, r, c = end + 1, nr, nc
-        stack = np.zeros((end - start, r, c), dtype=np.int64)
-        for b, i in enumerate(order[start:end]):
-            m = mats[i]
-            stack[b, : m.shape[0], : m.shape[1]] = m
-        out[order[start:end]] = fld.ranks(stack)
-        start = end
-    return out
-
-
-def pair_tables(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+def pair_tables(xs, ys, known: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Tables (hom, ext) of dim Hom(x, y) and dim Ext^1(x, y) over x in xs
     and y in ys, int64 arrays of shape (len xs, len ys), from two ranks per
-    pair and no kernel.
+    pair and no kernel.  The pairs in the leading known x known block are
+    skipped and read zero: a closure pass that grows its tables from the
+    first known modules to all of them computes old x new and new x all in
+    one call.
 
     With r the rank of the Hom system, dim Hom = Σ_i x_i y_i - r.  The
     coboundaries are the image of that system (negated), so they have
     dimension r, and dim Ext^1 = dim Z^1 - r, where dim Z^1 is the corank
-    of the cocycle condition.  The modules are grouped by dimension vector;
-    each pair of groups builds both systems in one broadcast call, and all
-    the ranks come from _stacked_ranks."""
+    of the cocycle condition.  The condition is ranked transposed: its
+    shape is then that of the Hom system, whose Σ_i x_i y_i columns are
+    the elimination's steps.  Both systems of every pair come from one
+    scatter (_pair_systems) into stacks of one width, and each stack is
+    one PrimeField.ranks call."""
     xs, ys = list(xs), list(ys)
     hom = np.zeros((len(xs), len(ys)), dtype=np.int64)
     ext = np.zeros_like(hom)
-    if not xs or not ys:
+    if not xs or not ys or max(len(xs), len(ys)) <= known:
         return hom, ext
-    fld, dq = xs[0].field, xs[0].dq
-    if any(m.dq != dq for m in xs + ys):
+    if any(m.dq != xs[0].dq for m in xs + ys):
         raise InputError("representations live on different double quivers")
-
-    def groups(mods, axis):
-        """(dims, ids, Representation.flat stacked on the batch axis) per
-        dimension vector, in order of first appearance"""
-        ids: dict[tuple, list[int]] = {}
-        for i, m in enumerate(mods):
-            ids.setdefault(m.dims, []).append(i)
-        return [(dims, got, np.expand_dims(np.stack([mods[i].flat for i in got]), axis)) for dims, got in ids.items()]
-
-    mats, blocks = [], []
-    pairs = arrow_pairs(dq)
-    y_groups = groups(ys, 0)
-    for x_dims, ix, x_flat in groups(xs, 1):
-        for y_dims, iy, y_flat in y_groups:
-            system = intertwiner_system(fld, x_dims, y_dims, pairs, x_flat, y_flat)
-            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_flat, y_flat)
-            mats += list(system.reshape(len(ix) * len(iy), *system.shape[2:]))
-            mats += list(cond.reshape(len(ix) * len(iy), *cond.shape[2:]))
-            blocks.append((np.ix_(ix, iy), system.shape[-1], cond.shape[-1]))
-    ranks = _stacked_ranks(fld, mats)
-    start = 0
-    for cell, h_cols, z_cols in blocks:
-        n = 2 * cell[0].size * cell[1].size
-        r_h, r_c = ranks[start : start + n].reshape(2, cell[0].size, cell[1].size)
-        hom[cell] = h_cols - r_h
-        ext[cell] = z_cols - r_c - r_h
-        start += n
+    i, j, shapes, stacks = _pair_systems(xs, ys, known)
+    ranks = np.zeros(len(shapes), dtype=np.int64)
+    for members, stack in stacks:
+        if stack.size:
+            ranks[members] = xs[0].field.ranks(stack)
+    (r_h, r_c), (rows, width) = ranks.reshape(2, -1), shapes[: len(i)].T
+    hom[i, j] = width - r_h
+    ext[i, j] = rows - r_c - r_h
     return hom, ext
 
 
@@ -211,7 +211,8 @@ def ext1_cocycle(x: Representation, y: Representation) -> ExtSpace:
         raise InputError("representations live on different double quivers")
     fld = x.field
     dq = x.dq
-    shapes, offs = _cocycle_columns(dq, x.dims, y.dims)
+    shapes = [(y.dims[a.target - 1], x.dims[a.source - 1]) for a in dq.arrows]
+    offs = np.cumsum([0, *(r * c for r, c in shapes)])  # where each C_a starts
     z_basis = fld.kernel_basis(_cocycle_condition(fld, dq, x.dims, y.dims, x.flat, y.flat))
 
     # the pivot columns of the residues are the cocycles kept as class

@@ -10,6 +10,7 @@ arrow action; no map object is kept, only such tuples.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -118,87 +119,116 @@ def direct_sum(dq: DoubleQuiver, field: PrimeField, reps) -> Representation:
 # -- Hom spaces ---------------------------------------------------------
 
 
-def _map_offsets(x_dims, y_dims) -> list[int]:
-    """Offsets of the vertex maps k^x_i -> k^y_i in a stacked vector."""
-    offs = [0]
-    for xd, yd in zip(x_dims, y_dims):
-        offs.append(offs[-1] + yd * xd)
-    return offs
-
-
 class ScatterPlan:
     """Where the entries of two lists of matrices land in a linear system.
 
     Each cell of a system built from matrices X_1, X_2, ... and Y_1, Y_2,
     ... is zero, a signed entry of some X or Y, or, on a loop (s == t), the
-    sum of one of each.  Each side, a triple (destinations, sources, signs)
-    from _scatter_plan, lists the flat cell each entry of that side's
-    matrices lands in, its position in those matrices flattened row-major
-    and concatenated in order, and its sign.  Within one side no
+    sum of one of each.  Each side, an int64 array of rows (destinations,
+    sources, signs) from _scatter_plans, lists the flat cell each entry of
+    that side's matrices lands in, its position in those matrices flattened
+    row-major and concatenated in order, and its sign.  Within one side no
     destination repeats, so the X entries are placed and the Y entries
     added onto them.
     """
 
-    def __init__(self, rows: int, cols: int, x_side: tuple, y_side: tuple):
-        self.shape = (int(rows), int(cols))
+    def __init__(self, shape, x_side: np.ndarray, y_side: np.ndarray):
+        self.shape = (int(shape[0]), int(shape[1]))
         self.x, self.y = x_side, y_side
-        for a in (*x_side, *y_side):  # shared through the caches below
-            a.flags.writeable = False
 
     def apply(self, fld: PrimeField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The system of the flattened matrices xs and ys, reduced mod p.
-        Their leading batch axes broadcast: X stacked as (kx, 1, n) against
-        Y as (1, ky, m) gives the systems of all kx * ky pairs, of shape
-        (kx, ky, rows, columns)."""
-        batch = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-        out = np.zeros(batch + (self.shape[0] * self.shape[1],), dtype=np.int64)
+        """The system of the flattened matrices xs and ys, reduced mod p."""
+        out = np.zeros(self.shape[0] * self.shape[1], dtype=np.int64)
         dst, src, sign = self.x
-        out[..., dst] = xs[..., src] * sign
+        out[dst] = xs[src] * sign
         dst, src, sign = self.y
-        out[..., dst] += ys[..., src] * sign
-        out %= fld.p
-        return out.reshape(batch + self.shape)
+        out[dst] += ys[src] * sign
+        return (out % fld.p).reshape(self.shape)
 
 
-def _scatter_plan(rows: int, cols: int, x_terms: list, y_terms: list) -> ScatterPlan:
-    """A ScatterPlan from the terms of its X and Y sides.
+def _scatter_plans(groups: list) -> list[ScatterPlan]:
+    """The ScatterPlans of many systems from one vectorised pass over their
+    terms.  groups holds (shapes, terms) pairs as term generators return
+    them: shapes (K, 2), and terms (K, 2, T, 12), the X then the Y terms
+    of each of the K systems.
 
-    A term (I, J, K, row0, col0, ci, cj, ck, src0, si, sj, sk, sign)
-    places, for i < I, j < J and k < K, the entry at flat source position
-    src0 + si i + sj j + sk k of its side, times sign, in the cell of row
-    row0 + J i + j and column col0 + ci i + cj j + ck k."""
-    terms = np.array(x_terms + y_terms, dtype=np.int64).reshape(-1, 13)
-    I, J, K, row0, col0, ci, cj, ck, src0, si, sj, sk, sign = terms.T
-    # (offset, step in i, in j, in k) of the flat destination and source
-    coef = np.stack([[row0 * cols + col0, J * cols + ci, cols + cj, ck], [src0, si, sj, sk]])
-    counts = I * J * K
-    term = np.repeat(np.arange(len(terms)), counts)  # the term of each entry
-    q = np.arange(len(term)) - np.repeat(np.cumsum(counts) - counts, counts)
-    jk = (J * K)[term]
-    i, j, k = q // jk, q % jk // K[term], q % K[term]
-    c = coef[:, :, term]
-    dst, src = c[:, 0] + c[:, 1] * i + c[:, 2] * j + c[:, 3] * k
-    nx = int(counts[: len(x_terms)].sum())
-    sign = sign[term]
-    return ScatterPlan(rows, cols, (dst[:nx], src[:nx], sign[:nx]), (dst[nx:], src[nx:], sign[nx:]))
+    A term (I, J, K, dst0, di, dj, dk, src0, si, sj, sk, sign) places, for
+    i < I, j < J and k < K, the entry at flat source position
+    src0 + si i + sj j + sk k of its side, times sign, in the flat cell
+    dst0 + di i + dj j + dk k of the row-major system."""
+    t = np.concatenate([terms.reshape(-1, 12) for _, terms in groups]).T
+    counts = t[0] * t[1] * t[2]
+    term = np.repeat(np.arange(counts.size), counts)  # the term of each entry
+    q = np.arange(term.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    c = t[:, term]
+    ijk = np.stack([np.ones_like(q), q // (c[1] * c[2]), q // c[2] % c[1], q % c[2]])
+    entries = np.stack([(c[3:7] * ijk).sum(axis=0), (c[7:11] * ijk).sum(axis=0), c[11]])
+    entries.flags.writeable = False  # shared through the plan cache
+    # the entries of each system's X side, then of its Y side, are consecutive
+    sides = [(terms[..., 0] * terms[..., 1] * terms[..., 2]).sum(axis=2).ravel() for _, terms in groups]
+    cuts = np.concatenate([[0], np.cumsum(np.concatenate(sides))]).tolist()
+    shapes = np.concatenate([shapes for shapes, _ in groups])
+    return [
+        ScatterPlan(shape, entries[:, cuts[2 * k] : cuts[2 * k + 1]], entries[:, cuts[2 * k + 1] : cuts[2 * k + 2]])
+        for k, shape in enumerate(shapes)
+    ]
 
 
-@lru_cache(maxsize=None)
-def _intertwiner_plan(x_dims: tuple, y_dims: tuple, pairs: tuple) -> ScatterPlan:
-    """ScatterPlan of intertwiner_system for actions between the vertex
-    pairs (s, t), built on first use per (x dims, y dims, pairs) and kept:
-    a run meets few such keys (about 300 building the A4 atlas)."""
-    offs = _map_offsets(x_dims, y_dims)
-    x_terms, y_terms = [], []
-    r0 = xo = yo = 0
-    for s, t in pairs:
-        xs, xt, ys, yt = x_dims[s], x_dims[t], y_dims[s], y_dims[t]
-        # row (i, j) of f_t X_a is Σ_k f_t[i, k] X_a[k, j], of Y_a f_s is
-        # Σ_k Y_a[i, k] f_s[k, j]
-        x_terms.append((yt, xs, xt, r0, offs[t], xt, 0, 1, xo, 0, 1, xs, 1))
-        y_terms.append((yt, xs, ys, r0, offs[s], 0, 1, xs, yo, ys, 0, 1, -1))
-        r0, xo, yo = r0 + yt * xs, xo + xt * xs, yo + yt * ys
-    return _scatter_plan(r0, offs[-1], x_terms, y_terms)
+# (term generator, its argument, x dims, y dims) -> ScatterPlan
+_PLANS: dict = {}
+
+
+def scatter_plans(requests: list) -> list[ScatterPlan]:
+    """The ScatterPlan of each request (terms, arg, x dims, y dims): that of
+    the system whose shapes and terms terms(arg, X, Y) gives for the
+    dimension vectors stacked as rows of X and Y.  Plans are kept: a run
+    meets few keys (289 dimension pairs per system building the A4 atlas),
+    and every missing one is built in a single _scatter_plans pass."""
+    todo: dict[tuple, dict] = {}
+    for r in requests:
+        if r not in _PLANS:
+            todo.setdefault(r[:2], {})[r] = None
+    if todo:
+        groups = [gen(arg, np.array([r[2] for r in rs]), np.array([r[3] for r in rs])) for (gen, arg), rs in todo.items()]
+        _PLANS.update(zip((r for rs in todo.values() for r in rs), _scatter_plans(groups)))
+    return [_PLANS[r] for r in requests]
+
+
+scatter_plans.cache_clear = _PLANS.clear  # as on a functools cache
+
+
+def _before(cells: np.ndarray) -> np.ndarray:
+    """Where each block of a row of block sizes starts."""
+    return np.cumsum(cells, axis=1) - cells
+
+
+def _terms(x_side: tuple, y_side: tuple) -> np.ndarray:
+    """The (K, 2, T, 12) terms array of _scatter_plans from the twelve
+    fields of each side: scalars, and arrays that broadcast to the (K, T)
+    shape of the first."""
+    k, t = x_side[0].shape
+    out = np.empty((k, 2, t, 12), dtype=np.int64)
+    for side, fields in enumerate((x_side, y_side)):
+        for f, value in enumerate(fields):
+            out[:, side, :, f] = value
+    return out
+
+
+def _intertwiner_terms(pairs: tuple, xd: np.ndarray, yd: np.ndarray) -> tuple:
+    """Shapes and scatter terms of intertwiner_system for the dimension
+    vectors in the rows of xd and yd, vectorised over rows and actions.
+
+    Row (i, j) of f_t X_a is Σ_k f_t[i, k] X_a[k, j], of Y_a f_s is
+    Σ_k Y_a[i, k] f_s[k, j]; it is row x_s i + j of the block of a."""
+    s, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    sizes = xd * yd
+    width, offs = sizes.sum(axis=1)[:, None], _before(sizes)  # offs[:, v]: where f_v starts
+    xs, xt, ys, yt = xd[:, s], xd[:, t], yd[:, s], yd[:, t]
+    # the first cell of each block, and where X_a and Y_a start in xs and ys
+    first, xo, yo = _before(yt * xs) * width, _before(xt * xs), _before(yt * ys)
+    x_side = (yt, xs, xt, first + offs[:, t], xs * width + xt, width, 1, xo, 0, 1, xs, 1)
+    y_side = (yt, xs, ys, first + offs[:, s], xs * width, width + 1, xs, yo, ys, 0, 1, -1)
+    return np.stack([(yt * xs).sum(axis=1), width[:, 0]], axis=1), _terms(x_side, y_side)
 
 
 def intertwiner_system(fld: PrimeField, x_dims, y_dims, pairs, xs, ys) -> np.ndarray:
@@ -209,12 +239,13 @@ def intertwiner_system(fld: PrimeField, x_dims, y_dims, pairs, xs, ys) -> np.nda
     vertices (s, t) of each action a; the row blocks follow its order, an
     empty block for each action with y_t * x_s = 0.  xs and ys hold the X_a
     and the Y_a flattened row-major and concatenated in that order, as
-    Representation.flat holds a module's arrow matrices, with leading
-    batch axes as in ScatterPlan.apply.  The entries are scattered by the
-    cached _intertwiner_plan; on a loop (s == t) the cells (i, j), (i, j)
-    of f_t X_a and Y_a f_s coincide, and get the difference.
+    Representation.flat holds a module's arrow matrices.  The entries are
+    scattered by the cached plan of _intertwiner_terms; on a loop (s == t)
+    the cells (i, j), (i, j) of f_t X_a and Y_a f_s coincide, and get the
+    difference.
     """
-    return _intertwiner_plan(tuple(x_dims), tuple(y_dims), tuple(pairs)).apply(fld, xs, ys)
+    plan = scatter_plans([(_intertwiner_terms, tuple(pairs), tuple(x_dims), tuple(y_dims))])[0]
+    return plan.apply(fld, xs, ys)
 
 
 def arrow_pairs(dq: DoubleQuiver) -> tuple:
@@ -225,7 +256,7 @@ def arrow_pairs(dq: DoubleQuiver) -> tuple:
 def kernel_maps(fld: PrimeField, x_dims, y_dims, system: np.ndarray) -> list[tuple]:
     """Kernel basis of an intertwiner_system, one tuple of vertex maps per vector."""
     ker = fld.kernel_basis(system)
-    offs = _map_offsets(x_dims, y_dims)
+    offs = list(accumulate((xd * yd for xd, yd in zip(x_dims, y_dims)), initial=0))  # where each f_i starts
     return [
         tuple(
             ker[offs[i] : offs[i + 1], c].reshape(y_dims[i], x_dims[i])

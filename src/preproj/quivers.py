@@ -116,6 +116,7 @@ class DoubleQuiver:
         starred = tuple(Arrow(a.name + "*", a.target, a.source) for a in base.arrows)
         self.arrows: tuple[Arrow, ...] = base.arrows + starred
         self.partner = tuple(list(range(m, 2 * m)) + list(range(m)))
+        self._hash = hash(base)  # the base is frozen; plan caches hash dq often
         self._out = {v: [] for v in self.vertices}
         self._in = {v: [] for v in self.vertices}
         for k, a in enumerate(self.arrows):
@@ -132,7 +133,7 @@ class DoubleQuiver:
         return isinstance(other, DoubleQuiver) and other.base == self.base
 
     def __hash__(self):
-        return hash(self.base)
+        return self._hash
 
 
 def double(q: Quiver) -> DoubleQuiver:

@@ -293,8 +293,9 @@ def test_uncertified_closure_raises(monkeypatch):
 
 def _count_calls(monkeypatch, names) -> dict:
     """Count the calls of the named functions through every binding of
-    them in atlas, modules and extensions, and of PrimeField.rref."""
-    calls = dict.fromkeys([*names, "rref"], 0)
+    them in atlas, modules and extensions, and of PrimeField.rref and
+    PrimeField.ranks."""
+    calls = dict.fromkeys([*names, "rref", "ranks"], 0)
     for mod in (atlas_mod, modules_mod, extensions_mod):
         for name in names:
             real = getattr(mod, name, None)
@@ -306,13 +307,13 @@ def _count_calls(monkeypatch, names) -> dict:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, counted)
-    real_rref = PrimeField.rref
+    for method in ("rref", "ranks"):
 
-    def rref(self, *args, **kwargs):
-        calls["rref"] += 1
-        return real_rref(self, *args, **kwargs)
+        def counted(self, *args, _name=method, _real=getattr(PrimeField, method), **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
 
-    monkeypatch.setattr(PrimeField, "rref", rref)
+        monkeypatch.setattr(PrimeField, method, counted)
     return calls
 
 
@@ -354,8 +355,15 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
     # cosyzygies, Ext spaces and decompositions: 215 decompositions, 703
     # Hom bases, 389 isomorphism tests, 63 cosyzygies and 8,430 rrefs before
     # those reuses; 5,611 rrefs before cocycles waited for the ranks and
-    # projectives were built once per basis
-    names = ["build_extension", "ext1_cocycle", "decompose", "hom_basis", "is_isomorphic", "cosyzygy"]
+    # projectives were built once per basis.  From cold plan caches, the
+    # three growths of the tables each build the scatter plans of all their
+    # new dimension-vector pairs in one call, and 44 keys are met first
+    # one at a time by hom_basis and ext1_cocycle (9 of them outside the
+    # atlas's dimension vectors): 587 single builds before.  The growths
+    # rank both systems of all their pairs in 26 stacks, where 29 stacks
+    # of padded shapes took two calls per growth
+    names = ["build_extension", "ext1_cocycle", "decompose", "hom_basis", "is_isomorphic", "cosyzygy", "_scatter_plans"]
+    modules_mod.scatter_plans.cache_clear()
     calls = _count_calls(monkeypatch, names)
     classes = _record_classes(monkeypatch)
     built = enumerate_indecomposables("A4", PrimeField(32003))
@@ -369,7 +377,20 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
     assert calls["is_isomorphic"] <= 179
     assert calls["cosyzygy"] <= 40
     assert calls["rref"] <= 4445
+    assert calls["_scatter_plans"] <= 3 + 44
+    assert calls["ranks"] <= 26
     assert compare_atlases(built, shared_atlas("A4")) == []
+
+
+def test_gamma_after_the_a3_closure_builds_no_scatter_plan(monkeypatch):
+    # the closure's last growth plans the Hom system of every pair of atlas
+    # dimension vectors, so the Hom bases of gamma find their plans built
+    modules_mod.scatter_plans.cache_clear()
+    built = enumerate_indecomposables("A3", PrimeField(32003))
+    calls = _count_calls(monkeypatch, ["_scatter_plans"])
+    gamma = built.gamma()
+    assert calls["_scatter_plans"] == 0
+    assert np.array_equal(gamma.consts, shared_atlas("A3").gamma().consts)
 
 
 @pytest.mark.parametrize("p", [32003, 101])
@@ -397,21 +418,22 @@ def test_certificate_verdict_does_not_depend_on_the_passes_facts(qtype, p, monke
 def test_closure_ext_is_checked_against_ranks(monkeypatch):
     # a visited pair whose recorded Ext disagrees with pair_tables is refused
     real = atlas_mod.pair_tables
-    monkeypatch.setattr(atlas_mod, "pair_tables", lambda xs, ys: (real(xs, ys)[0], np.full((len(xs), len(ys)), 99)))
+    monkeypatch.setattr(atlas_mod, "pair_tables", lambda xs, ys, known=0: (real(xs, ys, known)[0], np.full((len(xs), len(ys)), 99)))
     with pytest.raises(IntegrityError):
         enumerate_indecomposables("A2", PrimeField(32003))
 
 
 def test_closure_ranks_each_pair_once_and_builds_cocycles_only_where_ext_is_nonzero(monkeypatch):
-    # the passes grow the tables through pair_tables, new columns then new
-    # rows, so every ordered pair is ranked once and the last growth is the
-    # atlas's table; an ExtSpace is built only for a pair ranked nonzero
+    # the passes grow the tables through one pair_tables call each over
+    # the pairs with a new module, so every ordered pair is ranked once and
+    # the last growth is the atlas's table; an ExtSpace is built only for a
+    # pair ranked nonzero
     real_tables, real_certify = atlas_mod.pair_tables, atlas_mod._certify_complete
     ranked, certified = collections.Counter(), []
 
-    def tables(xs, ys):
-        ranked.update((id(x), id(y)) for x in xs for y in ys)
-        return real_tables(xs, ys)
+    def tables(xs, ys, known=0):
+        ranked.update((id(x), id(y)) for i, x in enumerate(xs) for j, y in enumerate(ys) if max(i, j) >= known)
+        return real_tables(xs, ys, known)
 
     def certify(mods, basis, facts=None):
         certified.append((list(mods), facts))

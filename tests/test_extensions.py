@@ -3,6 +3,7 @@ import numpy as np
 from preproj.atlas import enumerate_indecomposables
 from preproj.extensions import (
     _cocycle_condition,
+    _pair_systems,
     build_extension,
     ext1_cocycle,
     is_hom_exact,
@@ -17,8 +18,8 @@ from preproj.modules import (
     direct_sum,
     hom_basis,
     hom_dim,
-    intertwiner_system,
     is_isomorphic,
+    scatter_plans,
     zero_rep,
 )
 from tests.conftest import shared_atlas
@@ -93,6 +94,24 @@ def test_pair_tables_match_hom_basis_and_cocycles(atlas_a3, atlas_a4):
     assert np.array_equal(hom, want[0]) and np.array_equal(ext, want[1])
 
 
+def test_pair_tables_of_one_growth_match_hom_basis_and_cocycles(atlas_a3, atlas_a4):
+    # one closure growth from the first known modules to all of them:
+    # old x new and new x all in one call, the known x known block zero;
+    # from cold plan caches the tables are the same
+    a4, fld, dq = atlas_a4.modules, atlas_a4.field, atlas_a4.dq
+    picked = [a4[i] for i in (0, 39, 17, 23)] + [zero_rep(dq, fld), a4[30], direct_sum(dq, fld, [a4[3], a4[20]]), a4[12]]
+    cases = [(atlas_a3.modules, atlas_a3.modules, k) for k in (0, 5, 11, 12)]
+    cases += [(picked, picked, 4), (picked, picked, 7), (picked[:6], picked, 5)]
+    for xs, ys, known in cases:
+        got = pair_tables(xs, ys, known)
+        old = np.zeros((len(xs), len(ys)), dtype=bool)
+        old[:known, :known] = True
+        for table, want in zip(got, _per_pair_tables(xs, ys)):
+            assert np.array_equal(table, np.where(old, 0, want))
+        scatter_plans.cache_clear()
+        assert all(np.array_equal(a, b) for a, b in zip(pair_tables(xs, ys, known), got))
+
+
 def test_pair_tables_match_the_a4_atlas_at_p11():
     atlas = enumerate_indecomposables("A4", PrimeField(11))
     mods = atlas.modules
@@ -104,10 +123,11 @@ def test_pair_tables_match_the_a4_atlas_at_p11():
 
 def test_stacked_systems_match_single_pair_builds():
     # the planned builders against the broadcasting oracles, for every pair
-    # of atlas modules of A2, A3 and A4: one pair at a time, and with the
-    # modules of one dimension vector stacked as (kx, 1, ...) against
-    # (1, ky, ...), as pair_tables stacks them; a 2-D y against a stacked x
-    # broadcasts too
+    # of atlas modules of A2, A3 and A4: one pair at a time, and as
+    # pair_tables scatters them into its stacks for the modules of one
+    # dimension vector against those of another, compared with the
+    # oracles stacked as (kx, 1, ...) against (1, ky, ...); one y against
+    # a stacked x too
     for qtype in ("A2", "A3", "A4"):
         _check_planned_systems(shared_atlas(qtype))
     assert max(len(g) for g in _dims_groups(shared_atlas("A4")).values()) > 1
@@ -118,6 +138,22 @@ def _dims_groups(atlas) -> dict:
     for m in atlas.modules:
         groups.setdefault(m.dims, []).append(m)
     return groups
+
+
+def _scattered_systems(xs, ys):
+    """The Hom systems and cocycle conditions _pair_systems scatters for
+    all of xs x ys, modules of one dimension vector each, as arrays of
+    shape (len xs, len ys, rows, columns); each stack's padding is zero."""
+    i, _, shapes, stacks = _pair_systems(list(xs), list(ys), 0)
+    mats = [None] * len(shapes)
+    for members, stack in stacks:
+        for m, padded in zip(members, stack):
+            assert not padded[shapes[m][0] :].any()
+            mats[m] = padded[: shapes[m][0]]
+    rows, cols = shapes[0]
+    hom = np.array(mats[: len(i)]).reshape(len(xs), len(ys), rows, cols)
+    cond = np.array([m.T for m in mats[len(i) :]]).reshape(len(xs), len(ys), cols, rows)
+    return hom, cond
 
 
 def _check_planned_systems(atlas):
@@ -131,10 +167,8 @@ def _check_planned_systems(atlas):
         assert np.array_equal(x_flat, flat_matrices(x_mats))
         for y_dims, gy in groups.items():
             y_mats = [np.stack([y.mats[k] for y in gy])[None] for k in arrows]
-            y_flat = np.stack([y.flat for y in gy])[None]
             actions = [(s, t, x_mats[k], y_mats[k]) for k, (s, t) in enumerate(pairs)]
-            system = intertwiner_system(fld, x_dims, y_dims, pairs, x_flat, y_flat)
-            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_flat, y_flat)
+            system, cond = _scattered_systems(gx, gy)
             assert system.shape[:2] == cond.shape[:2] == (len(gx), len(gy))
             assert np.array_equal(system, broadcast_intertwiner_system(fld, x_dims, y_dims, actions))
             assert np.array_equal(cond, broadcast_cocycle_condition(fld, dq, x_dims, y_dims, x_mats, y_mats))
@@ -147,7 +181,7 @@ def _check_planned_systems(atlas):
                     assert np.array_equal(cond[i, j], one)
                     assert np.array_equal(one, broadcast_cocycle_condition(fld, dq, x.dims, y.dims, x.mats, y.mats))
             y = gy[0]
-            cond = _cocycle_condition(fld, dq, x_dims, y_dims, x_flat[:, 0], y.flat)
+            cond = _scattered_systems(gx, [y])[1][:, 0]
             assert cond.shape[0] == len(gx)
             assert np.array_equal(cond, broadcast_cocycle_condition(fld, dq, x_dims, y_dims, [m[:, 0] for m in x_mats], y.mats))
 
