@@ -9,8 +9,9 @@ pairs with a new module, whose systems are scattered in one step and
 ranked in one stack per width, and builds cocycles only for the new
 pairs with Ext^1 != 0; the last growth gives the atlas's tables.  Work
 is keyed by content, the dimension vector and matrix bytes: a module
-whose content was decomposed is not decomposed again, and a summand
-whose content was placed is not located again.  Then the pass asks for
+whose content was decomposed is not decomposed again, a piece whose
+content several decompositions meet is split once, and a summand whose
+content was placed is not located again.  Then the pass asks for
 an Auslander-Reiten certificate (_certify_complete): the known modules
 are closed under tau = cosyzygy and under the almost split sequences,
 and their AR quiver is connected, so by Auslander's theorem they are
@@ -36,6 +37,8 @@ from .linalg import PrimeField
 from .extensions import ExtSpace, build_extension, ext1_cocycle, pair_tables, pullback_matrix
 from .modules import (
     Representation,
+    _intertwiner_terms,
+    arrow_pairs,
     cosyzygy,
     decompose,
     hom_basis,
@@ -43,6 +46,7 @@ from .modules import (
     local_basis,
     projective_module,
     radical,
+    scatter_plans,
     simple,
     socle_dims,
     syzygy,
@@ -127,10 +131,14 @@ class Atlas:
         vertex maps zero-padded to one square so that all products g o f are
         one einsum.  Those of each pair (i, k), over every middle module j,
         are one solve against hom_basis(i, k) on rows where it is independent,
-        checked on all rows: IntegrityError if a composite leaves Hom(i, k)."""
+        checked on all rows: IntegrityError if a composite leaves Hom(i, k).
+        The Hom systems of all pairs of dimension vectors are planned in one
+        scatter_plans call first."""
         if self._gamma is not None:
             return self._gamma
         fld, n, nv = self.field, self.size, self.dq.nv
+        vectors = sorted({m.dims for m in self.modules})
+        scatter_plans([(_intertwiner_terms, arrow_pairs(self.dq), x, y) for x in vectors for y in vectors])
         sizes = self.hom_table.ravel()
         firsts = np.cumsum(sizes) - sizes
         block = np.repeat(np.arange(n * n), sizes)  # j * n + k for an element of Hom(j, k)
@@ -260,8 +268,9 @@ class Atlas:
 
 def _iso_key(m: Representation) -> tuple:
     """Isomorphism invariants: dimension vector, dim End and the rank of each
-    arrow matrix.  The closure seeks isomorphisms only within one key."""
-    return (m.dims, m.end_dim, tuple(m.field.rank(a) for a in m.mats))
+    arrow matrix, each computed once per module.  The closure seeks
+    isomorphisms only within one key."""
+    return (m.dims, m.end_dim, m.arrow_ranks)
 
 
 def _locate(mods: list, quick: dict, c: Representation) -> int | None:
@@ -272,12 +281,6 @@ def _locate(mods: list, quick: dict, c: Representation) -> int | None:
         if is_isomorphic(mods[mid], c):
             return mid
     return None
-
-
-def _content(m: Representation) -> tuple:
-    """The content of a module: its dimension vector and matrix bytes.
-    Equal content means equal matrices, not only isomorphic modules."""
-    return (m.dims, m.flat.tobytes())
 
 
 def _ar_socle(space: ExtSpace) -> np.ndarray:
@@ -291,14 +294,17 @@ def _ar_socle(space: ExtSpace) -> np.ndarray:
 class PassFacts:
     """What the closure's passes computed, handed to _certify_complete.
 
-    summands maps the _content of each module a pass decomposed to its
+    summands maps the content of each module a pass decomposed to its
     summands, as (id in mods, multiplicity) pairs, with id None for a
-    summand the closure did not place; tau maps the id of each module a
-    unary step visited to the cosyzygy it computed; spaces maps each
-    visited pair (i, j) with Ext^1 != 0 to the ExtSpace of (mods[i],
-    mods[j]); a pair missing from it had Ext^1 = 0 or was not visited."""
+    summand the closure did not place; pieces is the memo of decompose,
+    the indecomposable pieces of every content split so far; tau maps
+    the id of each module a unary step visited to the cosyzygy it
+    computed; spaces maps each visited pair (i, j) with Ext^1 != 0 to the
+    ExtSpace of (mods[i], mods[j]); a pair missing from it had Ext^1 = 0
+    or was not visited."""
 
     summands: dict = dc_field(default_factory=dict)
+    pieces: dict = dc_field(default_factory=dict)
     tau: dict = dc_field(default_factory=dict)
     spaces: dict = dc_field(default_factory=dict)
 
@@ -323,8 +329,9 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, facts: PassFacts | 
     to isomorphism, hence the verdict, are those of tau M itself, and the
     passes have built most of these spaces already.  With facts (PassFacts)
     the certificate reuses the passes' cosyzygies, Ext spaces and the
-    summands of every module whose content they decomposed; it computes
-    only the rest, in practice for the modules the last pass added.
+    summands of every module whose content they decomposed, and shares
+    their decompose memo; it computes only the rest, in practice for the
+    modules the last pass added.
     Without facts it computes everything.
     """
     facts = facts or PassFacts()
@@ -332,19 +339,19 @@ def _certify_complete(mods: list, basis: PreprojectiveBasis, facts: PassFacts | 
     for mid, m in enumerate(mods):
         quick.setdefault(_iso_key(m), []).append(mid)
 
-    def summands(rep) -> list:
-        """(id in mods or None, multiplicity) per summand of rep."""
-        got = facts.summands.get(_content(rep))
-        if got is None:
-            got = [(_locate(mods, quick, piece), mult) for piece, mult in decompose(rep)]
-        return got
-
     def located(rep) -> int | None:
-        """Id of the module of mods isomorphic to rep, or None."""
-        got = facts.summands.get(_content(rep))
+        """Id of the module of mods isomorphic to the indecomposable rep, or None."""
+        got = facts.summands.get(rep.content)
         if got is None:
             return _locate(mods, quick, rep)
         return got[0][0] if len(got) == 1 and got[0][1] == 1 else None
+
+    def summands(rep) -> list:
+        """(id in mods or None, multiplicity) per summand of rep."""
+        got = facts.summands.get(rep.content)
+        if got is None:
+            got = [(located(piece), mult) for piece, mult in decompose(rep, facts.pieces)]
+        return got
 
     tau: dict[int, int] = {}
     links = []  # AR quiver arrows, undirected
@@ -400,7 +407,7 @@ def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
     def place(c: Representation) -> int | None:
         """Id of c in mods, adding c unless an isomorphic module is known;
         None if c exceeds the cap."""
-        key = _content(c)
+        key = c.content
         if key not in known:
             mid = None
             if c.total_dim <= cap:
@@ -415,9 +422,9 @@ def enumerate_indecomposables(qtype: str, field: PrimeField) -> Atlas:
     def absorb(rep: Representation) -> None:
         """Decompose rep, unless a module of its content was, and place
         each summand."""
-        key = _content(rep)
+        key = rep.content
         if key not in known:
-            known[key] = [(place(piece), mult) for piece, mult in decompose(rep)]
+            known[key] = [(place(piece), mult) for piece, mult in decompose(rep, facts.pieces)]
 
     for v in dq.vertices:
         place(simple(dq, field, v))

@@ -61,6 +61,8 @@ class PrimeField:
             raise InputError("p = 2 is not supported (root extraction needs odd p)")
         self.p = p
         self._inv_cache: dict[int, int] = {}
+        # minimal polynomial -> its coprime_factors, as tuples
+        self._factor_cache: dict[tuple, tuple] = {}
         # largest inner dimension k of a product whose sums of k terms below
         # (p - 1)**2 stay under 2**63 in int64
         self._max_inner = (2**63 - 1) // (p - 1) ** 2
@@ -98,16 +100,15 @@ class PrimeField:
         return np.eye(n, dtype=np.int64)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product mod p.  Raises FieldSizeError unless the inner
+        """Matrix product mod p, or the products of two stacks of matrices,
+        broadcast as matmul does.  Raises FieldSizeError unless the inner
         dimension k keeps (p - 1)**2 * k below 2**63."""
-        if a.shape[1] != b.shape[0]:
+        if a.shape[-1] != b.shape[-2]:
             raise InputError(f"shape mismatch in product: {a.shape} @ {b.shape}")
-        if a.shape[1] > self._max_inner:
+        if a.shape[-1] > self._max_inner:
             raise FieldSizeError(
-                f"p = {self.p} too large for exact int64 products of inner dimension {a.shape[1]}"
+                f"p = {self.p} too large for exact int64 products of inner dimension {a.shape[-1]}"
             )
-        if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-            return self.zeros(a.shape[0], b.shape[1])
         return (a @ b) % self.p
 
     # -- elimination ---------------------------------------------------
@@ -330,10 +331,11 @@ class PrimeField:
     def poly_eval_matrix(self, f: list[int], e: np.ndarray) -> np.ndarray:
         out = self.zeros(e.shape[0], e.shape[0])
         power = self.eye(e.shape[0])
-        for c in f:
+        for k, c in enumerate(f):
+            if k:
+                power = self.mul(power, e)
             if c:
                 out = (out + c * power) % self.p
-            power = self.mul(power, e)
         return out
 
     def minimal_polynomial(self, e: np.ndarray) -> list[int]:
@@ -417,15 +419,20 @@ class PrimeField:
         factor per residual degree >= 2: the product of the irreducible
         factors of that degree, not separated further.  The generalized
         kernels of the factors split the space into e-invariant pieces.
+        Each distinct minimal polynomial is factored once per field; every
+        call returns new lists.
         """
-        factors: list[list[int]] = []
-        sf = self.squarefree_part(self.minimal_polynomial(e))
-        for d, part in self.distinct_degree_split(sf):
-            if d == 1:
-                factors.extend([-lam % self.p, 1] for lam in self.roots_of_split_poly(part))
-            else:
-                factors.append(part)
-        return factors
+        mu = tuple(self.minimal_polynomial(e))
+        factors = self._factor_cache.get(mu)
+        if factors is None:
+            factors = []
+            for d, part in self.distinct_degree_split(self.squarefree_part(list(mu))):
+                if d == 1:
+                    factors.extend((-lam % self.p, 1) for lam in self.roots_of_split_poly(part))
+                else:
+                    factors.append(tuple(part))
+            factors = self._factor_cache[mu] = tuple(factors)
+        return [list(f) for f in factors]
 
     # -- radical of a matrix algebra ------------------------------------
 

@@ -32,20 +32,19 @@ class Representation:
             raise InputError("negative dimension")
         if len(mats) != len(dq.arrows):
             raise InputError("one matrix per double-quiver arrow required")
-        fixed = []
-        for k, a in enumerate(dq.arrows):
-            m = np.asarray(mats[k], dtype=np.int64) % field.p
+        mats = [np.asarray(m, dtype=np.int64) for m in mats]
+        for a, m in zip(dq.arrows, mats):
             want = (self.dims[a.target - 1], self.dims[a.source - 1])
             if m.shape != want:
                 raise InputError(f"matrix for {a.name} has shape {m.shape}, want {want}")
-            m.flags.writeable = False
-            fixed.append(m)
-        self.mats = tuple(fixed)
         # the matrices flattened row-major and concatenated in arrow order:
-        # the entries the linear systems of modules scatter
-        self.flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [m.reshape(-1) for m in fixed])
+        # the entries the linear systems of modules scatter; the read-only
+        # arrow matrices are views of it
+        self.flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [m.reshape(-1) for m in mats]) % field.p
         self.flat.flags.writeable = False
-        self._end_dim = None
+        cuts = list(accumulate((m.size for m in mats), initial=0))
+        self.mats = tuple(self.flat[lo:hi].reshape(m.shape) for lo, hi, m in zip(cuts, cuts[1:], mats))
+        self._end_basis = self._arrow_ranks = None
         if validate and not check_relations(self):
             raise InputError("matrices violate the defining relation")
 
@@ -54,33 +53,46 @@ class Representation:
         return sum(self.dims)
 
     @property
+    def content(self) -> tuple:
+        """The dimension vector and matrix bytes.  Equal content means equal
+        matrices, not only isomorphic modules."""
+        return (self.dims, self.flat.tobytes())
+
+    @property
+    def end_basis(self) -> list[tuple]:
+        """hom_basis(self, self), computed once, as the matrices are
+        read-only; callers share the list and do not modify it."""
+        if self._end_basis is None:
+            self._end_basis = hom_basis(self, self)
+        return self._end_basis
+
+    @property
     def end_dim(self) -> int:
-        """dim End(self), computed once: the matrices are read-only."""
-        if self._end_dim is None:
-            self._end_dim = hom_dim(self, self)
-        return self._end_dim
+        """dim End(self), the length of end_basis."""
+        return len(self.end_basis)
+
+    @property
+    def arrow_ranks(self) -> tuple[int, ...]:
+        """The rank of each arrow matrix, computed once."""
+        if self._arrow_ranks is None:
+            self._arrow_ranks = tuple(self.field.rank(m) for m in self.mats)
+        return self._arrow_ranks
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
 
 
-def relation_defect(rep: Representation, v: int) -> np.ndarray:
-    """Value of the defining relation at vertex v (a d_v x d_v matrix)."""
-    dq, fld = rep.dq, rep.field
-    d = rep.dims[v - 1]
-    out = fld.zeros(d, d)
-    for k in range(dq.n_base):
-        a = dq.arrows[k]
-        ks = dq.partner[k]
-        if a.source == v:
-            out = (out + fld.mul(rep.mats[ks], rep.mats[k])) % fld.p
-        if a.target == v:
-            out = (out - fld.mul(rep.mats[k], rep.mats[ks])) % fld.p
-    return out
-
-
 def check_relations(rep: Representation) -> bool:
-    return all(not np.any(relation_defect(rep, v)) for v in rep.dq.vertices)
+    """Whether the defining relation holds: at each vertex v, the sum of
+    a* a over the base arrows a out of v minus that of a a* over the base
+    arrows into v is zero.  One pass over the base arrows."""
+    dq, fld = rep.dq, rep.field
+    defect = [fld.zeros(d, d) for d in rep.dims]
+    for k in range(dq.n_base):
+        a, ks = dq.arrows[k], dq.partner[k]
+        defect[a.source - 1] += fld.mul(rep.mats[ks], rep.mats[k])
+        defect[a.target - 1] -= fld.mul(rep.mats[k], rep.mats[ks])
+    return not any(np.any(d % fld.p) for d in defect)
 
 
 def zero_rep(dq: DoubleQuiver, field: PrimeField) -> Representation:
@@ -291,7 +303,7 @@ def local_basis(m: Representation) -> list[tuple]:
     End(m) is local, so the shift must leave it nilpotent (IntegrityError
     if not) and the elements after the identity span rad End(m)."""
     fld = m.field
-    found = hom_basis(m, m)
+    found = m.end_basis
     ident = tuple(fld.eye(d) for d in m.dims)
     # column c of [identity | found...] is a pivot iff it is outside the
     # span of the columns before it
@@ -317,20 +329,35 @@ def hom_dim(x: Representation, y: Representation) -> int:
 # -- subquotients -------------------------------------------------------
 
 
+def _unit_rows(basis: np.ndarray) -> np.ndarray:
+    """For each column of basis, the first row that is the unit vector of
+    that column; InputError if some column has none."""
+    if not basis.shape[1]:
+        return np.zeros(0, dtype=np.intp)
+    units = (basis == 1) & (np.count_nonzero(basis, axis=1) == 1)[:, None]
+    if not units.any(axis=0).all():
+        raise InputError("a basis has no unit row for some column")
+    return units.argmax(axis=0)
+
+
 def sub_representation(rep: Representation, vertex_bases) -> Representation:
-    """Restrict to the invariant subspace spanned by the given vertex bases."""
+    """Restrict to the invariant subspace spanned by the columns of the
+    vertex bases.  Each basis must be in echelon form, as kernel_basis
+    columns and transposed rref rows are: for each of its columns some row
+    is the unit vector of that column.  The coordinates of a vector of the
+    span are its entries on those rows, and one product per arrow checks
+    that the image of the span lies in it.  InputError if a basis has no
+    such rows or the subspace is not invariant."""
     fld = rep.field
-    dq = rep.dq
-    dims = tuple(b.shape[1] for b in vertex_bases)
+    units = [_unit_rows(b) for b in vertex_bases]
     mats = []
-    for k, a in enumerate(dq.arrows):
-        s, t = a.source - 1, a.target - 1
+    for k, (s, t) in enumerate(arrow_pairs(rep.dq)):
         img = fld.mul(rep.mats[k], vertex_bases[s])
-        coords = fld.solve(vertex_bases[t], img)
-        if coords is None:
+        coords = img[units[t]]
+        if (fld.mul(vertex_bases[t], coords) != img).any():
             raise InputError("subspaces are not invariant under the arrow action")
         mats.append(coords)
-    return Representation(dq, fld, dims, mats, validate=False)
+    return Representation(rep.dq, fld, tuple(b.shape[1] for b in vertex_bases), mats, validate=False)
 
 
 def _incoming(rep: Representation, i: int) -> np.ndarray:
@@ -397,21 +424,12 @@ def projective_module(basis: PreprojectiveBasis, i: int) -> Representation:
     return rep
 
 
-def path_action(rep: Representation, path: tuple[int, ...], v_start: int) -> np.ndarray:
-    """Matrix of a path acting on rep, from the component of its source vertex."""
-    fld = rep.field
-    dq = rep.dq
-    out = fld.eye(rep.dims[v_start - 1])
-    v = v_start
-    for k in path:
-        out = fld.mul(rep.mats[k], out)
-        v = dq.arrows[k].target
-    return out
-
-
 def projective_cover(rep: Representation, basis: PreprojectiveBasis) -> tuple[Representation, tuple]:
     """Minimal projective cover P -> rep via lifts of a basis of the top:
-    the module P and the vertex maps of the cover."""
+    the module P and the vertex maps of the cover.  The generator of the
+    summand P_v of a lift at v goes to the lift, and each basis path w
+    from v to the path's action on it, built arrow by arrow from the
+    action of w's prefix, which the lift's other paths share."""
     fld = rep.field
     dq = rep.dq
     # standard-coordinate lifts of the top: the coordinates left free by
@@ -427,14 +445,18 @@ def projective_cover(rep: Representation, basis: PreprojectiveBasis) -> tuple[Re
     summands = [projective_module(basis, v) for v, _ in lifts]
     cover_rep = direct_sum(dq, fld, summands)
     cols = {j: [] for j in dq.vertices}
-    for (v, vec), proj in zip(lifts, summands):
+    for v, vec in lifts:
+        images = {(): vec}  # path -> its action on vec
+
+        def image(w: tuple) -> np.ndarray:
+            if w not in images:
+                images[w] = fld.mul(rep.mats[w[-1]], image(w[:-1]))
+            return images[w]
+
         comps = basis.classes_from(v)
         for j in dq.vertices:
-            block = fld.zeros(rep.dims[j - 1], len(comps[j]))
-            for col, (deg, pos) in enumerate(comps[j]):
-                w = basis.basis_paths[deg][(v, j)][pos]
-                block[:, col : col + 1] = fld.mul(path_action(rep, w, v), vec)
-            cols[j].append(block)
+            ws = [basis.basis_paths[deg][(v, j)][pos] for deg, pos in comps[j]]
+            cols[j].append(np.concatenate([image(w) for w in ws], axis=1) if ws else fld.zeros(rep.dims[j - 1], 0))
     mats = tuple(
         np.concatenate(cols[j], axis=1) if cols[j] else fld.zeros(rep.dims[j - 1], 0)
         for j in dq.vertices
@@ -494,73 +516,80 @@ def is_isomorphic(x: Representation, y: Representation) -> bool:
 
 
 def _stable_power(fld: PrimeField, m: np.ndarray) -> np.ndarray:
-    """m^(2^k) for the least 2^k >= size of m: its kernel is the generalized
-    kernel of m, and it is zero exactly when m is nilpotent."""
-    for _ in range(max(m.shape[0] - 1, 0).bit_length()):
+    """m^(2^k) for the least 2^k >= size of m, also of a stack of square
+    matrices: its kernel is the generalized kernel of m, and it is zero
+    exactly when m is nilpotent."""
+    for _ in range(max(m.shape[-1] - 1, 0).bit_length()):
         m = fld.mul(m, m)
     return m
 
 
 def block_diagonal(rep: Representation, vertex_mats) -> np.ndarray:
     """An endomorphism of rep as one total_dim square matrix, its vertex
-    maps on the diagonal blocks in vertex order."""
-    fld = rep.field
-    off = np.concatenate([[0], np.cumsum(rep.dims)])
-    big = fld.zeros(rep.total_dim, rep.total_dim)
+    maps on the diagonal blocks in vertex order; for stacks of vertex maps
+    (B, d_i, d_i), the stack of B such matrices."""
+    off = list(accumulate(rep.dims, initial=0))
+    big = np.zeros(np.shape(vertex_mats[0])[:-2] + (rep.total_dim, rep.total_dim), dtype=np.int64)
     for i in range(rep.dq.nv):
-        big[off[i] : off[i + 1], off[i] : off[i + 1]] = vertex_mats[i]
+        big[..., off[i] : off[i + 1], off[i] : off[i + 1]] = vertex_mats[i]
     return big
+
+
+def _one_eigenvalue(fld: PrimeField, blocks: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack (B, n, n) have a single eigenvalue, all
+    screened at once.  When p does not divide n, a matrix E with a single
+    eigenvalue has it at lam = tr(E)/n, and it has one exactly when
+    E - lam I is nilpotent: its minimal polynomial is then (t - lam)^k, one
+    coprime factor.  When p divides n, no matrix is screened out."""
+    n = blocks.shape[-1]
+    if not n % fld.p:
+        return np.zeros(len(blocks), dtype=bool)
+    lam = blocks.trace(axis1=1, axis2=2) % fld.p * fld.inv_scalar(n) % fld.p
+    shifted = (blocks - lam[:, None, None] * np.eye(n, dtype=np.int64)) % fld.p
+    return ~_stable_power(fld, shifted).any(axis=(1, 2))
 
 
 def _split_spaces(rep: Representation, end_mats) -> list[list[np.ndarray]]:
     """Vertex-wise generalized eigenspace bases of an endomorphism, one
     entry per coprime factor of its minimal polynomial (only factors with
     nonzero total dimension are returned); [] when there is one factor.
-
-    Shortcut: when p does not divide n = total_dim, an endomorphism E with
-    a single eigenvalue has it at lam = tr(E)/n.  If every vertex block
-    E_i - lam*I is nilpotent, the minimal polynomial is (t - lam)^k, one
-    factor, and [] is returned without factoring.  Otherwise, and always
-    when p divides n, the minimal polynomial is factored."""
+    Each generalized kernel is that of the block-diagonal matrix: every
+    kernel_basis column of it lies in one vertex block, and the columns of
+    a block are the kernel_basis of that vertex map's generalized kernel."""
     fld = rep.field
-    nv = rep.dq.nv
-    nonzero = [i for i in range(nv) if rep.dims[i] > 0]
-    if not nonzero:
-        return []
-    n = rep.total_dim
-    if n % fld.p:
-        lam = sum(int(np.trace(end_mats[i])) for i in nonzero) * fld.inv_scalar(n) % fld.p
-        shifted = ((end_mats[i] - lam * fld.eye(rep.dims[i])) % fld.p for i in nonzero)
-        if not any(np.any(_stable_power(fld, m)) for m in shifted):
-            return []
-    factors = fld.coprime_factors(block_diagonal(rep, end_mats))
+    big = block_diagonal(rep, end_mats)
+    factors = fld.coprime_factors(big)
     if len(factors) <= 1:
         return []
+    off = list(accumulate(rep.dims, initial=0))
     out = []
     for f in factors:
-        bases = []
-        for i in range(nv):
-            d = rep.dims[i]
-            m = fld.poly_eval_matrix(f, end_mats[i]) if d else fld.zeros(0, 0)
-            bases.append(fld.kernel_basis(_stable_power(fld, m)))
-        if sum(b.shape[1] for b in bases):
-            out.append(bases)
-    if sum(b[i].shape[1] for b in out for i in range(nv)) != rep.total_dim:
+        ker = fld.kernel_basis(_stable_power(fld, fld.poly_eval_matrix(f, big)))
+        # the vertex of each column is that of its first nonzero row
+        vertex = np.searchsorted(off, (ker != 0).argmax(axis=0), side="right") - 1
+        if ker.shape[1]:
+            out.append([ker[lo:hi, vertex == i] for i, (lo, hi) in enumerate(zip(off, off[1:]))])
+    if sum(b.shape[1] for bases in out for b in bases) != rep.total_dim:
         raise StructureError("eigenspace split does not fill the representation")
     return out
 
 
-def decompose(rep: Representation):
+def decompose(rep: Representation, memo: dict | None = None):
     """Krull-Schmidt decomposition into (indecomposable, multiplicity) pairs.
 
-    Splitting elements of End(rep) are searched among its Hom basis; a
-    factor none of them splits is certified indecomposable by End/rad
-    being 1-dimensional (trace-form radical), and NonSplitResidueError is
-    raised if End/rad is larger.
+    Splitting elements of End(rep) are searched among its Hom basis, in
+    order, skipping those with a single eigenvalue; a factor none of them
+    splits is certified indecomposable by End/rad being 1-dimensional
+    (trace-form radical), and NonSplitResidueError is raised if End/rad is
+    larger.  memo maps the content of each module split so far to its
+    indecomposable pieces: a module of a content in it is not split again,
+    and the pieces of every content split here are added.  The split is a
+    function of the content, so a memo shared across calls changes no
+    result; without one, each call splits afresh.
     """
     if rep.total_dim == 0:
         return []
-    pieces = _decompose_rec(rep)
+    pieces = _decompose_rec(rep, {} if memo is None else memo)
     out: list[tuple[Representation, int]] = []
     # the pieces are certified indecomposable, so is_isomorphic decides
     for piece in pieces:
@@ -573,19 +602,24 @@ def decompose(rep: Representation):
     return out
 
 
-def _decompose_rec(rep: Representation) -> list[Representation]:
-    ends = hom_basis(rep, rep)
-    rep._end_dim = len(ends)  # spares is_isomorphic and the atlas closure a rank
-    if len(ends) == 1:
-        return [rep]
-    for b in ends:
-        spaces = _split_spaces(rep, b)
-        if len(spaces) >= 2:
-            return [piece for bases in spaces for piece in _decompose_rec(sub_representation(rep, bases))]
-    fld = rep.field
-    rad_coords = fld.trace_form_radical([block_diagonal(rep, b) for b in ends])
-    if len(ends) - rad_coords.shape[1] == 1:
-        return [rep]
-    raise NonSplitResidueError(
-        f"no Hom basis element splits a factor with End/rad dimension {len(ends) - rad_coords.shape[1]}"
-    )
+def _decompose_rec(rep: Representation, memo: dict) -> list[Representation]:
+    key = rep.content
+    if key in memo:
+        return memo[key]
+    ends = rep.end_basis
+    pieces = [rep]
+    if len(ends) > 1:
+        blocks = block_diagonal(rep, [np.stack([b[i] for b in ends]) for i in range(rep.dq.nv)])
+        for b, single in zip(ends, _one_eigenvalue(rep.field, blocks)):
+            spaces = [] if single else _split_spaces(rep, b)
+            if len(spaces) >= 2:
+                pieces = [piece for bases in spaces for piece in _decompose_rec(sub_representation(rep, bases), memo)]
+                break
+        else:
+            rad_coords = rep.field.trace_form_radical(list(blocks))
+            if len(ends) - rad_coords.shape[1] != 1:
+                raise NonSplitResidueError(
+                    f"no Hom basis element splits a factor with End/rad dimension {len(ends) - rad_coords.shape[1]}"
+                )
+    memo[key] = pieces
+    return pieces

@@ -352,10 +352,14 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
     # passes and the certificate build 121 extension spaces, where building
     # one for every visited pair took 507.  Each content is decomposed once,
     # each placed piece located once, and the certificate reuses the passes'
-    # cosyzygies, Ext spaces and decompositions: 215 decompositions, 703
-    # Hom bases, 389 isomorphism tests, 63 cosyzygies and 8,430 rrefs before
-    # those reuses; 5,611 rrefs before cocycles waited for the ranks and
-    # projectives were built once per basis.  From cold plan caches, the
+    # cosyzygies, Ext spaces and decompositions.  The passes and the
+    # certificate share one decompose memo keyed by content, so a piece met
+    # inside two decompositions is split once (139 splits of 230 requests);
+    # each module computes its End basis and arrow ranks once; the
+    # certificate locates a piece whose content was placed by that content;
+    # and sub_representation reads coordinates off unit rows, not solves:
+    # 235 Hom bases, 148 isomorphism tests and 2,359 rrefs, where 372, 177
+    # and 4,445 were made before.  From cold plan caches, the
     # three growths of the tables each build the scatter plans of all their
     # new dimension-vector pairs in one call, and 44 keys are met first
     # one at a time by hom_basis and ext1_cocycle (9 of them outside the
@@ -373,13 +377,55 @@ def test_a4_closure_builds_few_extensions(monkeypatch):
     assert calls["build_extension"] <= 200
     assert calls["ext1_cocycle"] <= 121
     assert calls["decompose"] <= 106
-    assert calls["hom_basis"] <= 382
-    assert calls["is_isomorphic"] <= 179
+    assert calls["hom_basis"] <= 235
+    assert calls["is_isomorphic"] <= 148
     assert calls["cosyzygy"] <= 40
-    assert calls["rref"] <= 4445
+    assert calls["rref"] <= 2359
     assert calls["_scatter_plans"] <= 3 + 44
     assert calls["ranks"] <= 26
     assert compare_atlases(built, shared_atlas("A4")) == []
+
+
+@pytest.mark.parametrize("qtype", ["A3", "A4"])
+def test_closure_splits_each_content_once_and_as_a_fresh_decompose(qtype, monkeypatch):
+    # the passes and the certificate share one decompose memo: each content
+    # is split once, and a memoised call gives the pieces of a fresh one
+    calls, bodies = [], []
+    real, real_rec = atlas_mod.decompose, modules_mod._decompose_rec
+
+    def recording(rep, memo=None):
+        got = real(rep, memo)
+        calls.append((rep, got))
+        return got
+
+    def body(rep, memo):
+        if rep.content not in memo:
+            bodies.append(rep.content)
+        return real_rec(rep, memo)
+
+    monkeypatch.setattr(atlas_mod, "decompose", recording)
+    monkeypatch.setattr(modules_mod, "_decompose_rec", body)
+    built = enumerate_indecomposables(qtype, PrimeField(32003))
+    monkeypatch.undo()
+    assert compare_atlases(built, shared_atlas(qtype)) == []
+    assert calls and len(bodies) == len(set(bodies))
+    for rep, got in calls:
+        fresh = modules_mod.decompose(rep)
+        assert [(x.content, m) for x, m in fresh] == [(x.content, m) for x, m in got]
+
+
+def test_gamma_of_a_loaded_atlas_plans_every_pair_in_one_call(tmp_path, monkeypatch):
+    # a loaded atlas met no closure, so gamma plans the Hom systems of all
+    # its pairs of dimension vectors in one pass, not one build per pair
+    atlas = shared_atlas("A3")
+    want = atlas.gamma()
+    atlas.save(tmp_path / "atlas.json")
+    loaded = Atlas.load(tmp_path / "atlas.json", atlas.field)
+    modules_mod.scatter_plans.cache_clear()
+    calls = _count_calls(monkeypatch, ["_scatter_plans"])
+    got = loaded.gamma()
+    assert calls["_scatter_plans"] == 1
+    assert np.array_equal(got.starts, want.starts) and np.array_equal(got.consts, want.consts)
 
 
 def test_gamma_after_the_a3_closure_builds_no_scatter_plan(monkeypatch):

@@ -418,3 +418,30 @@ def test_mul_refuses_int64_overflow():
         big.mul(row, row.T)
     # two terms of (p - 1)**2 still fit: (-1)**2 * 2 = 2
     assert big.mul(row[:, :2], row[:, :2].T)[0, 0] == 2
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_coprime_factors_once_per_minimal_polynomial_and_fresh_lists(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p)
+    # two idempotents share the minimal polynomial t^2 - t
+    mats = [fld.mat([[1, 0], [0, 0]]), fld.mat([[1, 1], [0, 0]])]
+    mats += [rng.integers(0, p, size=(n, n)) for n in rng.integers(1, 7, size=20)]
+    for e in mats:
+        first = fld.coprime_factors(e)
+        assert first == PrimeField(p).coprime_factors(e)
+        first[0].append(7)
+        first.append([1])
+        assert fld.coprime_factors(e) == PrimeField(p).coprime_factors(e) != first
+    assert fld.coprime_factors(mats[1]) == [[0, 1], [p - 1, 1]]
+
+
+def test_poly_eval_matrix_takes_one_product_per_degree(f, monkeypatch):
+    e = f.mat([[1, 2, 0], [0, 3, 1], [5, 0, 2]])
+    poly = [4, 0, 3, 1]  # t^3 + 3 t^2 + 4
+    want = (f.mul(f.mul(e, e), e) + 3 * f.mul(e, e) + 4 * f.eye(3)) % f.p
+    calls = []
+    real = PrimeField.mul
+    monkeypatch.setattr(PrimeField, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
+    assert np.array_equal(f.poly_eval_matrix(poly, e), want)
+    assert len(calls) == len(poly) - 1

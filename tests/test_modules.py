@@ -5,6 +5,7 @@ from preproj.errors import InputError
 from preproj.linalg import PrimeField
 from preproj.modules import (
     Representation,
+    _one_eigenvalue,
     _split_spaces,
     check_relations,
     cosyzygy,
@@ -18,6 +19,7 @@ from preproj.modules import (
     radical,
     simple,
     socle_dims,
+    sub_representation,
     syzygy,
     top_dims,
     zero_rep,
@@ -216,7 +218,8 @@ def test_basis_scan_is_conclusive_on_indecomposables(atlas_a3):
 
 def _split_iff_one_factor(rep, mats):
     """_split_spaces returns [] exactly when coprime_factors finds one factor
-    for the block-diagonal matrix of mats; returns whether it was []."""
+    for the block-diagonal matrix of mats, and the single-eigenvalue screen
+    of _decompose_rec passes over mats only then; returns whether it was []."""
     fld = rep.field
     off = np.concatenate([[0], np.cumsum(rep.dims)])
     big = fld.zeros(rep.total_dim, rep.total_dim)
@@ -224,7 +227,19 @@ def _split_iff_one_factor(rep, mats):
         big[off[i] : off[i + 1], off[i] : off[i + 1]] = m
     unsplit = _split_spaces(rep, mats) == []
     assert unsplit == (len(fld.coprime_factors(big)) <= 1)
+    assert unsplit or not _screened(fld, big)
     return unsplit
+
+
+def _screened(fld, big):
+    """Whether _one_eigenvalue finds a single eigenvalue, alone and in a
+    stack with the identity and a nilpotent shift of big."""
+    n = big.shape[0]
+    stack = np.stack([big, fld.eye(n), np.eye(n, k=1, dtype=np.int64)])
+    single = _one_eigenvalue(fld, stack).tolist()
+    assert single[1:] == [bool(n % fld.p)] * 2
+    assert _one_eigenvalue(fld, big[None]).tolist() == single[:1]
+    return single[0]
 
 
 def test_one_eigenvalue_shortcut_on_atlas_endomorphisms(atlas_a3):
@@ -258,7 +273,8 @@ def test_one_eigenvalue_shortcut_on_scalar_plus_nilpotent(p):
             lam = int(rng.integers(0, p))
             tri = lam * fld.eye(n) + np.triu(rng.integers(0, p, size=(n, n)), 1)
             rep = Representation(dq, fld, (n,), [])
-            assert _split_iff_one_factor(rep, [_conjugate(fld, rng, tri % p)])
+            e = _conjugate(fld, rng, tri % p)
+            assert _split_iff_one_factor(rep, [e]) and _screened(fld, e)
             if n > 1:
                 # a second eigenvalue: the shortcut must not fire
                 tri[-1, -1] += 1
@@ -277,7 +293,8 @@ def test_one_eigenvalue_shortcut_skipped_when_p_divides_n():
     rep = Representation(dq, fld, (5,), [])
     jordan = 2 * fld.eye(5)
     jordan[0, 1] = 1
-    assert _split_iff_one_factor(rep, [_conjugate(fld, rng, jordan % 5)])
+    e = _conjugate(fld, rng, jordan % 5)
+    assert _split_iff_one_factor(rep, [e]) and not _screened(fld, e)
     # trace 1 + 1 + 1 + 1 + 2 = 1 but n = 0 in F_5, so tr/n is undefined
     two = _conjugate(fld, rng, fld.mat(np.diag([1, 1, 1, 1, 2])))
     assert not _split_iff_one_factor(rep, [two])
@@ -328,3 +345,17 @@ def test_module_map_validation(a3, f):
     s1, s2 = simple(dq, f, 1), simple(dq, f, 2)
     with pytest.raises(InputError):
         ModuleMap(s1, s2, tuple(f.eye(1) for _ in range(3)))
+
+
+def test_sub_representation_refuses_non_invariant_and_non_echelon_bases(a3, f):
+    dq, basis = a3
+    p1, p2 = projective_module(basis, 1), projective_module(basis, 2)
+    # the top of P1 at vertex 1 alone: the arrow 1 -> 2 maps it out
+    with pytest.raises(InputError, match="not invariant"):
+        sub_representation(p1, [f.eye(1), f.zeros(1, 0), f.zeros(1, 0)])
+    # all of P2 (dims 1, 2, 1), but at vertex 2 a basis with no unit row
+    mixed = f.mat([[1, 1], [1, 2]])
+    with pytest.raises(InputError, match="unit row"):
+        sub_representation(p2, [f.eye(1), mixed, f.eye(1)])
+    whole = sub_representation(p2, [f.eye(1), f.eye(2), f.eye(1)])
+    assert whole.content == p2.content
