@@ -170,16 +170,6 @@ class Atlas:
         self._gamma = Gamma(firsts.reshape(n, n), consts)
         return self._gamma
 
-    def compose(self, i: int, j: int, k: int) -> np.ndarray:
-        """Structure constants of composition Hom(j, k) x Hom(i, j) -> Hom(i, k)
-        over the hom_basis bases: an array c of shape (dim Hom(j, k),
-        dim Hom(i, k), dim Hom(i, j)) in which c[e1][:, e2] holds the
-        coordinates of hom_basis(j, k)[e1] o hom_basis(i, j)[e2].  A view of
-        gamma's constants, solved once per pair (i, k), not per triple."""
-        gam, h = self.gamma(), self.hom_table
-        first = gam.starts[j, k]
-        return gam.consts[i, first : first + h[j, k], : h[i, k], : h[i, j]]
-
     # -- persistence ----------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -234,7 +224,10 @@ class Atlas:
         aliases = {}
         try:
             dq = double(preset_quiver(qtype))
-            for entry in payload["modules"]:
+            for mid, entry in enumerate(payload["modules"]):
+                # aliases and the tables are keyed by position
+                if entry["id"] != mid:
+                    raise FormatError(f"module at position {mid} has id {entry['id']!r}")
                 dims = tuple(entry["dim_vector"])
                 mats = []
                 for k, a in enumerate(dq.arrows):
@@ -243,7 +236,7 @@ class Atlas:
                     mats.append(np.array(flat, dtype=np.int64).reshape(rows, cols))
                 modules.append(Representation(dq, field, dims, mats))
                 if "alias" in entry:
-                    aliases[entry["id"]] = entry["alias"]
+                    aliases[mid] = entry["alias"]
             hom_table = np.array(payload["hom_table"], dtype=np.int64)
             ext_table = np.array(payload["ext_table"], dtype=np.int64)
         except (KeyError, IndexError, TypeError, ValueError, InputError) as exc:

@@ -38,6 +38,8 @@ class Config:
                 raise FieldSizeError(
                     f"{name} = {p} is too large for exact int64 arithmetic"
                 )
+        if self.cross_check_char == self.field_char:
+            raise InputError(f"cross_check_char must differ from field_char, both are {self.field_char}")
         if self.seed < 0:
             raise InputError("seed must be non-negative")
         return self

@@ -11,7 +11,9 @@ and a B-module keeps its action as one array of padded blocks, one per
 basis element; F X is one gather of Γ's constants.  Hom and Ext over B
 from a module M with pd M <= 1 come from its minimal projective
 presentation, read from the kernel of its cover map in the cover's
-coordinates; the image of a summand of T is projective and needs none.
+coordinates, with the radical of the syzygy from one product with the
+actions of B on the projectives B e_k, stacked once per T; the image of a
+summand of T is projective and needs none.
 One rank of one small matrix per pair of modules: those of a T are summed
 at once (hom_b) and ranked in one stack into full Hom_B and Ext^1_B tables
 (ExtCalculatorB).  The tilting sets are the maximal cliques of the
@@ -42,7 +44,9 @@ class BoundAlgebra:
     """B = End(T) = e_T Γ e_T for T = rigid.  Basis element b is the map
     gamma_ids[b] of Γ from T_src[b] to T_tgt[b]; block_elems[(k, l)] lists
     those of Hom(T_k, T_l), led on the diagonal by the identity of T_k,
-    and every other element is in radical_elements."""
+    and every other element is in radical_elements.  projective_actions,
+    an array (r, dim B, w, w), stacks the actions of B on the projectives
+    B e_k (BModule.action of projective(k)), gathered once from Γ."""
 
     def __init__(self, atlas: Atlas, rigid: RigidModule):
         self.atlas = atlas
@@ -61,33 +65,12 @@ class BoundAlgebra:
             divmod(kl, r): list(range(first, first + size)) for kl, (first, size) in enumerate(zip(firsts, sizes))
         }
         self.radical_elements = np.delete(np.arange(len(block)), firsts[:: r + 1])
+        self.projective_actions = atlas.gamma().consts[ids[:, None], self.gamma_ids]
         self._images: dict[int, BModule] = {}
-        self._radical_stacks: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def dim(self) -> int:
         return len(self.src)
-
-    def _radical_stack(self, s: int, k: int) -> np.ndarray:
-        """The left multiplications by the radical elements b: k -> l on
-        B e_s, stacked: an array (number of such b, dim B e_s, dim e_k B e_s)
-        whose slice at b maps component k of B e_s into its coordinates,
-        zero outside component l: by post-composition, the slice
-        atlas.compose(T_s, T_k, T_l) of Γ's constants.  Built once per pair."""
-        got = self._radical_stacks.get((s, k))
-        if got is not None:
-            return got
-        ids = self.summand_ids
-        offs = list(accumulate(self.block_dims[s], initial=0))
-        # the identity of End(T_k) leads block (k, k) and is no radical element
-        starts = list(accumulate(self.block_dims[k] - (np.arange(self.r) == k), initial=0))
-        got = np.zeros((starts[-1], offs[-1], self.block_dims[s, k]), dtype=np.int64)
-        for l in range(self.r):
-            if got.size and starts[l] < starts[l + 1] and offs[l] < offs[l + 1]:
-                consts = self.atlas.compose(ids[s], ids[k], ids[l])[int(l == k) :]
-                got[starts[l] : starts[l + 1], offs[l] : offs[l + 1]] = consts
-        self._radical_stacks[(s, k)] = got
-        return got
 
     def projective(self, k: int) -> "BModule":
         """The left ideal B e_k generated by the k-th idempotent: the image
@@ -229,68 +212,58 @@ def presentation(m: BModule) -> Presentation | None:
 
     rad(B) ΩM is spanned by each radical element b: k -> l acting on the
     kernel columns in component k, copy by copy through the action of b on
-    B e_{k_g}: one product per component k and copy with the stacked
-    actions of BoundAlgebra._radical_stack.  The kernel columns outside
-    the span of rad(B) ΩM and the columns before them span a complement
-    of it, so they are the top generators ρ of ΩM, and their coordinates
-    over P are the columns themselves.  ΩM is projective iff it is as
-    large as the cover of its top: Σ_ρ dim B e_{k_ρ} = dim ΩM, the number
-    of kernel columns."""
+    B e_{k_g}: one batched product over (copy, radical element, kernel
+    column of b's source component) with BoundAlgebra.projective_actions.
+    The kernel columns outside the span of rad(B) ΩM and the columns
+    before them span a complement of it, so they are the top generators ρ
+    of ΩM, and their coordinates over P are the columns themselves.  ΩM is
+    projective iff it is as large as the cover of its top:
+    Σ_ρ dim B e_{k_ρ} = dim ΩM, the number of kernel columns."""
     if m.summand is not None:
         return Presentation((m.summand,), (), {})
     alg, fld = m.algebra, m.algebra.field
     copies, ker, poffs, koffs = _cover_kernel(m)
-    if not ker.shape[1]:
+    dim = ker.shape[1]
+    if not dim:
         return Presentation(tuple(copies), (), {})
-    size = poffs[-1]
+    # Row x of P is coordinate pos[x] of copy copy[x] of B e_{k_g} in its
+    # component: rows run component by component, then copy by copy.
+    sizes = alg.block_dims[copies].T.ravel()
+    copy = np.repeat(np.tile(np.arange(len(copies)), alg.r), sizes)
+    pos = np.arange(poffs[-1]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # kernel column i is column col[i] of component comp[i]; kers[g, k]
+    # holds those of component k, restricted to copy g and zero-padded
+    counts = np.diff(koffs)
+    comp = np.repeat(np.arange(alg.r), counts)
+    col = np.arange(dim) - np.asarray(koffs)[comp]
+    acts = alg.projective_actions
+    kers = np.zeros((len(copies), alg.r, acts.shape[-1], counts.max()), dtype=np.int64)
+    xs, cs = np.nonzero(ker)
+    kers[copy[xs], comp[cs], pos[xs], col[cs]] = ker[xs, cs]
+    # imgs[g, q, :, c]: radical element rad[q] on kernel column c of its
+    # source component, in copy g of its target component
+    rad = alg.radical_elements
+    imgs = np.matmul(acts[np.ix_(copies, rad)], kers[:, alg.src[rad]]) % fld.p
     # Column i of ker is 1 at its last nonzero coordinate f_i and 0 at
     # every other f_j, so a vector v of ΩM is Σ_i v[f_i] ker[:, i]: its
-    # coordinates over ker are its entries at f.
-    dim = ker.shape[1]
-    f = size - 1 - (ker[::-1] != 0).argmax(axis=0)
-    # Copy g is rows within[g, j] onward of component j of P.  Stacked
-    # copy after copy (each in the order of the coordinates of B e_{k_g}),
-    # the coordinates of P come in another order: coordinate f_i comes at
-    # position sel[i] there.
-    sizes = alg.block_dims[list(copies)]
-    within = np.cumsum(sizes, axis=0) - sizes
-    copy_major = np.cumsum(sizes.ravel()) - sizes.ravel()
-    shift = copy_major.reshape(sizes.shape) - within - np.array(poffs[:-1])
-    sel = (np.arange(size) + np.repeat(shift.T.ravel(), sizes.T.ravel()))[f]
-    # rad(B) ΩM in the coordinates over ker: one row per radical element
-    # b: k -> l and column of ker in component k, one product per k and copy
-    rad = [fld.zeros(0, dim)]
-    for k in range(alg.r):
-        cols = ker[poffs[k] : poffs[k + 1], koffs[k] : koffs[k + 1]]
-        if not cols.shape[1]:
-            continue
-        parts = []
-        for g, kg in enumerate(copies):
-            stack = alg._radical_stack(kg, k)
-            count, height, width = stack.shape
-            part = fld.mul(stack.reshape(count * height, width), cols[within[g, k] : within[g, k] + width])
-            parts.append(part.reshape(count, height, -1))
-        imgs = np.concatenate(parts, axis=1)[:, sel]
-        rad.append(imgs.transpose(0, 2, 1).reshape(-1, dim))
+    # coordinates over ker are its entries at f, zero off its component.
+    f = poffs[-1] - 1 - (ker[::-1] != 0).argmax(axis=0)
+    coords = imgs[copy[f], :, pos[f]] * (alg.tgt[rad] == comp[:, None])[:, :, None]
     # column i is a top generator unless some v in rad(B) ΩM has its last
     # nonzero coordinate at i, a pivot of the echelon form of the columns
     # in reverse order
-    rows = np.concatenate(rad)
+    rows = coords.transpose(1, 2, 0).reshape(-1, dim)
     _, last = fld.rref(rows[rows.any(axis=1), ::-1])
     tops = sorted(set(range(dim)).difference(dim - 1 - c for c in last))
-    comp = np.repeat(np.arange(alg.r), np.diff(koffs))
     if sum(alg.projective(comp[t]).dim for t in tops) != dim:
         return None
-    coords = {}
+    terms = {}
     for r, t in enumerate(tops):
         k = int(comp[t])
-        col = ker[poffs[k] : poffs[k + 1], t]
-        for g, kg in enumerate(copies):
-            ids = alg.block_elems[(kg, k)]
-            terms = [(idx, int(v)) for idx, v in zip(ids, col[within[g, k] :]) if v]
-            if terms:
-                coords[(r, g)] = terms
-    return Presentation(tuple(copies), tuple(int(comp[t]) for t in tops), coords)
+        for x in np.flatnonzero(ker[:, t]):
+            g = int(copy[x])
+            terms.setdefault((r, g), []).append((alg.block_elems[(copies[g], k)][pos[x]], int(ker[x, t])))
+    return Presentation(tuple(copies), tuple(int(comp[t]) for t in tops), terms)
 
 
 class ExtCalculatorB:

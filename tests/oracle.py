@@ -419,9 +419,21 @@ def exact_classes(space, t_summands) -> np.ndarray:
 # -- End(T) and its modules ------------------------------------------------------
 
 
+def compose_view(atlas, i: int, j: int, k: int) -> np.ndarray:
+    """Structure constants of composition Hom(j, k) x Hom(i, j) -> Hom(i, k)
+    over the hom_basis bases, read from Γ: an array c of shape
+    (dim Hom(j, k), dim Hom(i, k), dim Hom(i, j)) in which c[e1][:, e2]
+    holds the coordinates of hom_basis(j, k)[e1] o hom_basis(i, j)[e2].  A
+    view of atlas.gamma().consts, whose slice at (i, b) is the action of
+    b: j -> k on Hom(modules[i], -)."""
+    gam, h = atlas.gamma(), atlas.hom_table
+    first = gam.starts[j, k]
+    return gam.consts[i, first : first + h[j, k], : h[i, k], : h[i, j]]
+
+
 def reference_compose(atlas, i: int, j: int, k: int) -> np.ndarray:
     """The composition constants of Hom(j, k) x Hom(i, j) -> Hom(i, k) in the
-    layout of Atlas.compose, from one solve per triple: every product
+    layout of compose_view, from one solve per triple: every product
     g o f over the hom_basis bases expressed in hom_basis(i, k)."""
     fld = atlas.field
     firsts, seconds, targets = atlas.hom_basis(j, k), atlas.hom_basis(i, j), atlas.hom_basis(i, k)
@@ -448,7 +460,7 @@ def product_coords(algebra, i1: int, i2: int) -> tuple[tuple[int, int], np.ndarr
     if src[i1] != tgt[i2]:
         return block, np.zeros(len(algebra.block_elems[block]), dtype=np.int64)
     ids = algebra.summand_ids
-    consts = algebra.atlas.compose(ids[src[i2]], ids[src[i1]], ids[tgt[i1]])
+    consts = compose_view(algebra.atlas, ids[src[i2]], ids[src[i1]], ids[tgt[i1]])
     pos1 = algebra.block_elems[(src[i1], tgt[i1])].index(i1)
     pos2 = algebra.block_elems[(src[i2], tgt[i2])].index(i2)
     return block, consts[pos1, :, pos2]

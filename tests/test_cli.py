@@ -280,6 +280,38 @@ def test_config_rejects_composite_modulus():
         build_config(None, {"cross_check_char": 2})
 
 
+def test_cross_check_at_the_main_prime_exits_2(tmp_path, capsys):
+    # a second prime equal to the first would load the same cache file and
+    # check it against itself
+    with pytest.raises(InputError):
+        build_config(None, {"field_char": 101})
+    code, out, err = run(
+        capsys, "verify", "--suite", "lemma21", "--type", "A3",
+        "--cross-check-char", "32003", "--cache-dir", str(tmp_path / "c"),
+    )
+    assert code == 2 and out == ""
+    assert "cross_check_char must differ from field_char" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_atlas_file_with_swapped_module_ids_exits_2(tmp_path, capsys):
+    # aliases were keyed by id and modules by position: swapping two ids
+    # once loaded silently with the two aliases exchanged
+    cache = str(tmp_path / "c")
+    assert run(capsys, "atlas", "--type", "A3", "--cache-dir", cache)[0] == 0
+    path = tmp_path / "c" / "A3-p32003-v1" / "atlas.json"
+    payload = json.loads(path.read_text())
+    by_alias = {e["alias"]: e for e in payload["modules"] if "alias" in e}
+    first, second = by_alias["1over2"], by_alias["2over1"]
+    first["id"], second["id"] = second["id"], first["id"]
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    for argv in (["graph", "--kind", "mutation"], ["graph", "--kind", "tilting", "--rigid", "R1"]):
+        code, _, err = run(capsys, *argv, "--type", "A3", "--cache-dir", cache)
+        assert code == 2, argv
+        assert f"module at position {second['id']} has id {first['id']}" in err, err
+    assert not (tmp_path / "c" / "A3-p32003-v1" / "graphs").exists()
+
+
 def test_second_invocation_reuses_cache(tmp_path, capsys):
     cache = str(tmp_path / "c")
     run(capsys, "atlas", "--type", "A2", "--cache-dir", cache)
